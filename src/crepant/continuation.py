@@ -79,6 +79,11 @@ def _frac_mp(x: Fraction):
 
 
 def _to_mp(x):
+    if isinstance(x, str):
+        try:
+            return mp.mpmathify(x)
+        except (TypeError, ValueError) as exc:
+            raise ContinuationError(f"not a number: {x!r}") from exc
     if isinstance(x, Fraction):
         return _frac_mp(x)
     if isinstance(x, int):

@@ -17,6 +17,12 @@ make the coefficients genuinely rational in z, so coefficients are stored
 as a Laurent-polynomial numerator together with a multiset of linear
 denominator factors; exact identities are checked by clearing denominators
 and z-expansions are produced on request.
+
+Both expansions are one routine, RatAZ.expand: a Laurent long division of
+the numerator by the product of the denominator factors, whose leading
+z-coefficient is a nonzero scalar.  It builds only the top coefficients of
+that product which the requested layers need, so its cost follows the
+number of output layers rather than the depth of each factor's series.
 """
 
 from __future__ import annotations
@@ -43,6 +49,17 @@ def _linear(alg: Algebra, d: Element, b: Fraction) -> AlgebraZ:
     if b != 0:
         layers[1] = alg.one() * LambdaRat(b)
     return AlgebraZ(alg, layers)
+
+
+def _times_linear(p: AlgebraZ, d: Element, b: Fraction) -> AlgebraZ:
+    """p · (D + b z): one Element product per layer, the b z part by scaling."""
+    out = {e: v * d for e, v in p.layers.items()}
+    if b:
+        for e, v in p.layers.items():
+            w = v * b
+            s = out.get(e + 1)
+            out[e + 1] = w if s is None else s + w
+    return AlgebraZ(p.algebra, out)
 
 
 def _nilpotency_order(d: Element) -> int | None:
@@ -121,44 +138,69 @@ class RatAZ:
         left = self.num
         for key, count in (union - mine).items():
             d, b = lookup[key]
-            f = _linear(self.algebra, d, b)
             for _ in range(count):
-                left = left * f
+                left = _times_linear(left, d, b)
         right = other.num
         for key, count in (union - theirs).items():
             d, b = lookup[key]
-            f = _linear(self.algebra, d, b)
             for _ in range(count):
-                right = right * f
+                right = _times_linear(right, d, b)
         den = tuple(lookup[key] for key, count in union.items()
                     for _ in range(count))
         return RatAZ(left + right, den)
 
     def expand(self, zmin: int) -> AlgebraZ:
-        """z-adic expansion (around z = ∞) keeping layers with exponent >= zmin."""
+        """z-adic expansion (around z = ∞) keeping layers with exponent >= zmin.
+
+        One Laurent long division of num by P = Π_j (D_j + b_j z).  P has
+        degree m = len(den) in z and the scalar leading coefficient
+        (Π b_j)·1, so the quotient starts at qtop = top(num) - m and each
+        layer follows from the ones above it:
+
+            q_j = (n_{j+m} - Σ_{i=1..m} p_{m-i} q_{j+i}) / Π b_j.
+
+        Only the top qtop - zmin + 1 coefficients of P enter, so P is built
+        only that deep.  With K = qtop - zmin + 1 output layers the cost is
+        about m·K Element products for P and K²/2 for the division, whatever
+        the nilpotency of the D_j.
+        """
         alg = self.algebra
-        out = self.num
+        if any(b == 0 for _, b in self.den):
+            raise IFunctionError("cannot expand a z-free denominator factor")
+        layers = self.num.layers
+        if not layers:
+            return AlgebraZ(alg)
+        m = len(self.den)
+        qtop = max(layers) - m
+        if qtop < zmin:
+            return AlgebraZ(alg)
+        if not m:
+            return AlgebraZ(alg, {e: v for e, v in layers.items() if e >= zmin})
+        depth = qtop - zmin + 1
+        # top[i] is the coefficient of z^(m-i) in P, for i < depth
+        top = [alg.one()]
+        lead = Fraction(1)
         for d, b in self.den:
-            if b == 0:
-                raise IFunctionError("cannot expand a z-free denominator factor")
-            if out.is_zero:
-                break
-            top = max(out.support())
-            depth = top - zmin  # 1/(D+bz) contributes z^{-1} ... z^{-depth}
-            inv = {}
-            power = alg.one()
-            sign = 1
-            for k in range(depth):
-                inv[-(k + 1)] = power * LambdaRat(
-                    Fraction(sign, 1) / (b ** (k + 1)))
-                power = power * d
-                sign = -sign
-                if power.is_zero:
-                    break
-            out = out * AlgebraZ(alg, inv)
-            out = AlgebraZ(alg, {e: v for e, v in out.layers.items()
-                                 if e >= zmin})
-        return out
+            nxt = [c * b for c in top]
+            if len(nxt) < depth:
+                nxt.append(alg.zero())
+            for i, c in enumerate(top[:depth - 1]):
+                nxt[i + 1] = nxt[i + 1] + d * c
+            top = nxt
+            lead *= b
+        inv = 1 / lead
+        out = {}
+        for j in range(qtop, zmin - 1, -1):
+            acc = layers.get(j + m)
+            for i in range(1, min(m, qtop - j) + 1):
+                q = out.get(j + i)
+                if q is None or top[i].is_zero:
+                    continue
+                term = top[i] * q
+                acc = -term if acc is None else acc - term
+            if acc is not None and not acc.is_zero:
+                out[j] = acc * inv
+        return AlgebraZ(alg, out)
 
     def nonequivariant_limit(self) -> "RatAZ":
         return RatAZ(self.num.nonequivariant_limit(),
@@ -189,7 +231,7 @@ def gamma_ratio(d: Element, v: Fraction) -> RatAZ:
         b = f - 1 if f > 0 else Fraction(0)
         num = one.num
         while b > v:
-            num = num * _linear(alg, d, b)
+            num = _times_linear(num, d, b)
             b -= 1
         return RatAZ(num)
     # v > 0
@@ -200,21 +242,12 @@ def gamma_ratio(d: Element, v: Fraction) -> RatAZ:
         b += 1
     lam_free = d.coeffs[alg.unit].is_zero
     order = _nilpotency_order(d) if lam_free else None
+    dens = tuple((d, b) for b in bs)
     if order is None:
-        return RatAZ(one.num, tuple((d, b) for b in bs))
-    out = one.num
-    for b in bs:
-        inv = {}
-        power = alg.one()
-        sign = 1
-        for k in range(order):
-            inv[-(k + 1)] = power * LambdaRat(Fraction(sign, 1) / (b ** (k + 1)))
-            power = power * d
-            sign = -sign
-            if power.is_zero:
-                break
-        out = out * AlgebraZ(alg, inv)
-    return RatAZ(out)
+        return RatAZ(one.num, dens)
+    # the series is a polynomial of degree < order in D/z times z^-len(bs),
+    # so it ends at z^(1 - order - len(bs))
+    return RatAZ(RatAZ(one.num, dens).expand(1 - order - len(bs)))
 
 
 def gamma_ratio_defining_product(d: Element, v: Fraction) -> AlgebraZ:
@@ -292,7 +325,7 @@ def build_ifunction(geom: Geometry, bound: int) -> IFunction:
         coeffs[n] = c
     out = IFunction(geom, bound, coeffs)
     zero = tuple(0 for _ in geom.variables)
-    if out.coeffs[zero].expand(0) != AlgebraZ(alg, {0: alg.one()}):
+    if out.coeffs[zero] != RatAZ(AlgebraZ(alg, {0: alg.one()})):
         raise IFunctionError(f"{geom.name}: zero-index coefficient is not the unit")
     return out
 

@@ -25,18 +25,25 @@ def _as_fraction(x):
 
 
 class LambdaPoly:
-    """Sparse polynomial in λ over Fraction."""
+    """Sparse polynomial in λ over Fraction.
 
-    __slots__ = ("coeffs",)
+    The nonzero terms are kept in one flat tuple (e0, c0, e1, c1, ...) in
+    increasing exponent order.  Almost every coefficient of the pipeline is a
+    monomial c·λ^k, which this stores as a two-item tuple; a dict would take
+    about four times the memory.  Values are immutable and may be shared.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, coeffs=None):
         if coeffs is None:
-            self.coeffs = {}
+            self.terms = ()
         elif isinstance(coeffs, dict):
-            self.coeffs = {e: _as_fraction(c) for e, c in coeffs.items() if c}
+            self.terms = _pack({e: _as_fraction(c)
+                                for e, c in coeffs.items() if c})
         else:
             c = _as_fraction(coeffs)
-            self.coeffs = {0: c} if c else {}
+            self.terms = (0, c) if c else ()
 
     @staticmethod
     def gen(power: int = 1, coeff=1) -> "LambdaPoly":
@@ -44,43 +51,61 @@ class LambdaPoly:
         return LambdaPoly({power: _as_fraction(coeff)})
 
     @property
+    def coeffs(self) -> dict:
+        """Exponent -> nonzero coefficient, as a new dict."""
+        t = self.terms
+        return dict(zip(t[::2], t[1::2]))
+
+    def coeff(self, e: int) -> Fraction:
+        t = self.terms
+        for i in range(0, len(t), 2):
+            if t[i] == e:
+                return t[i + 1]
+        return _ZERO
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def degree(self) -> int:
         """Degree in λ; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
+        return self.terms[-2] if self.terms else -1
 
     def leading(self) -> Fraction:
-        return self.coeffs[self.degree()] if self.coeffs else _ZERO
+        return self.terms[-1] if self.terms else _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, LambdaPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.terms)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __neg__(self):
-        return LambdaPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly(tuple(-x if i & 1 else x
+                           for i, x in enumerate(self.terms)))
 
     def __add__(self, other):
         if not isinstance(other, LambdaPoly):
             other = LambdaPoly(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, _ZERO) + c
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        out = dict(zip(a[::2], a[1::2]))
+        for i in range(0, len(b), 2):
+            e = b[i]
+            s = out.get(e, _ZERO) + b[i + 1]
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        r = LambdaPoly.__new__(LambdaPoly)
-        r.coeffs = out
-        return r
+        return _poly(_pack(out))
 
     __radd__ = __add__
 
@@ -95,25 +120,26 @@ class LambdaPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = _as_fraction(other)
-            if not c0:
-                return LambdaPoly()
-            r = LambdaPoly.__new__(LambdaPoly)
-            r.coeffs = {e: c * c0 for e, c in self.coeffs.items()}
-            return r
+            if not c0 or not self.terms:
+                return _POLY_ZERO
+            return _poly(tuple(x * c0 if i & 1 else x
+                               for i, x in enumerate(self.terms)))
         if not isinstance(other, LambdaPoly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _POLY_ZERO
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, _ZERO) + c1 * c2
+        for i in range(0, len(a), 2):
+            e1, c1 = a[i], a[i + 1]
+            for j in range(0, len(b), 2):
+                e = e1 + b[j]
+                s = out.get(e, _ZERO) + c1 * b[j + 1]
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        r = LambdaPoly.__new__(LambdaPoly)
-        r.coeffs = out
-        return r
+        return _poly(_pack(out))
 
     __rmul__ = __mul__
 
@@ -134,49 +160,69 @@ class LambdaPoly:
 
     def evaluate(self, lam):
         """Horner evaluation; exact for Fraction input, numeric otherwise."""
-        if not self.coeffs:
+        t = self.terms
+        if not t:
             return _ZERO if isinstance(lam, (int, Fraction)) else 0 * lam
         acc = None
         prev = None
-        for e in sorted(self.coeffs, reverse=True):
+        for i in range(len(t) - 2, -1, -2):
+            e = t[i]
             if acc is None:
-                acc = self.coeffs[e]
+                acc = t[i + 1]
             else:
-                acc = acc * lam ** (prev - e) + self.coeffs[e]
+                acc = acc * lam ** (prev - e) + t[i + 1]
             prev = e
         return acc * lam**prev if prev else acc
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.terms) == 2
 
     def __repr__(self):
         return f"LambdaPoly({self.coeffs!r})"
+
+
+def _pack(coeffs: dict) -> tuple:
+    """The flat terms tuple of a dict of nonzero coefficients."""
+    out = []
+    for e in sorted(coeffs):
+        out += (e, coeffs[e])
+    return tuple(out)
+
+
+def _poly(terms: tuple) -> LambdaPoly:
+    p = LambdaPoly.__new__(LambdaPoly)
+    p.terms = terms
+    return p
+
+
+# shared values of the two constant polynomials every LambdaRat uses most:
+# the numerator of zero and the denominator of every value with a constant
+# denominator
+_POLY_ZERO = _poly(())
+_POLY_ONE = LambdaPoly(1)
 
 
 def _poly_divmod(a: LambdaPoly, b: LambdaPoly):
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     q = {}
-    r = dict(a.coeffs)
+    r = a.coeffs
     db, lb = b.degree(), b.leading()
+    bt = b.terms
     while r:
         dr = max(r)
         if dr < db:
             break
         c = r[dr] / lb
         q[dr - db] = c
-        for e, bc in b.coeffs.items():
-            k = e + dr - db
-            s = r.get(k, _ZERO) - c * bc
+        for i in range(0, len(bt), 2):
+            k = bt[i] + dr - db
+            s = r.get(k, _ZERO) - c * bt[i + 1]
             if s:
                 r[k] = s
             else:
                 r.pop(k, None)
-    qp = LambdaPoly.__new__(LambdaPoly)
-    qp.coeffs = q
-    rp = LambdaPoly.__new__(LambdaPoly)
-    rp.coeffs = r
-    return qp, rp
+    return _poly(_pack(q)), _poly(_pack(r))
 
 
 def _poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -188,31 +234,45 @@ def _poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
 
 
 class LambdaRat:
-    """Reduced ratio of LambdaPolys; denominator monic, gcd(num, den) = 1."""
+    """Reduced ratio of LambdaPolys; denominator monic, gcd(num, den) = 1.
+
+    Every value with a constant denominator (zero included) shares the one
+    immutable _POLY_ONE, so polynomial values carry no denominator of their
+    own.  Arithmetic returns the shared RAT_ZERO for a zero result, and an
+    operand itself where the other one is zero.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=1):
+    def __init__(self, num=0, den=None):
         if not isinstance(num, LambdaPoly):
             num = LambdaPoly(num)
-        if not isinstance(den, LambdaPoly):
+        if den is None:
+            den = _POLY_ONE
+        elif not isinstance(den, LambdaPoly):
             den = LambdaPoly(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            self.num = num
-            self.den = LambdaPoly(1)
+            self.num = _POLY_ZERO
+            self.den = _POLY_ONE
             return
         if den.degree() > 0:
             g = _poly_gcd(num, den)
             if g.degree() > 0:
                 num = _poly_divmod(num, g)[0]
                 den = _poly_divmod(den, g)[0]
-        lc = den.leading()
-        if lc != _ONE:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
+        if den.degree() == 0:
+            c = den.terms[1]
+            if c != _ONE:
+                num = num * (1 / c)
+            den = _POLY_ONE
+        else:
+            lc = den.leading()
+            if lc != _ONE:
+                inv = 1 / lc
+                num = num * inv
+                den = den * inv
         self.num = num
         self.den = den
 
@@ -245,17 +305,21 @@ class LambdaRat:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        r = LambdaRat.__new__(LambdaRat)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        if not self.num.terms:
+            return self
+        return _rat(-self.num, self.den)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den == other.den:
-            return LambdaRat(self.num + other.num, self.den)
+            num = self.num + other.num
+            return LambdaRat(num, self.den) if num.terms else RAT_ZERO
         return LambdaRat(self.num * other.den + other.num * self.den,
                          self.den * other.den)
 
@@ -273,15 +337,14 @@ class LambdaRat:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if not c:
-                return LambdaRat(0)
-            r = LambdaRat.__new__(LambdaRat)
-            r.num = self.num * c
-            r.den = self.den
-            return r
+            if not c or not self.num.terms:
+                return RAT_ZERO
+            return _rat(self.num * c, self.den)
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not self.num.terms or not other.num.terms:
+            return RAT_ZERO
         return LambdaRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -292,6 +355,8 @@ class LambdaRat:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero")
+        if not self.num.terms:
+            return RAT_ZERO
         return LambdaRat(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -324,10 +389,10 @@ class LambdaRat:
 
     def nonequivariant_limit(self) -> Fraction:
         """Value at λ = 0; raises on a pole."""
-        d0 = self.den.coeffs.get(0, _ZERO)
+        d0 = self.den.coeff(0)
         if not d0:
             raise ValueError(f"pole at λ=0: {format_lambda_rat(self)}")
-        return self.num.coeffs.get(0, _ZERO) / d0
+        return self.num.coeff(0) / d0
 
     def as_monomial(self):
         """(coeff, λ-exponent) when the value is c·λ^k (k may be < 0), else None."""
@@ -335,12 +400,20 @@ class LambdaRat:
             return None
         if not (self.num.is_monomial() and self.den.is_monomial()):
             return None
-        en = self.num.degree()
-        ed = self.den.degree()
-        return (self.num.coeffs[en] / self.den.coeffs[ed], en - ed)
+        en, cn = self.num.terms
+        ed, cd = self.den.terms
+        return (cn / cd, en - ed)
 
     def __repr__(self):
         return f"LambdaRat({format_lambda_rat(self)!r})"
+
+
+def _rat(num: LambdaPoly, den: LambdaPoly) -> LambdaRat:
+    """A LambdaRat from a pair already in reduced form."""
+    r = LambdaRat.__new__(LambdaRat)
+    r.num = num
+    r.den = den
+    return r
 
 
 def _coerce(x):

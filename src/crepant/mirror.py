@@ -511,6 +511,12 @@ def one_point_invariants(J: JFunction, classes: tuple[str, ...] = ("p",),
     geom = J.geometry
     alg = geom.algebra
     twisted_vars = {t.variable for t in J.mirror.twisted}
+    unknown = [label for label in classes if label not in alg.labels]
+    if unknown:
+        deg2 = [lbl for lbl, deg in zip(alg.labels, alg.degrees) if deg == 2]
+        raise MirrorError(f"{geom.name}: no class labelled "
+                          f"{', '.join(map(repr, unknown))}; its degree-2 "
+                          f"labels are {', '.join(deg2)}")
     cap = None if max_degree is None else Fraction(max_degree)
     rows = []
     for n in enumerate_degrees(geom.lattice(J.bound)):

@@ -11,6 +11,7 @@ from crepant.geometry import BUILTIN_NAMES, builtin
 from crepant.ifunction import (
     IFunctionError,
     RatAZ,
+    _times_linear,
     build_ifunction,
     expand_prefactor,
     gamma_ratio,
@@ -47,6 +48,15 @@ def test_gamma_ratio_negative_is_linear_product():
     g = gamma_ratio(d, Fraction(-3))
     expect = AlgebraZ(alg, {0: d}) * linear(alg, d, -1) * linear(alg, d, -2)
     assert g.is_laurent and g.num == expect
+
+
+def test_times_linear_is_the_product_with_the_factor():
+    ifn = build_ifunction(EX2Y, 3)
+    alg = EX2Y.algebra
+    for c in ifn.coeffs.values():
+        for d, b in c.den:
+            assert _times_linear(c.num, d, b) == c.num * linear(alg, d, b)
+            assert _times_linear(c.num, d, 0) == c.num * linear(alg, d, 0)
 
 
 def test_gamma_ratio_inverse_linear():
@@ -213,6 +223,54 @@ def test_sector_bookkeeping():
                 for i, co in enumerate(layer.coeffs):
                     if not co.is_zero:
                         assert alg.sectors[i] == want, (name, n, i)
+
+
+@pytest.fixture(scope="module")
+def ex2y_bound5():
+    return build_ifunction(EX2Y, 5)
+
+
+@pytest.mark.parametrize("zmin", [-1, -5, -12])
+def test_expand_satisfies_defining_identity(ex2y_bound5, zmin):
+    # expand(zmin) · Π(D + b z) reproduces num wherever the dropped layers
+    # (exponents < zmin) cannot reach: from zmin + len(den) upwards
+    alg = EX2Y.algebra
+    for n, c in ex2y_bound5.coeffs.items():
+        back = c.expand(zmin)
+        for d, b in c.den:
+            back = back * linear(alg, d, b)
+        floor = zmin + len(c.den)
+        for e in set(back.layers) | set(c.num.layers):
+            if e >= floor:
+                assert back.coefficient(e) == c.num.coefficient(e), (n, e)
+
+
+def test_expand_is_zero_above_quotient_top():
+    alg = EX2Y.algebra
+    p2 = alg.from_label("p2")
+    c = RatAZ(AlgebraZ(alg, {0: alg.one()}),
+              ((p2, Fraction(1)), (p2, Fraction(2))))
+    # the quotient starts at z^(0 - 2)
+    assert c.expand(-1).is_zero
+    top = c.expand(-2)
+    assert top == AlgebraZ(alg, {-2: alg.one() * Fraction(1, 2)})
+
+
+def test_expand_rejects_z_free_factor():
+    alg = EX2Y.algebra
+    c = RatAZ(AlgebraZ(alg, {0: alg.one()}),
+              ((alg.from_label("p2"), Fraction(0)),))
+    with pytest.raises(IFunctionError):
+        c.expand(-3)
+
+
+def test_expand_without_denominator_truncates_at_zmin():
+    c = build_ifunction(EX1X, 3).coefficient((3,))
+    assert c.is_laurent and min(c.num.support()) == -3
+    ex = c.expand(-1)
+    assert all(e >= -1 for e in ex.layers)
+    assert ex.layers == {e: v for e, v in c.num.layers.items() if e >= -1}
+    assert c.expand(-3) == c.num
 
 
 def test_laurent_for_nilpotent_geometries():

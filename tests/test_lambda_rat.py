@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crepant.lambda_rat import (
+    RAT_ZERO,
     LambdaPoly,
     LambdaRat,
     _poly_gcd,
@@ -116,3 +117,37 @@ def test_evaluate_exact():
 def test_pow_negative():
     a = LambdaRat.gen(1, 3)
     assert a ** (-2) == LambdaRat.gen(-2, Fraction(1, 9))
+
+
+def test_constant_denominator_is_folded_into_numerator():
+    lam = LambdaRat.gen()
+    a = LambdaRat(LambdaPoly.gen(), 3)
+    b = lam / 3
+    assert a == b and hash(a) == hash(b)
+    assert a.num == LambdaPoly({1: Fraction(1, 3)})
+    assert a.den == LambdaPoly(1)
+
+
+def test_cancelled_denominator_becomes_one():
+    c = LambdaRat(LambdaPoly({2: 1, 1: 1}), LambdaPoly({1: 1, 0: 1}))
+    lam = LambdaRat.gen()
+    assert c == lam and hash(c) == hash(lam)
+    assert c.is_polynomial
+
+
+def test_terms_do_not_depend_on_construction_order():
+    a = poly({2: 1, 0: 3})
+    b = poly({0: 3, 2: 1})
+    assert a.terms == b.terms == (0, Fraction(3), 2, Fraction(1))
+    assert a == b and hash(a) == hash(b)
+    assert a.coeffs == {0: 3, 2: 1}
+    assert a.coeff(2) == 1 and a.coeff(1) == 0
+
+
+def test_zero_results_share_one_value():
+    lam = LambdaRat.gen()
+    assert lam - lam is RAT_ZERO
+    assert lam * 0 is RAT_ZERO and RAT_ZERO * lam is RAT_ZERO
+    assert RAT_ZERO / lam is RAT_ZERO
+    assert lam + RAT_ZERO is lam and RAT_ZERO + lam is lam
+    assert -RAT_ZERO is RAT_ZERO

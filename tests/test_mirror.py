@@ -280,6 +280,15 @@ def test_one_point_degree_zero_absent():
     assert all(row.degree > 0 for row in tab.rows)
 
 
+def test_one_point_unknown_class_names_geometry_and_labels():
+    ifn, data, inverse = pipeline("ex2-Y", 2)
+    J = j_function(ifn, data, inverse)
+    with pytest.raises(MirrorError, match=r"ex2-Y.*'p'.*p1, p2"):
+        one_point_invariants(J)
+    tab = one_point_invariants(J, classes=("p1", "p2"))
+    assert {row.insertions for row in tab.rows} == {"p1", "p2"}
+
+
 def test_slice_invariants_ex2X():
     ifn, data, inverse = pipeline("ex2-X", 6)
     J = j_function(ifn, data, inverse)
