@@ -22,7 +22,14 @@ roots of its minimal polynomial, found numerically).  For nilpotent t this
 reduces to the finite Taylor jet; for semisimple directions it evaluates f
 at the shifted eigenvalues.  Either way the computation is exact and finite,
 which matters because the naive polygamma power series diverges on algebras
-whose degree-two classes are not nilpotent at numeric lambda.
+whose degree-two classes are not nilpotent at numeric lambda.  The Taylor
+jets of Gamma, 1/Gamma and digamma take every polygamma order they need from
+one shared series (_polygamma_jet): one recurrence shift and one Stirling
+tail serve all orders at once.
+
+The Mellin-Barnes integral integrates each component of the kernel along
+the contour with Gauss-Legendre quadrature, which needs fewer kernel
+evaluations than tanh-sinh when poles sit a few tenths from the line.
 """
 
 from __future__ import annotations
@@ -34,10 +41,15 @@ from math import comb, factorial
 from typing import Callable, Optional
 
 from mpmath import mp
+from mpmath.libmp import (fhalf, fone, fzero, from_int, mpc_add,
+                          mpc_add_mpf, mpc_log, mpc_mul, mpc_mul_int,
+                          mpc_mul_mpf, mpc_neg, mpc_pos, mpc_reciprocal,
+                          mpc_sub, mpc_zero, mpf_bernoulli, mpf_div, mpf_pos,
+                          round_nearest, to_int)
 
 from .algebra import Algebra, AlgebraZ
-from .geometry import Geometry, builtin
-from .ifunction import (IFunction, RatAZ, build_ifunction, expand_prefactor,
+from .geometry import builtin
+from .ifunction import (RatAZ, build_ifunction, expand_prefactor,
                         gamma_ratio)
 
 
@@ -46,10 +58,6 @@ class ContinuationError(ValueError):
 
 
 DEFAULT_DIGITS = 64
-
-# BigComplex values are plain mpmath complex numbers created under the
-# requested working precision; the alias names the contract.
-BigComplex = mp.mpc
 
 _EXAMPLES = {
     "I": "ex1", "II": "ex2", "III": "ex3", "IV": "ex4",
@@ -152,10 +160,13 @@ _NA_CACHE: dict = {}
 
 
 def _numeric_algebra(algebra: Algebra, lam, digits: int) -> NumericAlgebra:
-    key = (algebra.name, None if lam is None else str(lam), digits)
-    if key not in _NA_CACHE:
-        _NA_CACHE[key] = NumericAlgebra(algebra, lam, digits)
-    return _NA_CACHE[key]
+    # keyed on the algebra object, not its name: two configs may share a
+    # name and differ in their tables
+    key = (id(algebra), None if lam is None else str(lam), digits)
+    cached = _NA_CACHE.get(key)
+    if cached is None or cached.algebra is not algebra:
+        cached = _NA_CACHE[key] = NumericAlgebra(algebra, lam, digits)
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +449,86 @@ def _gamma_pole_at(x, tol) -> Optional[int]:
     return None
 
 
+# per working precision: raw (B_2k, B_2k/(2k)) for k = 1, 2, ...; rounding
+# mpmath's cached Bernoulli numbers anew costs more than a multiplication
+_BERNOULLI: dict = {}
+
+
+def _polygamma_jet(x, n: int) -> list:
+    """psi^(m)(x) for m = 0..n-1 at the working precision, from one series.
+
+    The recurrence psi^(m)(x) = psi^(m)(y) - (-1)^m m! sum_k (x+k)^-(m+1)
+    moves x to y = x + N with Re y >= 0.11 wp + 6; the powers of each
+    1/(x+k) serve every order.  At y the Stirling series
+    psi^(m)(y) = (-1)^(m+1) [(m-1)! y^-m + m!/2 y^-(m+1)
+                 + sum_k B_2k (2k+m-1)!/(2k)! y^-(2k+m)]
+    (psi(y) = log y - 1/(2y) - sum_k B_2k/(2k y^2k) for m = 0) shares each
+    term B_2k y^-2k across orders.  The tail is asymptotic, so it stops at
+    its smallest term if that comes before the working precision; the
+    shift makes the smallest term about e^(-2 pi |y|), below 2^-wp.  x must
+    not be a pole (a nonpositive integer).  n = 0 returns [].
+    """
+    if n == 0:
+        return []
+    x = _to_mp(x)
+    prec = mp.prec
+    wp = prec + 20
+    real = isinstance(x, mp.mpf)
+    y = (x._mpf_, fzero) if real else x._mpc_
+    shift = [mpc_zero] * n
+    for _ in range(int(0.11 * wp) + 6 - to_int(y[0])):
+        r = mpc_reciprocal(y, wp)
+        power = r
+        shift[0] = mpc_add(shift[0], r, wp)
+        for m in range(1, n):
+            power = mpc_mul(power, r, wp)
+            shift[m] = mpc_add(shift[m], power, wp)
+        y = mpc_add_mpf(y, fone, wp)
+    u = mpc_reciprocal(y, wp)
+    u2 = mpc_mul(u, u, wp)
+    tails = [mpc_zero] * n
+    bern = _BERNOULLI.setdefault(wp, [])
+    u2k = u2
+    k = 1
+    prev = None
+    while True:
+        if len(bern) < k:
+            b = mpf_bernoulli(2 * k, wp)
+            bern.append((b, mpf_div(b, from_int(2 * k), wp)))
+        b, b_2k = bern[k - 1]
+        term = mpc_mul_mpf(u2k, b, wp)
+        tails[0] = mpc_add(tails[0], mpc_mul_mpf(u2k, b_2k, wp), wp)
+        c = 1  # (2k+m-1)!/(2k)! for m >= 1
+        for m in range(1, n):
+            tails[m] = mpc_add(tails[m], mpc_mul_int(term, c, wp), wp)
+            c *= 2 * k + m
+        # a log2 bound on the top order's term relative to its leading term
+        mags = [part[2] + part[3] for part in term if part[1]]
+        if not mags:
+            break
+        mag = max(mags) + c.bit_length()
+        if mag < -wp or (prev is not None and mag >= prev):
+            break
+        prev = mag
+        u2k = mpc_mul(u2k, u2, wp)
+        k += 1
+    out = [mpc_sub(mpc_sub(mpc_log(y, wp), mpc_mul_mpf(u, fhalf, wp), wp),
+                   mpc_add(tails[0], shift[0], wp), wp)]
+    um = u
+    fact = 1  # (m-1)!
+    for m in range(1, n):
+        lead = mpc_add_mpf(mpc_mul_mpf(mpc_mul_int(u, m * fact, wp), fhalf,
+                                       wp), from_int(fact), wp)
+        fact *= m
+        v = mpc_add(mpc_mul(um, mpc_add(lead, tails[m], wp), wp),
+                    mpc_mul_int(shift[m], fact, wp), wp)
+        out.append(v if m % 2 else mpc_neg(v))
+        um = mpc_mul(um, u, wp)
+    if real:
+        return [mp.make_mpf(mpf_pos(v[0], prec, round_nearest)) for v in out]
+    return [mp.make_mpc(mpc_pos(v, prec, round_nearest)) for v in out]
+
+
 class _GammaDerivs:
     """f = Gamma, via the complete Bell polynomials of the polygammas."""
 
@@ -448,8 +539,7 @@ class _GammaDerivs:
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is not None:
             raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
-        psis = [mp.psi(i, x) for i in range(max(jmax, 1))]
-        return _bell_jet(mp.gamma(x), psis, jmax)
+        return _bell_jet(mp.gamma(x), _polygamma_jet(x, jmax), jmax)
 
     def __call__(self, x, j):
         return self.jet(x, j)[j]
@@ -465,11 +555,10 @@ class _RGammaDerivs:
     def jet(self, x, jmax):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is None:
-            psis = [-mp.psi(i, x) for i in range(max(jmax, 1))]
+            psis = [-v for v in _polygamma_jet(x, jmax)]
             return _bell_jet(mp.rgamma(x), psis, jmax)
         y = 1 - x
-        psis = [mp.psi(i, y) for i in range(max(jmax, 1))]
-        gjet = _bell_jet(mp.gamma(y), psis, jmax)
+        gjet = _bell_jet(mp.gamma(y), _polygamma_jet(y, jmax), jmax)
         out = []
         for j in range(jmax + 1):
             total = mp.mpf(0)
@@ -495,11 +584,14 @@ class _PsiDerivs:
     def __init__(self, tol):
         self.tol = tol
 
-    def __call__(self, x, j):
+    def jet(self, x, jmax):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is not None:
             raise ContinuationError(f"digamma pole at {mp.nstr(x, 8)}")
-        return mp.psi(j, x)
+        return _polygamma_jet(x, jmax + 1)
+
+    def __call__(self, x, j):
+        return self.jet(x, j)[j]
 
 
 def _recip_derivs(x, j):
@@ -711,10 +803,6 @@ class ContinuedSeries:
     na: NumericAlgebra
 
 
-def _sector_label(na: NumericAlgebra, f: Fraction) -> int:
-    return na.sector_index(f)
-
-
 def _terms_ex1(fr: Frame, bound: int) -> dict:
     out = {}
     for n in range(bound + 1):
@@ -809,7 +897,7 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                 gq = fr.gamma(_arg(1, 0, p=3))
                 val = ratio * gp * gp * gw * gq * rga * rga * rgb
                 val = val * NilExpansion.basis(fr.na, fr.na.labels[
-                    _sector_label(fr.na, sig)])
+                    fr.na.sector_index(sig)])
                 scale = Fraction((-1) ** (mint % 2 + nh % 2),
                                  5 * factorial(e) * factorial(nh))
                 # overall -1: orientation of the closed contour, anchored so
@@ -909,25 +997,6 @@ def continued_ifunction(example, truncation: int,
         scalar_exponents=tuple(v.scalar_exponent for v in g_x.variables),
         steps=tuple(v.step for v in g_x.variables),
         terms=terms, na=na)
-
-
-def gamma_nilpotent(x, digits: int = DEFAULT_DIGITS):
-    """Gamma of a scalar or of a NilExpansion argument.
-
-    The scalar part must avoid the poles of Gamma; the rest of the argument
-    is handled by the Hermite jet, which for a nilpotent part is the finite
-    Taylor expansion with polygamma coefficients.
-    """
-    with mp.workdps(digits + 10):
-        if not isinstance(x, NilExpansion):
-            v = _to_mp(x)
-            tol = mp.mpf(10) ** (-(digits - 6))
-            if _gamma_pole_at(v, tol) is not None:
-                raise ContinuationError(f"gamma pole at {mp.nstr(v, 8)}")
-            return mp.gamma(v)
-        return _apply_analytic(_GammaDerivs(mp.mpf(10) ** (-(digits - 6))),
-                               x.unit_scalar(), x.without_unit_scalar(),
-                               digits)
 
 
 # ---------------------------------------------------------------------------
@@ -1381,6 +1450,12 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     wall and the continued series above it; residues of poles sitting on
     the wrong side of the line are transferred explicitly, so the line
     itself never needs to separate the two interlaced pole families.
+
+    Each component is integrated by Gauss-Legendre quadrature over the same
+    breakpoints, all components sharing one cache of kernel samples; the
+    error budget is the quadrature's own estimate plus the tail beyond the
+    height.  The Gamma and 1/Gamma jets in the kernel take their polygamma
+    orders from one shared series (_polygamma_jet).
     """
     ex = _example(example)
     if ex not in _WALLS:
@@ -1471,7 +1546,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         for comp in comps:
             val, err = mp.quad(
                 lambda t, c=comp: sample(t).terms.get(c, mp.mpf(0)),
-                nodes, error=True)
+                nodes, method="gauss-legendre", error=True)
             if symmetric:
                 val = val + mp.conj(val)
                 err = 2 * err

@@ -39,10 +39,6 @@ class IFunctionError(ValueError):
     pass
 
 
-def _scalar_z(alg: Algebra, c: Fraction, e: int = 0) -> AlgebraZ:
-    return AlgebraZ(alg, {e: alg.one() * LambdaRat(c)})
-
-
 def _linear(alg: Algebra, d: Element, b: Fraction) -> AlgebraZ:
     """The factor (D + b z)."""
     layers = {0: d}
