@@ -204,10 +204,6 @@ class NilExpansion:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def component(self, label, ze: int = 0):
-        i = label if isinstance(label, int) else self.na.label_index(label)
-        return self.terms.get((i, ze), mp.mpf(0))
-
     def support(self):
         return sorted({ze for (_, ze) in self.terms})
 
@@ -221,10 +217,6 @@ class NilExpansion:
         out = dict(self.terms)
         out.pop((self.na.unit, 0), None)
         return NilExpansion(self.na, out)
-
-    def trim(self, tol) -> "NilExpansion":
-        return NilExpansion(
-            self.na, {k: v for k, v in self.terms.items() if abs(v) > tol})
 
     def __add__(self, other):
         if not isinstance(other, NilExpansion):
@@ -291,22 +283,63 @@ def negate_z(x: NilExpansion) -> NilExpansion:
 # evaluation of analytic functions on algebra-valued arguments
 
 
-def _lstsq(a, bs):
-    """Least-squares solutions for several right-hand sides.
+def _lstsq(cols, bs, rows: int, p=2):
+    """Least-squares solutions of A x = b for several right-hand sides.
 
-    The normal equations with pivoted LU are used instead of mpmath's QR:
-    the matrices here are sparse with disjoint column supports, and the
-    Householder routine hits exact zero pivots on such patterns.
+    cols[j] maps a row index to the nonzero entry of column j of A, each b
+    in bs maps a row index to its nonzero entries, and rows counts the
+    equations.  Returns (xs, residuals): per b, the solution list and
+    mp.norm(A x - b, p).
+
+    One pivoted LU of the normal equations, at 10 extra bits as in
+    mp.lu_solve, serves every b; they square the condition number, which
+    the working precision absorbs for these small exact systems.  Each
+    entry of A^H A and A^H b is one mp.fdot over the rows its two columns
+    share: fdot rounds once, so the zero products of the dense product
+    change no value, and the entry is made complex where the dense product
+    is (mpmath divides by an mpc with zero imaginary part differently from
+    an mpf).  Solutions and residuals are those of the dense
+    mp.lu_solve(A.H * A, A.H * b) and mp.norm(A * x - b, p), bit for bit.
     """
-    ah = a.H
-    gram = ah * a
-    outs = []
+    n = len(cols)
+    conj = [sorted((r, mp.conj(v)) for r, v in c.items()) for c in cols]
+    cplx = [any(type(v) is mp.mpc for v in c.values()) for c in cols]
+
+    def typed(s, complex_):
+        if complex_ and type(s) is not mp.mpc:
+            return mp.make_mpc((s._mpf_, fzero))
+        return s
+
+    gram = mp.matrix(n, n)
+    for i in range(n):
+        for j, cj in enumerate(cols):
+            gram[i, j] = typed(mp.fdot((ci, cj[r]) for r, ci in conj[i]
+                                       if r in cj), cplx[i] or cplx[j])
+    rhs = []
     for b in bs:
+        bc = any(type(v) is mp.mpc for v in b.values())
+        rhs.append(mp.matrix([typed(mp.fdot((ci, b[r]) for r, ci in conj[i]
+                                            if r in b), cplx[i] or bc)
+                              for i in range(n)]))
+    with mp.extraprec(10):
         try:
-            outs.append(mp.lu_solve(gram, ah * b))
-        except (ZeroDivisionError, ValueError) as exc:
-            raise ContinuationError(f"rank-deficient solve: {exc}") from None
-    return outs
+            lu, perm = mp.LU_decomp(gram)
+        except ZeroDivisionError as exc:
+            raise ContinuationError(
+                f"rank-deficient normal equations ({exc})") from None
+        xs = [list(mp.U_solve(lu, mp.L_solve(lu, v, perm))) for v in rhs]
+    by_row: dict = {}
+    for j, c in enumerate(cols):
+        for r, v in c.items():
+            by_row.setdefault(r, []).append((j, v))
+    # A x + (-b), with -b rounded to the working precision, as the dense
+    # a * x - b computes it
+    zero = mp.zero
+    residuals = [
+        mp.norm((mp.fdot((v, x[j]) for j, v in by_row.get(r, ()))
+                 + -b.get(r, zero) for r in range(rows)), p)
+        for x, b in zip(xs, bs)]
+    return xs, residuals
 
 
 _NODE_CACHE: dict = {}
@@ -344,22 +377,13 @@ def _eigennodes_raw(t: NilExpansion, digits: int):
         powers.append(cur)
     keys = sorted({key for p in powers for key in p.terms})
     rows = len(keys)
-
-    def col(p):
-        return [p.terms.get(key, mp.mpf(0)) for key in keys]
-
+    cols = [{r: p.terms[key] for r, key in enumerate(keys) if key in p.terms}
+            for p in powers]
     for m in range(1, cap + 1):
-        a = mp.matrix(rows, m)
-        for j in range(m):
-            cj = col(powers[j])
-            for r in range(rows):
-                a[r, j] = cj[r]
-        b = mp.matrix(col(powers[m]))
         try:
-            x = _lstsq(a, [b])[0]
+            (x,), (resid,) = _lstsq(cols[:m], [cols[m]], rows)
         except ContinuationError:
             continue
-        resid = mp.norm(a * x - b)
         if resid <= tol * scale ** m * max(1, rows):
             coeffs = [mp.mpc(1)] + [-x[m - 1 - j] for j in range(m)]
             try:
@@ -1163,67 +1187,63 @@ def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
 
     Returns (entries, worst residual).  The system is over-determined; the
     reported residual is the largest absolute defect over all equations.
+    Its columns are assembled sparse, straight from the X-side terms.
     """
     keys = sorted(set(xterms) | set(yterms))
     if not keys:
         raise ContinuationError("no monomials to match")
     dim_x, dim_y = na_x.dim, na_y.dim
-    zero_x = NilExpansion.zero(na_x)
-    zero_y = NilExpansion.zero(na_y)
     with mp.workdps(digits + 10):
         if mode == "equivariant-numeric":
-            rows = len(keys)
-            if rows < dim_x + 1:
-                raise ContinuationError("truncation too small for the solve")
-            a = mp.matrix(rows, dim_x)
-            for r, key in enumerate(keys):
-                xc = xterms.get(key, zero_x)
-                for j in range(dim_x):
-                    a[r, j] = xc.component(j, 0)
-            entries = [[None] * dim_x for _ in range(dim_y)]
-            worst = mp.mpf(0)
-            bs = [mp.matrix([yterms.get(key, zero_y).component(i, 0)
-                             for key in keys]) for i in range(dim_y)]
-            for i, x in enumerate(_lstsq(a, bs)):
-                worst = max(worst, mp.norm(a * x - bs[i], p=mp.inf))
-                for j in range(dim_x):
-                    entries[i][j] = ((0, x[j]),)
-            return tuple(tuple(r) for r in entries), worst
-
-        # symbolic z: unknowns are Laurent coefficients per entry; both
-        # sides are exact finite Laurent data, so every layer is a valid
-        # equation (including the ones that force stray layers to vanish)
-        ks = list(range(-kwin, kwin + 1))
-        unknowns = [(j, k) for j in range(dim_x) for k in ks]
-        eqs = []
-        for key in keys:
-            xc = xterms.get(key, zero_x)
-            yc = yterms.get(key, zero_y)
-            layers = set(yc.support())
-            for ze in xc.support():
-                layers.update(ze + k for k in ks)
-            for f in sorted(layers):
-                eqs.append((key, f))
-        if len(eqs) < len(unknowns):
-            raise ContinuationError("truncation too small for the solve")
-        a = mp.matrix(len(eqs), len(unknowns))
+            # one equation per monomial key, one unknown per X class, and
+            # every entry kept
+            ks = (0,)
+            eqs = [(key, 0) for key in keys]
+            least = dim_x + 1
+            drop = -1
+        else:
+            # symbolic z: unknowns are Laurent coefficients per entry; both
+            # sides are exact finite Laurent data, so every layer is a valid
+            # equation (including the ones that force stray layers to
+            # vanish), and coefficients below drop are zeros of the solution
+            ks = tuple(range(-kwin, kwin + 1))
+            eqs = []
+            for key in keys:
+                layers = set(yterms[key].support()) if key in yterms else set()
+                if key in xterms:
+                    for ze in xterms[key].support():
+                        layers.update(ze + k for k in ks)
+                eqs.extend((key, f) for f in sorted(layers))
+            least = dim_x * len(ks)
+            drop = mp.mpf(10) ** (-(digits // 2))
+        pos = {(j, k): c for c, (j, k) in
+               enumerate((j, k) for j in range(dim_x) for k in ks)}
+        shape = f"{mode} solve of {len(eqs)} equations x {len(pos)} unknowns"
+        if len(eqs) < least:
+            raise ContinuationError(f"truncation too small for the {shape}")
+        cols = [{} for _ in pos]
+        bs = [{} for _ in range(dim_y)]
         for r, (key, f) in enumerate(eqs):
-            xc = xterms.get(key, zero_x)
-            for cidx, (j, k) in enumerate(unknowns):
-                a[r, cidx] = xc.terms.get((j, f - k), mp.mpf(0))
-        entries = [[None] * dim_x for _ in range(dim_y)]
-        worst = mp.mpf(0)
-        drop = mp.mpf(10) ** (-(digits // 2))
-        pos = {u: c for c, u in enumerate(unknowns)}
-        bs = [mp.matrix([yterms.get(key, zero_y).terms.get((i, f), mp.mpf(0))
-                         for (key, f) in eqs]) for i in range(dim_y)]
-        for i, x in enumerate(_lstsq(a, bs)):
-            worst = max(worst, mp.norm(a * x - bs[i], p=mp.inf))
-            for j in range(dim_x):
-                cell = tuple((k, x[pos[(j, k)]]) for k in ks
-                             if abs(x[pos[(j, k)]]) > drop)
-                entries[i][j] = cell
-        return tuple(tuple(r) for r in entries), worst
+            if key in xterms:
+                for (j, ze), v in xterms[key].terms.items():
+                    c = pos.get((j, f - ze))
+                    if c is not None:
+                        cols[c][r] = v
+            if key in yterms:
+                for (i, ze), v in yterms[key].terms.items():
+                    if ze == f:
+                        bs[i][r] = v
+        try:
+            xs, residuals = _lstsq(cols, bs, len(eqs), p=mp.inf)
+        except ContinuationError as exc:
+            raise ContinuationError(f"{shape}: {exc}") from None
+        worst = max(residuals)
+        entries = tuple(
+            tuple(tuple((k, x[pos[(j, k)]]) for k in ks
+                        if abs(x[pos[(j, k)]]) > drop)
+                  for j in range(dim_x))
+            for x in xs)
+        return entries, worst
 
 
 def solve_umatrix(example, truncation: Optional[int] = None,
@@ -1248,8 +1268,11 @@ def solve_umatrix(example, truncation: Optional[int] = None,
     if scal != cs.scalar_exponents:
         raise ContinuationError(
             "scalar prefactors of the two sides do not agree")
-    entries, residual = solve_connection(xt, cs.terms, na_x, cs.na, mode,
-                                         digits=digits)
+    try:
+        entries, residual = solve_connection(xt, cs.terms, na_x, cs.na, mode,
+                                             digits=digits)
+    except ContinuationError as exc:
+        raise ContinuationError(f"{ex}: {exc}") from None
     return UMatrix(
         example=ex, mode=mode, lam=cs.lam, z=cs.z, digits=digits,
         truncation=truncation, xlabels=g_x.algebra.labels,
@@ -1454,8 +1477,9 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     Each component is integrated by Gauss-Legendre quadrature over the same
     breakpoints, all components sharing one cache of kernel samples; the
     error budget is the quadrature's own estimate plus the tail beyond the
-    height.  The Gamma and 1/Gamma jets in the kernel take their polygamma
-    orders from one shared series (_polygamma_jet).
+    height, and a budget above tol (default 1e-30) raises
+    ContinuationError.  The Gamma and 1/Gamma jets in the kernel take their
+    polygamma orders from one shared series (_polygamma_jet).
     """
     ex = _example(example)
     if ex not in _WALLS:
@@ -1552,6 +1576,13 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 err = 2 * err
             vhat_terms[comp] = val / (2 * mp.pi)  # (1/2<pi>i) ds, ds = i dt
             quad_err += abs(err)
+        budget = quad_err / (2 * mp.pi) + tail
+        if budget > tol:
+            raise ContinuationError(
+                f"error budget {mp.nstr(budget, 5)} (quadrature "
+                f"{mp.nstr(quad_err / (2 * mp.pi), 5)} + tail "
+                f"{mp.nstr(tail, 5)}) exceeds the tolerance "
+                f"{mp.nstr(tol, 5)}")
         vhat = NilExpansion(na, vhat_terms)
 
         # transfer residues of poles caught on the wrong side of the line:
@@ -1576,7 +1607,6 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             total = total + _mb_inside_term(ex, fr, d, q)
             corrections += 1
             d += 1
-        return MBResult(example=ex, value=total,
-                        error=quad_err / (2 * mp.pi) + tail, side=side,
+        return MBResult(example=ex, value=total, error=budget, side=side,
                         sigma=sigma, height=t_cur, wall=wall,
                         corrections=corrections, endpoint_magnitude=top)

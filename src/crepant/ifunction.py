@@ -28,6 +28,7 @@ number of output layers rather than the depth of each factor's series.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .algebra import Algebra, AlgebraZ, Element
@@ -350,23 +351,23 @@ def expand_prefactor(ifn: IFunction, log_order: int
         powers.append(col)
 
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], RatAZ] = {}
-
-    def rec(i: int, c: list[int], acc: Element, budget: int):
-        if i == nvar:
-            scale = 1
-            for ci in c:
-                scale *= factorial(ci)
-            term = acc * Fraction(1, scale)
-            shift = -sum(c)
-            for n, coeff in ifn.coeffs.items():
-                val = coeff * AlgebraZ(alg, {shift: term})
-                if val.is_zero:
-                    continue
-                key = (n, tuple(c))
-                out[key] = out[key] + val if key in out else val
-            return
-        for ci in range(min(budget, len(powers[i]) - 1) + 1):
-            rec(i + 1, c + [ci], acc * powers[i][ci], budget - ci)
-
-    rec(0, [], alg.one(), log_order)
+    # a loop, not a self-recursive closure: that closure is a reference
+    # cycle which keeps ifn and out alive until the cyclic collector runs
+    for c in product(*(range(min(log_order, len(col) - 1) + 1)
+                       for col in powers)):
+        if sum(c) > log_order:
+            continue
+        acc = alg.one()
+        scale = 1
+        for i, ci in enumerate(c):
+            acc = acc * powers[i][ci]
+            scale *= factorial(ci)
+        term = acc * Fraction(1, scale)
+        shift = -sum(c)
+        for n, coeff in ifn.coeffs.items():
+            val = coeff * AlgebraZ(alg, {shift: term})
+            if val.is_zero:
+                continue
+            key = (n, c)
+            out[key] = out[key] + val if key in out else val
     return out

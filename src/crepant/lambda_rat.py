@@ -381,11 +381,7 @@ class LambdaRat:
 
     def evaluate(self, lam):
         """Value at λ = lam; exact for Fraction, numeric for mpf/mpc."""
-        n = self.num.evaluate(lam)
-        d = self.den.evaluate(lam)
-        if isinstance(n, Fraction) and isinstance(d, Fraction):
-            return n / d
-        return n / d
+        return self.num.evaluate(lam) / self.den.evaluate(lam)
 
     def nonequivariant_limit(self) -> Fraction:
         """Value at λ = 0; raises on a pole."""

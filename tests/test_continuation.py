@@ -1,4 +1,5 @@
-"""Numeric continuation: input handling, special-function jets, MB integral."""
+"""Numeric continuation: input handling, special-function jets, the U solve
+and the MB integral."""
 
 import mpmath as mp
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 import crepant.continuation as continuation
 from crepant import LambdaRat, builtin
 from crepant.algebra import Algebra
-from crepant.continuation import (ContinuationError, Frame, _GammaDerivs,
-                                  _RGammaDerivs, _mb_inside_term,
-                                  _numeric_algebra, _polygamma_jet, _to_mp,
-                                  mellin_barnes_integral)
+from crepant.continuation import (ContinuationError, Frame, NilExpansion,
+                                  _GammaDerivs, _RGammaDerivs, _lstsq,
+                                  _mb_inside_term, _numeric_algebra,
+                                  _polygamma_jet, _to_mp,
+                                  mellin_barnes_integral, solve_umatrix)
 
 
 def test_to_mp_accepts_strings():
@@ -117,3 +119,152 @@ def test_mb_matches_inside_series_ex4():
         else:
             pytest.fail("inside series did not converge")
         assert (total - res.value).maxabs() <= res.error
+
+
+# ---------------------------------------------------------------------------
+# connection matrix U
+
+
+def test_nonequivariant_u_ex4_closed_form():
+    # U = [[1, 0, 0], [0, -1, 0], [-pi^2/3 z^-2, 0, 1]]; cells map a z
+    # exponent to its coefficient, and the missing cells are zero
+    u = solve_umatrix("ex4", digits=30)
+    assert u.ylabels == ("1", "p", "p^2")
+    with mp.workdps(30):
+        tol = mp.mpf("1e-25")
+        want = {(0, 0): {0: 1}, (1, 1): {0: -1},
+                (2, 0): {-2: -mp.pi ** 2 / 3}, (2, 2): {0: 1}}
+        for i in range(3):
+            for j in range(3):
+                cell = dict(u.entry(i, j))
+                exp = want.get((i, j), {})
+                assert sorted(cell) == sorted(exp), (i, j, cell)
+                for k, v in exp.items():
+                    assert abs(cell[k] - v) <= tol, (i, j, k, cell[k])
+        assert u.residual <= tol
+
+
+def test_nonequivariant_u_ex1_unit_to_top_class():
+    u = solve_umatrix("ex1", digits=30)
+    assert (u.xlabels[0], u.ylabels[2]) == ("1_0", "p^2")
+    with mp.workdps(30):
+        ((k, c),) = u.entry(2, 0)
+        assert k == -2
+        assert abs(c + mp.pi ** 2 / 3) <= mp.mpf("1e-25")
+        assert u.residual <= mp.mpf("1e-25")
+
+
+_ENTRY = st.one_of(
+    st.none(), st.none(),
+    st.tuples(st.sampled_from(["real", "complex", "complex0"]),
+              st.floats(-4, 4, allow_nan=False),
+              st.floats(-4, 4, allow_nan=False)))
+
+
+def _value(spec):
+    kind, re, im = spec
+    # more bits than the solve's precision, so conj and every sum round
+    with mp.workdps(45):
+        re = mp.mpf(re) / 3
+        if kind == "real":
+            return re
+        return mp.mpc(re, mp.mpf(im) / 7 if kind == "complex" else 0)
+
+
+# (n, table): table[r][c] is the entry in row r of column c, None for zero;
+# columns 0..n-1 are A, the last two are right-hand sides
+_SYSTEMS = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(n, n + 5).flatmap(lambda rows: st.lists(
+        st.lists(_ENTRY, min_size=n + 2, max_size=n + 2),
+        min_size=rows, max_size=rows))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SYSTEMS, st.sampled_from([2, mp.inf]))
+def test_lstsq_equals_dense_normal_equations(system, p):
+    n, table = system
+    rows = len(table)
+    sparse = [{r: _value(table[r][c]) for r in range(rows)
+               if table[r][c] is not None} for c in range(n + 2)]
+    cols, bs = sparse[:n], sparse[n:]
+    with mp.workdps(30):
+        a = mp.matrix(rows, n)
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                a[r, j] = v
+        dense_bs = [mp.matrix([b.get(r, 0) for r in range(rows)])
+                    for b in bs]
+        try:
+            want = [mp.lu_solve(a.H * a, a.H * b) for b in dense_bs]
+        except ZeroDivisionError:
+            with pytest.raises(ContinuationError, match="rank-deficient"):
+                _lstsq(cols, bs, rows, p)
+            return
+        xs, residuals = _lstsq(cols, bs, rows, p)
+        for x, res, w, b in zip(xs, residuals, want, dense_bs):
+            assert x == list(w)
+            assert [type(v) for v in x] == [type(v) for v in w]
+            assert res == mp.norm(a * w - b, p)
+
+
+def test_lstsq_zero_column_is_rank_deficient():
+    with mp.workdps(30):
+        cols = [{0: mp.mpf(1), 1: mp.mpf(2)}, {}]
+        with pytest.raises(ContinuationError, match="rank-deficient"):
+            _lstsq(cols, [{0: mp.mpf(1)}], 3)
+
+
+def _zero_x_side(monkeypatch, keep=lambda i: False):
+    """X-side terms with every class i where keep(i) is false set to zero."""
+    real = continuation.xside_terms
+
+    def patched(*args, **kwargs):
+        xt, na, scal = real(*args, **kwargs)
+        out = {key: NilExpansion(na, {(i, ze): v for (i, ze), v
+                                      in x.terms.items() if keep(i)})
+               for key, x in xt.items()}
+        return out, na, scal
+
+    monkeypatch.setattr(continuation, "xside_terms", patched)
+
+
+@pytest.mark.parametrize("mode, shape, why", [
+    ("equivariant-numeric", "9 equations x 3 unknowns", "rank-deficient"),
+    ("nonequivariant", "6 equations x 27 unknowns", "truncation too small"),
+])
+def test_all_zero_x_side_error_names_example_mode_and_shape(
+        monkeypatch, mode, shape, why):
+    _zero_x_side(monkeypatch)
+    with pytest.raises(ContinuationError) as info:
+        solve_umatrix("ex4", mode=mode, digits=30)
+    msg = str(info.value)
+    assert msg.startswith("ex4: ")
+    assert f"{mode} solve of {shape}" in msg
+    assert why in msg
+
+
+def test_missing_x_class_is_rank_deficient_nonequivariant(monkeypatch):
+    # class p of ex4-X never appears, so its nine Laurent unknowns are
+    # unconstrained
+    _zero_x_side(monkeypatch, keep=lambda i: i != 1)
+    with pytest.raises(ContinuationError,
+                       match=r"^ex4: nonequivariant solve of \d+ equations "
+                             r"x 27 unknowns: rank-deficient"):
+        solve_umatrix("ex4", digits=30)
+
+
+def test_mb_budget_above_tol_raises(monkeypatch):
+    # a quadrature that reports a large error: the budget, not only the
+    # tail, is held to tol, and no real quadrature runs
+    calls = []
+
+    def loose_quad(f, nodes, **kwargs):
+        calls.append(kwargs)
+        return mp.mpf(0), mp.mpf(1)
+
+    monkeypatch.setattr(mp.mp, "quad", loose_quad)
+    with pytest.raises(ContinuationError,
+                       match=r"error budget \S+ .*exceeds the tolerance "
+                             r"1\.0e-12"):
+        mellin_barnes_integral("ex1", "0.06", digits=15, tol="1e-12")
+    assert calls and all(kw.get("error") for kw in calls)
