@@ -4,7 +4,6 @@ changes."""
 
 from .lambda_rat import LambdaPoly, LambdaRat, format_lambda_rat, parse_lambda_rat
 from .algebra import (
-    exp_truncated,
     Algebra,
     AlgebraError,
     AlgebraZ,
@@ -46,7 +45,6 @@ from .ifunction import (
     build_ifunction,
     expand_prefactor,
     gamma_ratio,
-    gamma_ratio_defining_product,
     modification_factor,
 )
 
@@ -56,9 +54,7 @@ __all__ += [
     "RatAZ",
     "build_ifunction",
     "expand_prefactor",
-    "exp_truncated",
     "gamma_ratio",
-    "gamma_ratio_defining_product",
     "modification_factor",
 ]
 
@@ -71,7 +67,6 @@ from .picardfuchs import (
     apply_operator,
     pf_system,
     proportional,
-    recorded_systems,
     transform_chart,
     verify_pf,
 )
@@ -85,7 +80,6 @@ __all__ += [
     "apply_operator",
     "pf_system",
     "proportional",
-    "recorded_systems",
     "transform_chart",
     "verify_pf",
 ]

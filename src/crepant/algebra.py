@@ -496,19 +496,6 @@ def exp_nilpotent(a: Element, zshift: int = 1) -> AlgebraZ:
     raise AlgebraError(f"element of {alg.name} is not nilpotent: {a!r}")
 
 
-def exp_truncated(a: Element, depth: int, zshift: int = 1) -> AlgebraZ:
-    """exp(a/z^zshift) summed through k = depth, for non-nilpotent a."""
-    alg = a.algebra
-    layers = {0: alg.one()}
-    power = alg.one()
-    for k in range(1, depth + 1):
-        power = power * a
-        if power.is_zero:
-            break
-        layers[-k * zshift] = power * Fraction(1, factorial(k))
-    return AlgebraZ(alg, layers)
-
-
 def nonequivariant_limit(x):
     """λ → 0 on any exact value; raises ValueError at a pole."""
     if isinstance(x, LambdaRat):

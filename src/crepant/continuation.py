@@ -27,17 +27,35 @@ jets of Gamma, 1/Gamma and digamma take every polygamma order they need from
 one shared series (_polygamma_jet): one recurrence shift and one Stirling
 tail serve all orders at once.
 
-The Mellin-Barnes integral integrates each component of the kernel along
-the contour with Gauss-Legendre quadrature, which needs fewer kernel
-evaluations than tanh-sinh when poles sit a few tenths from the line.
+The Mellin-Barnes kernel is derived from the Y side's gamma rows.  The
+contour runs along the one Y-side variable that has a radius (the radius
+is the wall; the other indices stay 0).  Along it row j has the rate c_j
+(charge over denominator) and the class kappa_j; rows with c_j = 0 drop
+out and identical rows are grouped with a multiplicity.  With P the
+variable's prefactor class,
+
+    head = z * prod_j Gamma(1 + kappa_j/z)
+             * prod_{c_j<0} (-sin(pi kappa_j/z)/pi),
+    K(s) = head * prod_{c_j<0} Gamma(|c_j| s - kappa_j/z)
+                * prod_{c_j>0} 1/Gamma(1 + kappa_j/z + c_j s)
+                * pi/sin(pi s) * q^s * exp(P log q / z).
+
+Its right poles s = d give the inside series; its left poles sit at
+(scalar(kappa_j/z) - n)/|c_j| for the row with the largest |c_j|.  The
+integral integrates each component of the kernel along the contour with
+Gauss-Legendre quadrature, which needs fewer kernel evaluations than
+tanh-sinh when poles sit a few tenths from the line.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -48,7 +66,7 @@ from mpmath.libmp import (fhalf, fone, fzero, from_int, mpc_add,
                           round_nearest, to_int)
 
 from .algebra import Algebra, AlgebraZ
-from .geometry import builtin
+from .geometry import Geometry, builtin
 from .ifunction import (RatAZ, build_ifunction, expand_prefactor,
                         gamma_ratio)
 
@@ -63,11 +81,6 @@ _EXAMPLES = {
     "I": "ex1", "II": "ex2", "III": "ex3", "IV": "ex4",
     "ex1": "ex1", "ex2": "ex2", "ex3": "ex3", "ex4": "ex4",
 }
-
-# Radius of the convergence wall in the Y-side coordinate that the contour
-# integral continues in.
-_WALLS = {"ex1": Fraction(1, 27), "ex2": Fraction(1, 27), "ex4": Fraction(1, 4)}
-
 
 def _example(name: str) -> str:
     key = str(name)
@@ -1311,79 +1324,79 @@ def _exp_nil(fr: Frame, x: NilExpansion) -> NilExpansion:
     return out
 
 
+def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
+    """a0 + kappa/z for a class kappa = w*lambda*1 + a constant degree-2
+    part, given by its coefficient vector (a gamma row or a prefactor)."""
+    unit = klass[alg.unit]
+    return Arg(a0, 0 if unit.is_zero else unit.as_monomial()[0],
+               {alg.labels[i]: c.as_monomial()[0]
+                for i, c in enumerate(klass)
+                if i != alg.unit and not c.is_zero})
+
+
+def _mb_direction(geom: Geometry) -> int:
+    """The variable the contour continues in: the one that has a radius."""
+    hits = [i for i, v in enumerate(geom.variables) if v.radius is not None]
+    if len(hits) != 1:
+        raise ContinuationError(
+            f"{geom.name}: no single-contour representation: the contour "
+            f"needs exactly one variable with a radius, found {len(hits)}")
+    return hits[0]
+
+
+def _mb_dress(fr: Frame, geom: Geometry, var: int, logq) -> NilExpansion:
+    """exp(P log q / z) for the prefactor class P of the contour variable."""
+    pre = _class_arg(geom.algebra, geom.variables[var].prefactor)
+    return _exp_nil(fr, fr.tail(pre).scale(logq))
+
+
 class _Kernel:
-    """Integrand of the continuation contour for one example.
+    """Integrand of the continuation contour, derived from the gamma rows
+    as in the module docstring.
 
     Arranged so that the residue at a right pole s = d equals the d-th term
     of the inside series and the residue at each left pole equals minus the
     matching term of the continued series.
     """
 
-    def __init__(self, ex: str, fr: Frame, q):
-        self.ex = ex
+    def __init__(self, geom: Geometry, fr: Frame, q):
         self.fr = fr
         self.q = _to_mp(q)
         self.logq = mp.log(self.q)
-        na = fr.na
-        if ex == "ex1":
-            self.pdress = _exp_nil(
-                fr, NilExpansion.basis(na, "p", self.logq / fr.z))
-            w = fr.gamma(_arg(1, 1, p=-3))
-            g = fr.gamma(_arg(1, 0, p=1))
-            self.head = (g * g * g * w * fr.sinpi(_arg(0, 1, p=-3))
-                         ).scale(-fr.z / mp.pi)
-            self.wtail = fr.tail(_arg(0, 1, p=-3))
-            self.wscal = fr.scalar(_arg(0, 1, p=-3))
-            self.ptail = fr.tail(_arg(0, 0, p=1))
-        elif ex == "ex2":
-            self.pdress = _exp_nil(
-                fr, NilExpansion.basis(na, "p2", self.logq / fr.z))
-            g2 = fr.gamma(_arg(1, 0, p2=1))
-            gb = fr.gamma(_arg(1, 0, p1=1, p2=-3))
-            gc = fr.gamma(_arg(1, 1, p1=-2, p2=1))
-            self.head = (g2 * g2 * gb * gc * fr.sinpi(_arg(0, 0, p1=1, p2=-3))
-                         ).scale(-fr.z / mp.pi)
-            self.wtail = fr.tail(_arg(0, 0, p1=1, p2=-3))
-            self.wscal = fr.scalar(_arg(0, 0, p1=1, p2=-3))
-            self.p2tail = fr.tail(_arg(0, 0, p2=1))
-            self.ctail = fr.tail(_arg(0, 1, p1=-2, p2=1))
-            self.cscal = fr.scalar(_arg(0, 1, p1=-2, p2=1))
-        elif ex == "ex4":
-            self.pdress = _exp_nil(
-                fr, NilExpansion.basis(na, "p", self.logq / fr.z))
-            g = fr.gamma(_arg(1, 0, p=1))
-            gb = fr.gamma(_arg(1, 2, p=-2))
-            gc = fr.gamma(_arg(1, 1, p=-1))
-            sins = fr.sinpi(_arg(0, 2, p=-2)) * fr.sinpi(_arg(0, 1, p=-1))
-            self.head = (g * g * g * gb * gc * sins).scale(fr.z / mp.pi ** 2)
-            self.btail = fr.tail(_arg(0, 2, p=-2))
-            self.bscal = fr.scalar(_arg(0, 2, p=-2))
-            self.ctail = fr.tail(_arg(0, 1, p=-1))
-            self.cscal = fr.scalar(_arg(0, 1, p=-1))
-            self.ptail = fr.tail(_arg(0, 0, p=1))
-        else:
-            raise ContinuationError(
-                "no single-contour representation is wired for this example")
+        var = _mb_direction(geom)
+        self.pdress = _mb_dress(fr, geom, var, self.logq)
+        rates = [(row.klass, geom.rate(j)[var])
+                 for j, row in enumerate(geom.rows)]
+        groups = Counter(kc for kc in rates if kc[1])
+        self.factors = []
+        gammas, sins = [], []
+        for (klass, c), mult in groups.items():
+            arg = _class_arg(geom.algebra, klass)
+            gammas += [fr.gamma(_class_arg(geom.algebra, klass, 1))] * mult
+            if c < 0:
+                sins += [fr.sinpi(arg)] * mult
+            self.factors.append((_frac_mp(c), fr.scalar(arg), fr.tail(arg),
+                                 mult))
+        # the Gamma(|c| s - kappa/z) factors first, then the 1/Gamma ones
+        self.factors.sort(key=lambda f: f[0] > 0)
+        self.head = (reduce(mul, gammas) * reduce(mul, sins)).scale(
+            (-1) ** len(sins) * fr.z / mp.pi ** len(sins))
+        c, self.left_scal, _, _ = min(self.factors, key=lambda f: f[0])
+        self.left_rate = -c
 
     def __call__(self, s) -> NilExpansion:
         fr = self.fr
         s = mp.mpc(s)
         kern = mp.pi / mp.sinpi(s)
         qs = mp.exp(s * self.logq)
-        if self.ex == "ex1":
-            g3 = fr.gamma_st(3 * s - self.wscal, self.wtail.scale(-1))
-            rg = fr.rgamma_st(1 + s, self.ptail)
-            val = self.head * g3 * rg * rg * rg
-        elif self.ex == "ex2":
-            g3 = fr.gamma_st(3 * s - self.wscal, self.wtail.scale(-1))
-            rg2 = fr.rgamma_st(1 + s, self.p2tail)
-            rgc = fr.rgamma_st(1 + s + self.cscal, self.ctail)
-            val = self.head * g3 * rg2 * rg2 * rgc
-        else:
-            g2 = fr.gamma_st(2 * s - self.bscal, self.btail.scale(-1))
-            g1 = fr.gamma_st(s - self.cscal, self.ctail.scale(-1))
-            rg = fr.rgamma_st(1 + s, self.ptail)
-            val = self.head * g2 * g1 * rg * rg * rg
+        val = self.head
+        for c, scal, tail, mult in self.factors:
+            if c < 0:
+                f = fr.gamma_st(-c * s - scal, tail.scale(-1))
+            else:
+                f = fr.rgamma_st(1 + c * s + scal, tail)
+            for _ in range(mult):
+                val = val * f
         return (val * self.pdress).scale(kern * qs)
 
     # pole positions (scalar parts) ------------------------------------------
@@ -1395,30 +1408,23 @@ class _Kernel:
             d += 1
 
     def left_poles(self):
-        """Scalar real parts of the continued-family poles, with their index."""
-        fr = self.fr
+        """Scalar real parts of the continued-family poles, with their index:
+        the poles of Gamma(|c_j| s - kappa_j/z) for the largest |c_j|."""
         n = 0
         while True:
-            if self.ex == "ex1":
-                yield ((fr.lam / fr.z - n) / 3, n)
-            elif self.ex == "ex2":
-                yield (mp.mpf(-n) / 3, n)
-            else:
-                yield (fr.lam / fr.z - mp.mpf(n) / 2, n)
+            yield ((self.left_scal - n) / self.left_rate, n)
             n += 1
 
 
 def _mb_inside_term(ex: str, fr: Frame, d: int, q) -> NilExpansion:
     g_y = builtin(ex + "-Y")
+    var = _mb_direction(g_y)
     key = "_ifn_inside"
     cache = getattr(fr, key, None)
     if cache is None:
         cache = {}
         setattr(fr, key, cache)
-    if ex == "ex2":
-        idx = (0, d)
-    else:
-        idx = (d,)
+    idx = tuple(d if i == var else 0 for i in range(len(g_y.variables)))
     if idx not in cache:
         alg = g_y.algebra
         co = RatAZ(AlgebraZ(alg, {0: alg.one()}))
@@ -1427,10 +1433,7 @@ def _mb_inside_term(ex: str, fr: Frame, d: int, q) -> NilExpansion:
         cache[idx] = co
     co = _rataz_numeric(cache[idx], fr.na, fr.lam, fr.z).scale(fr.z)
     logq = mp.log(_to_mp(q))
-    if ex == "ex2":
-        dress = _exp_nil(fr, NilExpansion.basis(fr.na, "p2", logq / fr.z))
-        return (co * dress).scale(mp.exp(d * logq))
-    dress = _exp_nil(fr, NilExpansion.basis(fr.na, "p", logq / fr.z))
+    dress = _mb_dress(fr, g_y, var, logq)
     return (co * dress).scale(mp.exp(d * logq))
 
 
@@ -1482,10 +1485,8 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     polygamma orders from one shared series (_polygamma_jet).
     """
     ex = _example(example)
-    if ex not in _WALLS:
-        raise ContinuationError(
-            "no single-contour representation is wired for this example")
-    wall = _WALLS[ex]
+    g_y = builtin(ex + "-Y")
+    wall = g_y.variables[_mb_direction(g_y)].radius
     with mp.workdps(digits + 10):
         lam = default_lambda() if lam is None else _to_mp(lam)
         z = mp.mpf(1) if z is None else _to_mp(z)
@@ -1497,10 +1498,9 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")
         side = "inside" if aq < _frac_mp(wall) else "outside"
-        g_y = builtin(ex + "-Y")
         na = _numeric_algebra(g_y.algebra, lam, digits)
         fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
-        kern = _Kernel(ex, fr, q)
+        kern = _Kernel(g_y, fr, q)
         sigma = mp.mpf("0.5") if sigma is None else mp.mpf(sigma)
 
         # poles near the line are a precondition failure, not a warning;

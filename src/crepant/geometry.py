@@ -77,8 +77,10 @@ class CurveVariable:
     sector-insertion variables enter as x^(step*n) and carry a factorial
     normalization row instead of a prefactor.  scalar_exponent a records an
     overall x^(-a*lambda/z) attached to this variable.  radius, when set, is
-    the radius of convergence of the one-variable slice (a hint, unused by
-    exact arithmetic).
+    the radius of convergence of the one-variable slice (unused by exact
+    arithmetic).  On a Y side it also picks the direction of the
+    Mellin-Barnes continuation: the contour runs along the one variable
+    with a radius, the others stay at index 0, and the radius is the wall.
     """
 
     symbol: str
@@ -115,20 +117,9 @@ def enumerate_degrees(lat: DegreeLattice) -> list[tuple[int, ...]]:
     """All integer index vectors of total <= bound, graded-lex order."""
     if lat.bound < 0:
         raise GeometryError("truncation bound must be nonnegative")
-    k = len(lat.variables)
-    out: list[tuple[int, ...]] = []
-    vec = [0] * k
-
-    def rec(pos: int, budget: int) -> None:
-        if pos == k:
-            out.append(tuple(vec))
-            return
-        for n in range(budget + 1):
-            vec[pos] = n
-            rec(pos + 1, budget - n)
-        vec[pos] = 0
-
-    rec(0, lat.bound)
+    out: list[tuple[int, ...]] = [()]
+    for _ in lat.variables:
+        out = [v + (n,) for v in out for n in range(lat.bound - sum(v) + 1)]
     out.sort(key=lambda v: (sum(v), v))
     return out
 
@@ -841,7 +832,8 @@ def _geom_ex2_y():
         algebra=alg,
         variables=(
             CurveVariable("y1", "divisor", prefactor=p1),
-            CurveVariable("y2", "divisor", prefactor=p2),
+            CurveVariable("y2", "divisor", prefactor=p2,
+                          radius=Fraction(1, 27)),
         ),
         rows=(
             GammaRow(p2, (0, 1)), GammaRow(p2, (0, 1)),

@@ -6,14 +6,29 @@ series, D_i multiplies the degree-n term by (P_i - a_i λ + z e_i(n)) where
 P_i is the divisor prefactor class, a_i the scalar exponent and e_i(n) the
 actual exponent of the i-th variable.  Residuals are exact; no tolerance.
 
-Negative curve monomials are cleared in the recorded data, so every stored
-term shifts the index lattice by a non-negative vector.
+The operators of a geometry are derived from its gamma rows (pf_system),
+as the GKZ box operators of the toric charge matrix.  Row j (class κ_j,
+weight w_j, charges charge_ji) gives the linear form
+
+    L_j = w_j λ + Σ_i r_ji (D_i + a_i λ),   r_ji = charge_ji / (m_i step_i),
+
+which multiplies the degree-n term by κ_j + z v_j(n).  The shifts are the
+minimal nonzero s >= 0 with sector_of(s) == 0, searched in the box
+[0, N]^k with N the lcm of the sector_map denominators; for each one
+
+    Π_{v_j>0} Π_{k<v_j} (L_j - kz) - y^s Π_{v_j<0} Π_{k<|v_j|} (L_j - kz),
+
+where v_j = Σ_i charge_ji s_i / m_i.  Every term therefore shifts the
+index lattice by a non-negative vector, and verify_pf checks any geometry,
+built-in or loaded from a config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from .algebra import AlgebraZ, Element
 from .geometry import Geometry, builtin, enumerate_degrees
@@ -56,18 +71,6 @@ class PFOperator:
             for f in t.factors:
                 if len(f.d) != self.nvars:
                     raise PFError(f"{self.label}: linear form arity mismatch")
-
-
-def _lf(d, lam=0, zc=0) -> LinForm:
-    if not isinstance(d, tuple):
-        d = (d,)
-    return LinForm(tuple(Fraction(x) for x in d), Fraction(lam), Fraction(zc))
-
-
-def _term(shift, constant, factors) -> PFTerm:
-    if not isinstance(shift, tuple):
-        shift = (shift,)
-    return PFTerm(shift, Fraction(constant), tuple(factors))
 
 
 def _conjugated_classes(geom: Geometry) -> list[Element]:
@@ -154,7 +157,7 @@ def verify_pf(geom: Geometry | str, bound: int = 8,
               ifn: IFunction | None = None) -> PFReport:
     if isinstance(geom, str):
         geom = builtin(geom)
-    ops = pf_system(geom.name)
+    ops = pf_system(geom)
     if ifn is None:
         ifn = build_ifunction(geom, bound)
     results = []
@@ -180,101 +183,66 @@ def _max_shift(op: PFOperator) -> tuple[int, ...]:
     return tuple(max(t.shift[i] for t in op.terms) for i in range(op.nvars))
 
 
-# Recorded systems, one per geometry that has a displayed equation.
-# The operators act on the full series (prefactors included); terms were
-# cleared of negative monomials by multiplying through by a monomial.
+def _box_shifts(geom: Geometry) -> list[tuple[int, ...]]:
+    """Minimal nonzero s >= 0 (componentwise) with sector_of(s) == 0.
 
-def _system_ex1y():
-    D = _lf(1)
-    L = lambda k: _lf(-3, lam=1, zc=-k)   # λ - 3D - kz
-    return (PFOperator(
-        "D^3 = y(λ-3D)(λ-3D-z)(λ-3D-2z)", 1,
-        (_term(0, 1, [D, D, D]),
-         _term(1, -1, [L(0), L(1), L(2)]))),)
-
-
-def _system_ex1x():
-    D = _lf(1)
-    L = lambda k: _lf(1, lam=1, zc=-k)    # λ + D - kz
-    return (PFOperator(
-        "x^3 D^3 = -27(λ+D)(λ+D-z)(λ+D-2z)", 1,
-        (_term(3, 1, [D, D, D]),
-         _term(0, 27, [L(0), L(1), L(2)]))),)
+    N*e_i lies in sector 0 for N the lcm of the sector_map denominators, so
+    no minimal shift leaves the box [0, N]^k.
+    """
+    top = lcm(*(f.denominator for f in geom.sector_map))
+    found = [s for s in product(range(top + 1), repeat=len(geom.variables))
+             if any(s) and geom.sector_of(s) == 0]
+    return [s for s in found
+            if not any(t != s and all(a <= b for a, b in zip(t, s))
+                       for t in found)]
 
 
-def _system_ex2y():
-    D1 = _lf((1, 0))
-    D2 = _lf((0, 1))
-    A = _lf((1, -3))                       # D1 - 3D2
-    W = lambda k: _lf((-2, 1), lam=1, zc=-k)  # λ + D2 - 2D1 - kz
-    B = lambda k: _lf((1, -3), zc=-k)      # D1 - 3D2 - kz
-    return (
-        PFOperator("D1(D1-3D2) = y1(λ+D2-2D1)(λ+D2-2D1-z)", 2,
-                   (_term((0, 0), 1, [D1, A]),
-                    _term((1, 0), -1, [W(0), W(1)]))),
-        PFOperator("D2^2(λ+D2-2D1) = y2(D1-3D2)(D1-3D2-z)(D1-3D2-2z)", 2,
-                   (_term((0, 0), 1, [D2, D2, W(0)]),
-                    _term((0, 1), -1, [B(0), B(1), B(2)]))),
-    )
+def _format_form(f: LinForm) -> str:
+    names = ("D",) if len(f.d) == 1 else tuple(f"D{i + 1}"
+                                               for i in range(len(f.d)))
+    out = ""
+    for c, name in (*zip(f.d, names), (f.lam, "λ"), (f.zc, "z")):
+        if c:
+            mag = abs(c)
+            mag = ("" if mag == 1 else str(mag) if mag.denominator == 1
+                   else f"({mag})")
+            out += ("-" if c < 0 else "+" if out else "") + mag + name
+    return f"({out or '0'})"
 
 
-def _system_ex2x(symbols=("x1", "x2")):
-    D1 = lambda k: _lf((1, 0), zc=-k)
-    D2 = lambda k: _lf((0, 1), zc=-k)
-    E = _lf((Fraction(1, 3), Fraction(-1, 3)))          # (D1 - D2)/3
-    V = lambda k: _lf((Fraction(-5, 3), Fraction(-1, 3)), lam=1, zc=-k)
-    s1, s2 = symbols
-    return (
-        PFOperator(f"D2(D2-z)(D2-2z) = {s2}^3((D1-D2)/3)^2(λ-(5/3)D1-(1/3)D2)", 2,
-                   (_term((0, 0), 1, [D2(0), D2(1), D2(2)]),
-                    _term((0, 3), -1, [E, E, V(0)]))),
-        PFOperator(f"D1 D2 = {s1}{s2}(λ-(5/3)D1-(1/3)D2)(λ-(5/3)D1-(1/3)D2-z)", 2,
-                   (_term((0, 0), 1, [D1(0), D2(0)]),
-                    _term((1, 1), -1, [V(0), V(1)]))),
-        PFOperator(f"D1(D1-z)(D1-2z)((D1-D2)/3)^2 = {s1}^3 Π_k(λ-(5/3)D1-(1/3)D2-kz)", 2,
-                   (_term((0, 0), 1, [D1(0), D1(1), D1(2), E, E]),
-                    _term((3, 0), -1, [V(0), V(1), V(2), V(3), V(4)]))),
-    )
-
-
-def _system_ex4y():
-    D = _lf(1)
-    return (PFOperator(
-        "D^3 = y(λ-D)(2λ-2D)(2λ-2D-z)", 1,
-        (_term(0, 1, [D, D, D]),
-         _term(1, -1, [_lf(-1, lam=1), _lf(-2, lam=2), _lf(-2, lam=2, zc=-1)]))),)
-
-
-def _system_ex4x():
-    # -x D^3 = (λ+D)(2λ+2D)(2λ+2D-z); x^1 shifts the half-step lattice by 2
-    D = _lf(1)
-    return (PFOperator(
-        "x D^3 = -(λ+D)(2λ+2D)(2λ+2D-z)", 1,
-        (_term(2, 1, [D, D, D]),
-         _term(0, 1, [_lf(1, lam=1), _lf(2, lam=2), _lf(2, lam=2, zc=-1)]))),)
-
-
-_SYSTEMS = {
-    "ex1-Y": _system_ex1y,
-    "ex1-X": _system_ex1x,
-    "ex2-Y": _system_ex2y,
-    "ex2-X": _system_ex2x,
-    "ex3-Y": lambda: _system_ex2x(symbols=("y1", "y2")),
-    "ex4-Y": _system_ex4y,
-    "ex4-X": _system_ex4x,
-}
-
-
-def pf_system(name: str) -> tuple[PFOperator, ...]:
-    try:
-        maker = _SYSTEMS[name]
-    except KeyError:
-        raise PFError(f"no recorded differential system for '{name}'") from None
-    return maker()
-
-
-def recorded_systems() -> tuple[str, ...]:
-    return tuple(sorted(_SYSTEMS))
+def pf_system(geom: Geometry | str) -> tuple[PFOperator, ...]:
+    """The GKZ box operators of the geometry's gamma rows, one per minimal
+    sector-0 shift, as derived in the module docstring."""
+    if isinstance(geom, str):
+        geom = builtin(geom)
+    nv = len(geom.variables)
+    forms = []
+    for row in geom.rows:
+        r = tuple(Fraction(c, v.denominator) / v.step
+                  for c, v in zip(row.charge, geom.variables))
+        lam = row.weight + sum(c * v.scalar_exponent
+                               for c, v in zip(r, geom.variables))
+        forms.append(LinForm(r, lam))
+    ops = []
+    for s in _box_shifts(geom):
+        lhs: list[LinForm] = []
+        rhs: list[LinForm] = []
+        for j, f in enumerate(forms):
+            v = geom.shifted_index(j, s)
+            if v.denominator != 1:
+                raise PFError(f"{geom.name}: row {j} shifts by {v} under the "
+                              f"sector-0 shift {s}, not by an integer")
+            (rhs if v < 0 else lhs).extend(
+                LinForm(f.d, f.lam, Fraction(-k)) for k in range(abs(int(v))))
+        mono = "".join(var.symbol + ("" if var.step * n == 1
+                                     else f"^{var.step * n}")
+                       for var, n in zip(geom.variables, s) if n)
+        label = (("".join(map(_format_form, lhs)) or "1") + " = "
+                 + mono + "".join(map(_format_form, rhs)))
+        ops.append(PFOperator(label, nv, (
+            PFTerm((0,) * nv, Fraction(1), tuple(lhs)),
+            PFTerm(s, Fraction(-1), tuple(rhs)))))
+    return tuple(ops)
 
 
 # Chart transport: rewrite an operator under D_i = Σ_j A[i][j] D'_j and a

@@ -9,7 +9,7 @@ import crepant.continuation as continuation
 from crepant import LambdaRat, builtin
 from crepant.algebra import Algebra
 from crepant.continuation import (ContinuationError, Frame, NilExpansion,
-                                  _GammaDerivs, _RGammaDerivs, _lstsq,
+                                  _GammaDerivs, _Kernel, _RGammaDerivs, _lstsq,
                                   _mb_inside_term, _numeric_algebra,
                                   _polygamma_jet, _to_mp,
                                   mellin_barnes_integral, solve_umatrix)
@@ -119,6 +119,41 @@ def test_mb_matches_inside_series_ex4():
         else:
             pytest.fail("inside series did not converge")
         assert (total - res.value).maxabs() <= res.error
+
+
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_kernel_residues_are_the_inside_terms(ex, q):
+    # the residue at s = d, as the trapezoid rule on a circle of radius 0.05
+    # (no other pole within 0.2), is the d-th term of the inside series
+    geom = builtin(ex + "-Y")
+    with mp.workdps(25):
+        lam = mp.mpc("0.7", "0.31")
+        q = mp.mpf(q)
+        na = _numeric_algebra(geom.algebra, lam, 15)
+        fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=15)
+        kern = _Kernel(geom, fr, q)
+        for d in range(3):
+            res = fr.zero()
+            for k in range(48):
+                w = mp.mpf("0.05") * mp.expjpi(mp.mpf(k) / 24)
+                res = res + kern(d + w).scale(w / 48)
+            want = _mb_inside_term(ex, fr, d, q)
+            assert (res - want).maxabs() <= mp.mpf("1e-16"), d
+
+
+def test_mb_without_a_radius_is_refused():
+    # ex3-Y has no variable with a radius, so no contour direction
+    with pytest.raises(ContinuationError,
+                       match="ex3-Y: no single-contour representation"):
+        mellin_barnes_integral("ex3", "0.02")
+
+
+def test_mb_ex2_runs_along_y2_into_the_known_defect():
+    # y2 carries ex2-Y's radius; its dressing exp(p2 log q / z) needs p2
+    # nilpotent, which it is not at numeric lambda (an open defect)
+    with pytest.raises(ContinuationError,
+                       match="exponential of a non-nilpotent element"):
+        mellin_barnes_integral("ex2", "0.02", digits=15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Geometry configs: builtins, validation invariants, JSON round-trip."""
 
+import gc
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -74,6 +75,13 @@ def test_enumerate_degrees_graded_lex_increasing(nvar, bound):
     assert all(sum(v) <= bound for v in out)
 
 
+def test_enumerate_degrees_leaves_no_garbage():
+    lat = builtin("ex3-X").lattice(6)
+    gc.collect()
+    enumerate_degrees(lat)
+    assert gc.collect() == 0
+
+
 def test_shifted_index_and_sector():
     g = builtin("ex2-X")
     # rows: p, p, λ-5p, 3p, factorial; indices n = (3d, 3e)
@@ -96,6 +104,9 @@ def test_radius_hints():
     assert builtin("ex1-X").variables[0].radius == Fraction(3)
     assert builtin("ex4-Y").variables[0].radius == Fraction(1, 4)
     assert builtin("ex4-X").variables[0].radius == Fraction(4)
+    # ex2-Y continues along y2 only
+    assert [v.radius for v in builtin("ex2-Y").variables] == [
+        None, Fraction(1, 27)]
 
 
 def test_scalar_exponents():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from crepant.algebra import AlgebraZ
-from crepant.geometry import builtin
+from crepant.geometry import (BUILTIN_NAMES, builtin, config_from_dict,
+                              config_to_dict, load_config, save_config)
 from crepant.ifunction import build_ifunction
 from crepant.picardfuchs import (
     LinForm,
@@ -15,7 +16,6 @@ from crepant.picardfuchs import (
     apply_operator,
     pf_system,
     proportional,
-    recorded_systems,
     transform_chart,
     verify_pf,
 )
@@ -51,7 +51,81 @@ def test_scalar_prefactor_enters_derivation():
     assert values[(0,)].num == AlgebraZ(alg, {0: alg.one() * (-LambdaRat.gen())})
 
 
-@pytest.mark.parametrize("name", sorted(recorded_systems()))
+# The paper's displayed equations, typed in by hand: the oracle for the
+# operators pf_system derives from the gamma rows.
+
+def _lf(d, lam=0, zc=0) -> LinForm:
+    if not isinstance(d, tuple):
+        d = (d,)
+    return LinForm(tuple(Fraction(x) for x in d), Fraction(lam), Fraction(zc))
+
+
+def _op(label, *terms) -> PFOperator:
+    """terms: (shift, constant, factors) triples."""
+    terms = tuple(PFTerm(s if isinstance(s, tuple) else (s,), Fraction(c),
+                         tuple(f)) for s, c, f in terms)
+    return PFOperator(label, len(terms[0].shift), terms)
+
+
+def _displayed_ex2x():
+    D1 = lambda k: _lf((1, 0), zc=-k)
+    D2 = lambda k: _lf((0, 1), zc=-k)
+    E = _lf((Fraction(1, 3), Fraction(-1, 3)))          # (D1 - D2)/3
+    V = lambda k: _lf((Fraction(-5, 3), Fraction(-1, 3)), lam=1, zc=-k)
+    return (
+        _op("D2(D2-z)(D2-2z) = x2^3((D1-D2)/3)^2(λ-(5/3)D1-(1/3)D2)",
+            ((0, 0), 1, [D2(0), D2(1), D2(2)]), ((0, 3), -1, [E, E, V(0)])),
+        _op("D1 D2 = x1x2(λ-(5/3)D1-(1/3)D2)(λ-(5/3)D1-(1/3)D2-z)",
+            ((0, 0), 1, [D1(0), D2(0)]), ((1, 1), -1, [V(0), V(1)])),
+        _op("D1(D1-z)(D1-2z)((D1-D2)/3)^2 = x1^3 Π_k(λ-(5/3)D1-(1/3)D2-kz)",
+            ((0, 0), 1, [D1(0), D1(1), D1(2), E, E]),
+            ((3, 0), -1, [V(0), V(1), V(2), V(3), V(4)])),
+    )
+
+
+def _displayed_ex2y():
+    D1, D2, A = _lf((1, 0)), _lf((0, 1)), _lf((1, -3))  # A = D1 - 3D2
+    W = lambda k: _lf((-2, 1), lam=1, zc=-k)      # λ + D2 - 2D1 - kz
+    B = lambda k: _lf((1, -3), zc=-k)             # D1 - 3D2 - kz
+    return (
+        _op("D1(D1-3D2) = y1(λ+D2-2D1)(λ+D2-2D1-z)",
+            ((0, 0), 1, [D1, A]), ((1, 0), -1, [W(0), W(1)])),
+        _op("D2^2(λ+D2-2D1) = y2(D1-3D2)(D1-3D2-z)(D1-3D2-2z)",
+            ((0, 0), 1, [D2, D2, W(0)]), ((0, 1), -1, [B(0), B(1), B(2)])),
+    )
+
+
+DISPLAYED = {
+    "ex1-Y": (_op("D^3 = y(λ-3D)(λ-3D-z)(λ-3D-2z)",
+                  (0, 1, [_lf(1)] * 3),
+                  (1, -1, [_lf(-3, lam=1, zc=-k) for k in range(3)])),),
+    "ex1-X": (_op("x^3 D^3 = -27(λ+D)(λ+D-z)(λ+D-2z)",
+                  (3, 1, [_lf(1)] * 3),
+                  (0, 27, [_lf(1, lam=1, zc=-k) for k in range(3)])),),
+    "ex2-Y": _displayed_ex2y(),
+    "ex2-X": _displayed_ex2x(),
+    "ex3-Y": _displayed_ex2x(),         # the same system in y1, y2
+    "ex4-Y": (_op("D^3 = y(λ-D)(2λ-2D)(2λ-2D-z)",
+                  (0, 1, [_lf(1)] * 3),
+                  (1, -1, [_lf(-1, lam=1), _lf(-2, lam=2),
+                           _lf(-2, lam=2, zc=-1)])),),
+    # x^1 shifts the half-step lattice by 2
+    "ex4-X": (_op("x D^3 = -(λ+D)(2λ+2D)(2λ+2D-z)",
+                  (2, 1, [_lf(1)] * 3),
+                  (0, 1, [_lf(1, lam=1), _lf(2, lam=2),
+                          _lf(2, lam=2, zc=-1)])),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPLAYED))
+def test_displayed_equations_are_derived(name):
+    derived = pf_system(name)
+    assert len(derived) == len(DISPLAYED[name])
+    for op in DISPLAYED[name]:
+        assert any(proportional(op, d) for d in derived), op.label
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_recorded_systems_annihilate(name):
     rep = verify_pf(name, 8)
     assert rep.geometry == name
@@ -90,9 +164,31 @@ def test_verify_raises_on_corruption(monkeypatch):
         pf.verify_pf("ex1-Y", 3)
 
 
-def test_no_recorded_system():
-    with pytest.raises(PFError, match="no recorded differential system"):
-        pf_system("ex3-X")
+def test_ex3x_gets_four_box_operators():
+    # no equation is displayed for the order-five quotient: its system
+    # comes from the rows alone, one operator per minimal sector-0 shift
+    ops = pf_system("ex3-X")
+    assert [op.terms[1].shift for op in ops] == [(0, 5), (1, 2), (3, 1),
+                                                 (5, 0)]
+    assert all(op.terms[0].shift == (0, 0) for op in ops)
+    rep = verify_pf("ex3-X", 8)
+    assert [count for _, count in rep.checked] == [45] * 4
+
+
+def test_config_loaded_geometry_is_checked(tmp_path):
+    path = tmp_path / "ex3-X.json"
+    save_config(builtin("ex3-X"), str(path))
+    rep = verify_pf(load_config(str(path)), 8)
+    assert [count for _, count in rep.checked] == [45] * 4
+
+
+def test_sector_map_off_the_charges_is_reported():
+    # sector 0 for every index, so s = 1 is a box shift, but the charge -1
+    # over the denominator 3 does not move the rows by integers
+    d = config_to_dict(builtin("ex1-X"))
+    d["sector_map"] = ["0"]
+    with pytest.raises(PFError, match="not by an integer"):
+        pf_system(config_from_dict(d))
 
 
 def test_insufficient_truncation_reported():
