@@ -1,7 +1,7 @@
 """Analytic continuation across the convergence wall, numerically.
 
-Closed-form continued series for the four built-in pairs, a Gamma calculus
-for arguments with nilpotent (divisor-class) parts, a Mellin-Barnes contour
+Continued series for the four built-in pairs, a Gamma calculus for
+arguments with nilpotent (divisor-class) parts, a Mellin-Barnes contour
 integral used as an independent cross-check, and the connection-matrix solve
 that reads off the wall-crossing transformation U by comparing coefficients
 of the curve variables on both sides.
@@ -23,9 +23,9 @@ reduces to the finite Taylor jet; for semisimple directions it evaluates f
 at the shifted eigenvalues.  Either way the computation is exact and finite,
 which matters because the naive polygamma power series diverges on algebras
 whose degree-two classes are not nilpotent at numeric lambda.  The Taylor
-jets of Gamma, 1/Gamma and digamma take every polygamma order they need from
-one shared series (_polygamma_jet): one recurrence shift and one Stirling
-tail serve all orders at once.
+jets of Gamma and 1/Gamma take every polygamma order they need from one
+shared series (_polygamma_jet): one recurrence shift and one Stirling tail
+serve all orders at once.
 
 The Mellin-Barnes kernel is derived from the Y side's gamma rows.  The
 contour runs along the one Y-side variable that has a radius (the radius
@@ -40,22 +40,39 @@ variable's prefactor class,
                 * prod_{c_j>0} 1/Gamma(1 + kappa_j/z + c_j s)
                 * pi/sin(pi s) * q^s * exp(P log q / z).
 
-Its right poles s = d give the inside series; its left poles sit at
-(scalar(kappa_j/z) - n)/|c_j| for the row with the largest |c_j|.  The
-integral integrates each component of the kernel along the contour with
-Gauss-Legendre quadrature, which needs fewer kernel evaluations than
+The residue at a right pole s = d is (-1)^d times K(d) without
+pi/sin(pi s): the d-th term of the inside series.  The continued series
+is minus the residues at the left poles s_n = (kappa_p/z - n)/|c_p|, p
+the row with the largest |c_p|.  At s_n + eps a factor whose argument is
+exactly -m <= 0 gives Gamma(-m + |c_j| eps), a simple pole (c_j < 0: the
+rows with kappa_j/|c_j| = kappa_p/|c_p| as classes), or
+1/Gamma(-m + c_j eps), a simple zero (c_j > 0); poles less zeros is the
+pole order r, and r <= 0 leaves no residue.  Every other factor
+f(A + c eps) gives its eps-jet c^k f^(k)(A)/k!.  The pole rows' head
+sines, (-1)^m sin(pi |c_j| s_n), join pi/sin(pi s) in
+
+    R(eps) = prod_poles sin(pi |c_j| s_n) / sin(pi (s_n + eps)),
+
+whose eps^k coefficient is entire in s_n for k < r, so it stays regular
+where the two pole families meet (integer scalar s_n, nonequivariant
+mode).  As q^(s_n + eps) = q^s_n sum_k (eps log q)^k/k!, the residue is
+sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
+
+The integral integrates each component of the kernel along the contour
+with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
 tanh-sinh when poles sit a few tenths from the line.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -65,10 +82,9 @@ from mpmath.libmp import (fhalf, fone, fzero, from_int, mpc_add,
                           mpc_sub, mpc_zero, mpf_bernoulli, mpf_div, mpf_pos,
                           round_nearest, to_int)
 
-from .algebra import Algebra, AlgebraZ
+from .algebra import Algebra
 from .geometry import Geometry, builtin
-from .ifunction import (RatAZ, build_ifunction, expand_prefactor,
-                        gamma_ratio)
+from .ifunction import RatAZ, build_ifunction, expand_prefactor
 
 
 class ContinuationError(ValueError):
@@ -113,9 +129,6 @@ def _to_mp(x):
 
 
 def _near_int(x, tol) -> Optional[int]:
-    if isinstance(x, (int, Fraction)):
-        xf = Fraction(x)
-        return int(xf) if xf.denominator == 1 else None
     n = mp.nint(mp.re(x))
     if abs(x - n) < tol:
         return int(n)
@@ -202,16 +215,12 @@ class NilExpansion:
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls, na):
-        return cls(na)
+    def unit(cls, na, scale=1):
+        return cls(na, {(na.unit, 0): _to_mp(scale)})
 
     @classmethod
-    def unit(cls, na, scale=1, ze: int = 0):
-        return cls(na, {(na.unit, ze): _to_mp(scale)})
-
-    @classmethod
-    def basis(cls, na, label: str, scale=1, ze: int = 0):
-        return cls(na, {(na.label_index(label), ze): _to_mp(scale)})
+    def basis(cls, na, label: str):
+        return cls(na, {(na.label_index(label), 0): mp.mpf(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -314,6 +323,9 @@ def _lstsq(cols, bs, rows: int, p=2):
     an mpf).  Solutions and residuals are those of the dense
     mp.lu_solve(A.H * A, A.H * b) and mp.norm(A * x - b, p), bit for bit.
     """
+    # an exact zero, even a complex one, is no entry, as in a dense matrix
+    cols = [{r: v for r, v in c.items() if v} for c in cols]
+    bs = [{r: v for r, v in b.items() if v} for b in bs]
     n = len(cols)
     conj = [sorted((r, mp.conj(v)) for r, v in c.items()) for c in cols]
     cplx = [any(type(v) is mp.mpc for v in c.values()) for c in cols]
@@ -337,9 +349,11 @@ def _lstsq(cols, bs, rows: int, p=2):
     with mp.extraprec(10):
         try:
             lu, perm = mp.LU_decomp(gram)
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, TypeError):
+            # LU_decomp raises ZeroDivisionError on a numerically singular
+            # matrix, and TypeError (in swap_row) on a column with no pivot
             raise ContinuationError(
-                f"rank-deficient normal equations ({exc})") from None
+                "rank-deficient normal equations (no usable pivot)") from None
         xs = [list(mp.U_solve(lu, mp.L_solve(lu, v, perm))) for v in rhs]
     by_row: dict = {}
     for j, c in enumerate(cols):
@@ -578,9 +592,6 @@ class _GammaDerivs:
             raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
         return _bell_jet(mp.gamma(x), _polygamma_jet(x, jmax), jmax)
 
-    def __call__(self, x, j):
-        return self.jet(x, j)[j]
-
 
 class _RGammaDerivs:
     """f = 1/Gamma, entire; near the poles of Gamma the reflection form
@@ -605,30 +616,74 @@ class _RGammaDerivs:
             out.append(total)
         return out
 
-    def __call__(self, x, j):
-        return self.jet(x, j)[j]
-
 
 def _sinpi_derivs(x, j):
     return mp.pi ** j * mp.sinpi(_to_mp(x) + mp.mpf(j) / 2)
 
 
-def _cospi_derivs(x, j):
-    return mp.pi ** j * mp.cospi(_to_mp(x) + mp.mpf(j) / 2)
+class _Shifted:
+    """Derivatives of f^(k), from the derivatives of f."""
+
+    def __init__(self, derivs: Callable, k: int):
+        self.derivs = derivs
+        self.k = k
+
+    def jet(self, x, jmax):
+        return _jet(self.derivs, x, jmax + self.k)[self.k:]
 
 
-class _PsiDerivs:
-    def __init__(self, tol):
-        self.tol = tol
+def _series_mul(a: list, b: list) -> list:
+    """Product of two truncated power series, to the shorter length."""
+    return [reduce(add, (a[k] * b[i - k] for k in range(i + 1)))
+            for i in range(min(len(a), len(b)))]
+
+
+def _series_recip(a: list) -> list:
+    """1/a for a truncated power series a with a[0] != 0."""
+    out = [1 / a[0]]
+    for i in range(1, len(a)):
+        out.append(-mp.fsum(a[k] * out[i - k] for k in range(1, i + 1))
+                   / a[0])
+    return out
+
+
+class _SineRatio:
+    """f = prod_j sin(pi a_j x) * csc^(k)(pi x) pi^k / k!, the eps^k
+    coefficient of prod_j sin(pi a_j x) / sin(pi (x + eps)).
+
+    At an integer x with every a_j x an integer, f is regular for
+    k < len(a): the Laurent series of csc(pi (x + w)) times the Taylor
+    series of the numerator.  Near such an x the Taylor terms of csc grow
+    like 1/sin(pi x)^i and cancel; the bits they lose are carried.
+    """
+
+    def __init__(self, rates: list, k: int):
+        self.rates = [_to_mp(a) for a in rates]
+        self.k = k
 
     def jet(self, x, jmax):
         x = _to_mp(x)
-        if _gamma_pole_at(x, self.tol) is not None:
-            raise ContinuationError(f"digamma pole at {mp.nstr(x, 8)}")
-        return _polygamma_jet(x, jmax + 1)
+        k = self.k
+        size = jmax + k + 3
+        s0 = abs(mp.sinpi(x))
+        lost = 0 if s0 == 0 or s0 > 0.5 else int(-mp.log(s0, 2)) * size
+        with mp.extraprec(lost):
 
-    def __call__(self, x, j):
-        return self.jet(x, j)[j]
+            def sin_series(a):
+                return [(mp.pi * a) ** i * mp.sinpi(a * x + mp.mpf(i) / 2)
+                        / factorial(i) for i in range(size)]
+
+            num = reduce(_series_mul, [sin_series(a) for a in self.rates])
+            den = sin_series(1)
+            v = 1 if s0 == 0 else 0
+            # csc(pi (x + w)) = sum_i h_i w^(i - v); its eps^k coefficient
+            # at w = u + eps is sum_i h_i C(i - v, k) u^(i - v - k)
+            h = _series_recip(den[v:])
+            d = [hi * ((-1) ** k if i < v else comb(i - v, k))
+                 for i, hi in enumerate(h)]
+            prod = _series_mul(num[:len(d)], d)
+            out = [factorial(j) * prod[j + v + k] for j in range(jmax + 1)]
+        return [+v for v in out]
 
 
 def _recip_derivs(x, j):
@@ -651,28 +706,22 @@ class Arg:
         self.div = tuple(sorted((str(l), Fraction(c)) for l, c in dict(div).items()
                                 if Fraction(c) != 0))
 
-    def scaled_tail_of(self, other: "Arg") -> Optional[Fraction]:
-        """Ratio N with tail(self) = N * tail(other), or None."""
-        if not other.div and not other.alam:
-            return None
-        if other.alam:
-            n = self.alam / other.alam
-        else:
-            n = Fraction(self.div[0][1], 1) / other.div[0][1] if self.div else None
-        if n is None:
-            return None
-        if self.alam != n * other.alam:
-            return None
-        mine = dict(self.div)
-        theirs = {l: n * c for l, c in other.div}
-        return n if mine == theirs else None
-
     def __repr__(self):
         return f"Arg({self.a0}, {self.alam}, {self.div})"
 
 
 def _arg(a0, alam=0, **div):
     return Arg(a0, alam, div)
+
+
+def _affine(a0, *terms) -> Arg:
+    """a0 + sum of k * arg over the (k, arg) pairs."""
+    div: Counter = Counter()
+    for k, a in terms:
+        for label, c in a.div:
+            div[label] += k * c
+    return Arg(a0 + sum(k * a.a0 for k, a in terms),
+               sum(k * a.alam for k, a in terms), div)
 
 
 class Frame:
@@ -696,7 +745,6 @@ class Frame:
         self.tol = mp.mpf(10) ** (-(digits - 6))
         self._gamma = _GammaDerivs(self.tol)
         self._rgamma = _RGammaDerivs(self.tol)
-        self._psi = _PsiDerivs(self.tol)
 
     # -- scalars and tails ---------------------------------------------------
 
@@ -720,24 +768,31 @@ class Frame:
         return NilExpansion.unit(self.na, _to_mp(c))
 
     def zero(self) -> NilExpansion:
-        return NilExpansion.zero(self.na)
+        return NilExpansion(self.na)
 
     def zpow(self, x: NilExpansion, k: int) -> NilExpansion:
         if self.mode == "symbolic":
             return x.zshift(k)
         return x.scale(self.z ** k)
 
-    def scalar_int(self, arg: Arg) -> Optional[int]:
-        if self.mode == "symbolic" or arg.alam == 0:
-            # exact scalar: resonance is a structural fact, not an accident
-            return int(arg.a0) if arg.a0.denominator == 1 else None
-        s = self.scalar(arg)
-        n = _near_int(s, mp.mpf(10) ** (-12))
-        if n is not None:
-            raise ContinuationError(
-                "parameter sample resonates: argument "
-                f"{mp.nstr(_to_mp(s), 10)} is too close to the integer {n}")
-        return None
+    def off_resonance(self, arg: Arg) -> None:
+        """Refuse a lambda sample that puts arg near an integer; an exact
+        integer scalar is a structural fact, not an accident."""
+        if self.mode == "numeric" and arg.alam:
+            s = self.scalar(arg)
+            n = _near_int(s, mp.mpf(10) ** (-12))
+            if n is not None:
+                raise ContinuationError(
+                    "parameter sample resonates: argument "
+                    f"{mp.nstr(s, 10)} is too close to the integer {n}")
+
+    def exact_pole(self, arg: Arg) -> Optional[int]:
+        """m when arg is exactly -m <= 0 in this frame (a pole of Gamma that
+        no lambda sample moves), else None."""
+        if arg.div or (arg.alam and self.mode == "numeric"):
+            return None
+        a = arg.a0
+        return -int(a) if a.denominator == 1 and a <= 0 else None
 
     # -- special functions -----------------------------------------------------
 
@@ -749,20 +804,12 @@ class Frame:
         return self._apply(self._gamma, arg)
 
     def rgamma(self, arg: Arg) -> NilExpansion:
-        if self.mode == "symbolic" and not arg.div:
-            m = _gamma_pole_at(self.scalar(arg), self.tol)
-            if m is not None:
-                return self.zero()  # exact zero of 1/Gamma
+        if self.mode == "symbolic" and self.exact_pole(arg) is not None:
+            return self.zero()  # exact zero of 1/Gamma
         return self._apply(self._rgamma, arg)
 
     def sinpi(self, arg: Arg) -> NilExpansion:
         return self._apply(_sinpi_derivs, arg)
-
-    def cospi(self, arg: Arg) -> NilExpansion:
-        return self._apply(_cospi_derivs, arg)
-
-    def psi(self, arg: Arg) -> NilExpansion:
-        return self._apply(self._psi, arg)
 
     def recip(self, x: NilExpansion) -> NilExpansion:
         c = x.unit_scalar()
@@ -771,44 +818,20 @@ class Frame:
         return _apply_analytic(_recip_derivs, c, x.without_unit_scalar(),
                                self.digits)
 
-    def gamma_st(self, scalar, tail: NilExpansion) -> NilExpansion:
-        return _apply_analytic(self._gamma, scalar, tail, self.digits)
-
-    def rgamma_st(self, scalar, tail: NilExpansion) -> NilExpansion:
-        return _apply_analytic(self._rgamma, scalar, tail, self.digits)
-
     def sin_ratio(self, arga: Arg, argb: Arg, n) -> NilExpansion:
-        """sin(pi*arga)/sin(pi*argb) where tail(arga) = n*tail(argb).
-
-        Away from resonance this is an honest quotient.  When argb has an
-        integer scalar part both sines vanish on the nilpotent locus and the
-        quotient is the Chebyshev polynomial U_{|n|-1}(cos(pi*tail)), up to
-        the sign carried by the integer parts.
+        """sin(pi*arga)/sin(pi*argb) where arga = n*argb + m, n and m
+        integers: (-1)^m sin(pi n argb)/sin(pi argb), a Chebyshev
+        polynomial in cos(pi argb), so regular also where the scalar part
+        of argb is an integer and both sines vanish on the nilpotent locus.
         """
-        n = Fraction(n)
-        if n.denominator != 1:
-            raise ContinuationError("sine ratio needs an integer multiplier")
-        got = arga.scaled_tail_of(argb)
-        if got is None or got != n:
-            raise ContinuationError("sine ratio tails are not aligned")
-        sb = self.scalar_int(argb)
-        if sb is None:
-            return self.sinpi(arga) * self.recip(self.sinpi(argb))
-        sa = self.scalar_int(arga)
-        if sa is None:
+        off = _affine(0, (1, arga), (-Fraction(n), argb))
+        if (Fraction(n).denominator != 1 or off.alam or off.div
+                or off.a0.denominator != 1):
             raise ContinuationError(
-                "resonant denominator with non-integer numerator; the "
-                "accompanying reciprocal-gamma zero must remove this term")
-        t = self.tail(argb)
-        c = _apply_analytic(_cospi_derivs, 0, t, self.digits)
-        m = abs(int(n))
-        u_prev = self.const(1)          # U_0
-        u = c.scale(2)                  # U_1
-        for _ in range(m - 2):
-            u, u_prev = c.scale(2) * u - u_prev, u
-        val = u_prev if m == 1 else u
-        sign = (-1) ** ((sa + sb) % 2) * (1 if n > 0 else -1)
-        return val.scale(sign)
+                "sine ratio needs arga = n*argb + m with integers n, m")
+        self.off_resonance(argb)
+        return self._apply(_SineRatio([int(n)], 0), argb).scale(
+            (-1) ** int(off.a0 % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -840,23 +863,7 @@ class ContinuedSeries:
     na: NumericAlgebra
 
 
-def _terms_ex1(fr: Frame, bound: int) -> dict:
-    out = {}
-    for n in range(bound + 1):
-        rg = fr.rgamma(_arg(1 - Fraction(n, 3), Fraction(1, 3)))
-        if rg.is_zero:
-            continue  # reciprocal-gamma zero kills the whole term
-        ratio = fr.sin_ratio(_arg(0, 1, p=-3),
-                             _arg(Fraction(-n, 3), Fraction(1, 3), p=-1), 3)
-        g1 = fr.gamma(_arg(1, 0, p=1))
-        gw = fr.gamma(_arg(1, 1, p=-3))
-        val = ratio * g1 * g1 * g1 * rg * rg * rg * gw
-        val = fr.zpow(val, 1).scale(Fraction((-1) ** n, 3 * factorial(n)))
-        out[((n,), (0,))] = val
-    return out
-
-
-def _terms_ex2(fr: Frame, bound: int, kmax: Optional[int] = None) -> dict:
+def _terms_ex2(fr: Frame, bound: int) -> dict:
     out: dict = {}
     p1 = NilExpansion.basis(fr.na, "p1")
     p1 = p1.zshift(-1) if fr.mode == "symbolic" else p1.scale(1 / fr.z)
@@ -866,8 +873,7 @@ def _terms_ex2(fr: Frame, bound: int, kmax: Optional[int] = None) -> dict:
         if nxt.is_zero:
             break
         logpows.append(nxt)
-    ktop = bound if kmax is None else min(kmax, bound)
-    for k in range(ktop + 1):
+    for k in range(bound + 1):
         for n in range(bound + 1 - k):
             rg_res = fr.rgamma(_arg(1 - Fraction(5 * k + n, 3), 1,
                                     p1=Fraction(-5, 3)))
@@ -945,85 +951,80 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
     return out
 
 
-def _terms_ex4(fr: Frame, bound: int) -> dict:
-    out: dict = {}
-    d_arg = _arg(0, 1, p=-1)
-    b_arg = _arg(0, 2, p=-2)
-    for idx in range(bound + 1):
-        if idx % 2 == 1:
-            k = (idx - 1) // 2
-            rg = fr.rgamma(_arg(Fraction(1, 2) - k, 1))
-            num = fr.sinpi(d_arg) * fr.sinpi(b_arg)
-            den = fr.recip(fr.sinpi(_arg(-(k + Fraction(1, 2)), 1, p=-1)))
-            g1 = fr.gamma(_arg(1, 0, p=1))
-            ghalf = fr.const(mp.gamma(-(k + mp.mpf(1) / 2)))
-            gb = fr.gamma(_arg(1, 2, p=-2))
-            gc = fr.gamma(_arg(1, 1, p=-1))
-            val = num * den * g1 * g1 * g1 * rg * rg * rg * ghalf * gb * gc
-            val = fr.zpow(val, 1).scale(
-                _frac_mp(Fraction(1, 2 * factorial(2 * k + 1))) / mp.pi)
-            out[((idx,), (0,))] = val
-        else:
-            n = idx // 2
-            rg = fr.rgamma(_arg(1 - n, 1))
-            if rg.is_zero:
-                continue  # the cubed zero beats the digamma pole
-            g1 = fr.gamma(_arg(1, 0, p=1))
-            gb = fr.gamma(_arg(1, 2, p=-2))
-            gc = fr.gamma(_arg(1, 1, p=-1))
-            base = g1 * g1 * g1 * rg * rg * rg * gb * gc
-            base = fr.zpow(base, 1).scale(
-                Fraction(1, 2 * factorial(n) * factorial(2 * n)))
-            r = fr.sinpi(b_arg).scale(1 / mp.pi)
-            harm = (2 * mp.harmonic(2 * n) + mp.harmonic(n) - 3 * mp.euler)
-            beta = fr.const(harm) - fr.psi(_arg(1 - n, 1)).scale(3)
-            cos2 = fr.cospi(d_arg)
-            cos2 = (cos2 * cos2).scale(2)  # sin(2pi D) cot(pi D) combined
-            plain = base * (cos2 - r * beta)
-            logc = base * r
-            if not plain.is_zero:
-                out[((idx,), (0,))] = plain
-            if not logc.is_zero:
-                out[((idx,), (1,))] = logc
-    return out
+# ex2 and ex3 keep their residue sums written out until each pair stores
+# its X<->Y change of variables; ex1 and ex4 are derived from the kernel
+_TERM_BUILDERS = {"ex2": _terms_ex2, "ex3": _terms_ex3}
 
 
-_TERM_BUILDERS = {
-    "ex1": _terms_ex1, "ex2": _terms_ex2, "ex3": _terms_ex3, "ex4": _terms_ex4,
-}
+def _terms_from_kernel(fr: Frame, g_y: Geometry, g_x: Geometry,
+                       bound: int):
+    """Minus the kernel's left residues, and the X-side scalar exponents.
+
+    The n-th left pole gives the key ((n,), (c,)) per power c of log x: with
+    q^(-1/|c_p|) = x^step, log q = -|c_p| step log x, and the stripped
+    q^(alam lambda/z) of s_n is x^(-a lambda/z) with a = |c_p| step alam.
+    q^s_n exp(P log q / z) must keep no divisor class, as in ex1 and ex4.
+    """
+    kern = _Kernel(g_y, fr)
+    (var_x,) = g_x.variables
+    per_logx = -kern.left_rate * var_x.step
+    out = {}
+    for n in range(bound + 1):
+        for c, r in enumerate(kern.left_residue(n)):
+            val = r.scale(-per_logx ** c)
+            if not val.is_zero:
+                out[((n,), (c,))] = val
+    return out, (-per_logx * kern.left_pole(0).alam,)
 
 
 def continued_ifunction(example, truncation: int,
                         mode: str = "equivariant-numeric",
                         lam=None, z=None,
                         digits: int = DEFAULT_DIGITS) -> ContinuedSeries:
-    """Closed-form continuation of the Y-side series past the wall.
+    """Continuation of the Y-side series past the wall.
 
     The result collects coefficients of the X-side curve variables (and log
     powers where divisor prefactors force them); values are taken at
     negated z so they compare directly against the partner series in the
     connection solve.
+
+    ex1 and ex4 are derived: their terms are minus the left residues of the
+    Mellin-Barnes kernel, and their scalar exponents are read off the left
+    poles, so solve_umatrix compares them with the X side's as two
+    independent derivations.  ex2 and ex3 keep written-out residue sums
+    (_terms_ex2, _terms_ex3) and the X side's scalar exponents: ex2's
+    contour variable y2 maps to both X variables, with log x1 dressings,
+    and ex3-Y has no single contour variable, so both need the pair's X<->Y
+    change of variables, which no geometry stores yet.
     """
     ex = _example(example)
     if truncation < 0:
         raise ContinuationError("truncation must be nonnegative")
     g_y = builtin(ex + "-Y")
     g_x = builtin(ex + "-X")
+
+    def series(fr):
+        builder = _TERM_BUILDERS.get(ex)
+        if builder is None:
+            return _terms_from_kernel(fr, g_y, g_x, truncation)
+        return (builder(fr, truncation),
+                tuple(v.scalar_exponent for v in g_x.variables))
+
     with mp.workdps(digits + 10):
         if mode == "equivariant-numeric":
             lam = default_lambda() if lam is None else _to_mp(lam)
             z = mp.mpf(1) if z is None else _to_mp(z)
             na = _numeric_algebra(g_y.algebra, lam, digits)
             fr = Frame(na, "numeric", lam=lam, z=-z, digits=digits)
-            terms = _TERM_BUILDERS[ex](fr, truncation)
+            terms, scalar_exponents = series(fr)
         elif mode == "nonequivariant":
             if lam not in (None, 0):
                 raise ContinuationError(
                     "nonequivariant mode fixes lambda = 0")
             na = _numeric_algebra(g_y.algebra, None, digits)
             fr = Frame(na, "symbolic", digits=digits)
-            terms = {k: negate_z(v)
-                     for k, v in _TERM_BUILDERS[ex](fr, truncation).items()}
+            terms, scalar_exponents = series(fr)
+            terms = {k: negate_z(v) for k, v in terms.items()}
         else:
             raise ContinuationError(f"unknown mode {mode!r}")
     return ContinuedSeries(
@@ -1031,7 +1032,7 @@ def continued_ifunction(example, truncation: int,
         lam=None if mode == "nonequivariant" else mp.nstr(lam, digits),
         z=None if mode == "nonequivariant" else mp.nstr(z, digits),
         digits=digits, truncation=truncation,
-        scalar_exponents=tuple(v.scalar_exponent for v in g_x.variables),
+        scalar_exponents=scalar_exponents,
         steps=tuple(v.step for v in g_x.variables),
         terms=terms, na=na)
 
@@ -1153,13 +1154,6 @@ class UMatrix:
     def entry_value(self, i: int, j: int, zval=1):
         zval = _to_mp(zval)
         return sum((c * zval ** k for k, c in self.entries[i][j]), mp.mpf(0))
-
-    def column(self, j: int) -> dict:
-        out = {}
-        for i in range(len(self.ylabels)):
-            for k, c in self.entries[i][j]:
-                out[(self.ylabels[i], k)] = c
-        return out
 
     def scalar_matrix(self):
         """mpmath matrix of entry values; numeric mode only."""
@@ -1344,127 +1338,141 @@ def _mb_direction(geom: Geometry) -> int:
     return hits[0]
 
 
-def _mb_dress(fr: Frame, geom: Geometry, var: int, logq) -> NilExpansion:
-    """exp(P log q / z) for the prefactor class P of the contour variable."""
-    pre = _class_arg(geom.algebra, geom.variables[var].prefactor)
-    return _exp_nil(fr, fr.tail(pre).scale(logq))
+_Row = namedtuple("_Row", "c arg mult sin")
 
 
 class _Kernel:
     """Integrand of the continuation contour, derived from the gamma rows
-    as in the module docstring.
-
-    Arranged so that the residue at a right pole s = d equals the d-th term
-    of the inside series and the residue at each left pole equals minus the
-    matching term of the continued series.
+    as in the module docstring, and its residues: at a right pole s = d
+    the d-th inside term, at a left pole minus the continued term.  A
+    kernel made without q is not evaluated; its left_residue still works.
     """
 
-    def __init__(self, geom: Geometry, fr: Frame, q):
+    def __init__(self, geom: Geometry, fr: Frame, q=None):
         self.fr = fr
-        self.q = _to_mp(q)
-        self.logq = mp.log(self.q)
+        alg = geom.algebra
         var = _mb_direction(geom)
-        self.pdress = _mb_dress(fr, geom, var, self.logq)
+        self.pre = _class_arg(alg, geom.variables[var].prefactor)
+        if q is not None:
+            self.logq = mp.log(_to_mp(q))
+            self.pdress = self.qpow(self.pre)
         rates = [(row.klass, geom.rate(j)[var])
                  for j, row in enumerate(geom.rows)]
         groups = Counter(kc for kc in rates if kc[1])
-        self.factors = []
-        gammas, sins = [], []
+        self.rows = []
+        gammas = []
         for (klass, c), mult in groups.items():
-            arg = _class_arg(geom.algebra, klass)
-            gammas += [fr.gamma(_class_arg(geom.algebra, klass, 1))] * mult
-            if c < 0:
-                sins += [fr.sinpi(arg)] * mult
-            self.factors.append((_frac_mp(c), fr.scalar(arg), fr.tail(arg),
-                                 mult))
+            arg = _class_arg(alg, klass)
+            gammas += [fr.gamma(_class_arg(alg, klass, 1))] * mult
+            self.rows.append(_Row(c, arg, mult,
+                                  fr.sinpi(arg) if c < 0 else None))
         # the Gamma(|c| s - kappa/z) factors first, then the 1/Gamma ones
-        self.factors.sort(key=lambda f: f[0] > 0)
-        self.head = (reduce(mul, gammas) * reduce(mul, sins)).scale(
-            (-1) ** len(sins) * fr.z / mp.pi ** len(sins))
-        c, self.left_scal, _, _ = min(self.factors, key=lambda f: f[0])
+        self.rows.sort(key=lambda r: r.c > 0)
+        self.gammas = fr.zpow(reduce(mul, gammas), 1)
+        sines = [r.sin for r in self.rows if r.c < 0 for _ in range(r.mult)]
+        self.nsines = len(sines)
+        self.head = (self.gammas * reduce(mul, sines)).scale(
+            (-1 / mp.pi) ** self.nsines)
+        c, self.kappa, _, _ = min(self.rows, key=lambda r: r.c)
         self.left_rate = -c
 
-    def __call__(self, s) -> NilExpansion:
+    def qpow(self, arg: Arg) -> NilExpansion:
+        """q^arg = exp(arg log q), for a kernel made with q."""
         fr = self.fr
-        s = mp.mpc(s)
-        kern = mp.pi / mp.sinpi(s)
-        qs = mp.exp(s * self.logq)
+        return _exp_nil(fr, fr.tail(arg).scale(self.logq)).scale(
+            mp.exp(fr.scalar(arg) * self.logq))
+
+    def _body(self, s) -> NilExpansion:
+        """The kernel without pi/sin(pi s) and q^s."""
+        fr = self.fr
         val = self.head
-        for c, scal, tail, mult in self.factors:
+        for r in self.rows:
+            c, scal, tail = _frac_mp(r.c), fr.scalar(r.arg), fr.tail(r.arg)
             if c < 0:
-                f = fr.gamma_st(-c * s - scal, tail.scale(-1))
+                f = _apply_analytic(fr._gamma, -c * s - scal, tail.scale(-1),
+                                    fr.digits)
             else:
-                f = fr.rgamma_st(1 + c * s + scal, tail)
-            for _ in range(mult):
+                f = _apply_analytic(fr._rgamma, 1 + c * s + scal, tail,
+                                    fr.digits)
+            for _ in range(r.mult):
                 val = val * f
-        return (val * self.pdress).scale(kern * qs)
+        return val * self.pdress
 
-    # pole positions (scalar parts) ------------------------------------------
+    def __call__(self, s) -> NilExpansion:
+        s = mp.mpc(s)
+        return self._body(s).scale(mp.pi / mp.sinpi(s)
+                                   * mp.exp(s * self.logq))
 
-    def right_poles(self):
-        d = 0
-        while True:
-            yield mp.mpf(d)
-            d += 1
+    def right_residue(self, d: int) -> NilExpansion:
+        """Residue at s = d: (-1)^d times the kernel without pi/sin(pi s)."""
+        return self._body(mp.mpf(d)).scale((-1) ** d * mp.exp(d * self.logq))
 
-    def left_poles(self):
-        """Scalar real parts of the continued-family poles, with their index:
-        the poles of Gamma(|c_j| s - kappa_j/z) for the largest |c_j|."""
-        n = 0
-        while True:
-            yield ((self.left_scal - n) / self.left_rate, n)
-            n += 1
+    def left_pole(self, n: int) -> Arg:
+        """s_n = (kappa_p/z - n)/|c_p|, as an argument."""
+        return _affine(-Fraction(n) / self.left_rate,
+                       (1 / self.left_rate, self.kappa))
 
+    def left_value(self, n: int) -> NilExpansion:
+        """Residue at s_n, for a kernel made with q."""
+        logs = [r.scale(self.logq ** k)
+                for k, r in enumerate(self.left_residue(n))]
+        dress = self.qpow(_affine(0, (1, self.left_pole(n)), (1, self.pre)))
+        return reduce(add, logs, self.fr.zero()) * dress
 
-def _mb_inside_term(ex: str, fr: Frame, d: int, q) -> NilExpansion:
-    g_y = builtin(ex + "-Y")
-    var = _mb_direction(g_y)
-    key = "_ifn_inside"
-    cache = getattr(fr, key, None)
-    if cache is None:
-        cache = {}
-        setattr(fr, key, cache)
-    idx = tuple(d if i == var else 0 for i in range(len(g_y.variables)))
-    if idx not in cache:
-        alg = g_y.algebra
-        co = RatAZ(AlgebraZ(alg, {0: alg.one()}))
-        for j in range(len(g_y.rows)):
-            co = co * gamma_ratio(g_y.row_element(j), g_y.shifted_index(j, idx))
-        cache[idx] = co
-    co = _rataz_numeric(cache[idx], fr.na, fr.lam, fr.z).scale(fr.z)
-    logq = mp.log(_to_mp(q))
-    dress = _mb_dress(fr, g_y, var, logq)
-    return (co * dress).scale(mp.exp(d * logq))
-
-
-def _mb_left_term(ex: str, fr: Frame, paper_terms: dict, n: int,
-                  q) -> NilExpansion:
-    """Value of the n-th continued-series term at the point q."""
-    logq = mp.log(_to_mp(q))
-    if ex == "ex1":
-        key = ((n,), (0,))
-        if key not in paper_terms:
-            return fr.zero()
-        expo = fr.lam / (3 * fr.z) - mp.mpf(n) / 3
-        return paper_terms[key].scale(mp.exp(expo * logq))
-    if ex == "ex2":
-        # the stored values carry P1^c/c!, so summing against (log x1)^c
-        # with log x1 = (log q)/3 rebuilds the divisor dressing exactly
-        out = fr.zero()
-        for c in range(3):
-            key = ((0, n), (c, 0))
-            if key in paper_terms:
-                out = out + paper_terms[key].scale((logq / 3) ** c)
-        return out.scale(mp.exp(-mp.mpf(n) / 3 * logq))
-    # ex4: x = 1/q, families indexed by the half-integer lattice
-    logx = -logq
-    out = fr.zero()
-    for c in (0, 1):
-        key = ((n,), (c,))
-        if key in paper_terms:
-            out = out + paper_terms[key].scale(logx ** c)
-    expo = mp.mpf(n) / 2 - fr.lam / fr.z
-    return out.scale(mp.exp(expo * logx))
+    def left_residue(self, n: int) -> list:
+        """[R_0, ..., R_{r-1}] as in the module docstring: the residue at
+        s_n is sum_k R_k (log q)^k q^s_n exp(P log q / z); [] if r <= 0."""
+        fr = self.fr
+        sn = self.left_pole(n)
+        fr.off_resonance(sn)
+        factors = []
+        for r in self.rows:
+            arg = (_affine(0, (-r.c, sn), (-1, r.arg)) if r.c < 0
+                   else _affine(1, (1, r.arg), (r.c, sn)))
+            factors.append((r, arg, fr.exact_pole(arg)))
+        size = sum(r.mult if r.c < 0 else -r.mult
+                   for r, _, m in factors if m is not None)
+        if size <= 0:
+            return []
+        const = self.gammas.scale(mp.pi * (-1 / mp.pi) ** self.nsines)
+        # the series of the factors without a tail are multiplied first:
+        # Euler's constant then cancels exactly between Gamma(eps) and
+        # 1/Gamma(1 + eps), as the 0 in ex4's nonequivariant n = 0 term needs
+        series = [fr.const(1)] + [fr.zero()] * (size - 1)
+        scalars = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
+        rates = []
+        for r, arg, m in factors:
+            scale = [_frac_mp(abs(r.c) ** k) / factorial(k)
+                     for k in range(size + 1)]
+            scal, tail = fr.scalar(arg), fr.tail(arg)
+            derivs = fr._gamma if r.c < 0 else fr._rgamma
+            if m is None and r.c < 0:
+                const = reduce(mul, [r.sin] * r.mult, const)
+            if m is None and not tail.is_zero:
+                jet = [_apply_analytic(_Shifted(derivs, k), scal, tail,
+                                       fr.digits).scale(scale[k])
+                       for k in range(size)]
+                series = reduce(_series_mul, [jet] * r.mult, series)
+                continue
+            if m is None:
+                jet = [v * w for v, w in zip(_jet(derivs, scal, size - 1),
+                                             scale)]
+            else:
+                # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
+                jet = [v * w for v, w in
+                       zip(fr._rgamma.jet(-m, size), scale)][1:]
+                if r.c < 0:
+                    jet = _series_recip(jet)
+                    # its head sine (-1)^m sin(pi |c| s_n) moves into R
+                    rates += [abs(r.c)] * r.mult
+                    const = const.scale((-1) ** (m * r.mult))
+            scalars = reduce(_series_mul, [jet] * r.mult, scalars)
+        ratio = [_apply_analytic(_SineRatio(rates, k), fr.scalar(sn),
+                                 fr.tail(sn), fr.digits)
+                 for k in range(size)]
+        series = _series_mul(_series_mul(series, scalars), ratio)
+        return [(const * series[size - 1 - k]).scale(mp.mpf(1) / factorial(k))
+                for k in range(size)]
 
 
 def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
@@ -1504,25 +1512,26 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         sigma = mp.mpf("0.5") if sigma is None else mp.mpf(sigma)
 
         # poles near the line are a precondition failure, not a warning;
-        # only poles on or just left of the line ever matter (residue
-        # transfer needs Re >= sigma, the proximity check a window of 1)
+        # only poles within 1 of the line are checked, and the residues of
+        # left poles right of it and right poles left of it are transferred
         lefts = []
-        for val, n in kern.left_poles():
-            if mp.re(val) < sigma - 1:
+        for n in count():
+            val = mp.re(fr.scalar(kern.left_pole(n)))
+            if val < sigma - 1:
                 break
-            lefts.append((val, n))
-            if n > 400:
-                raise ContinuationError("left pole family does not descend")
-        for val, n in lefts:
-            if abs(mp.re(val) - sigma) < mp.mpf("0.05"):
+            if abs(val - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
                     f"left pole {n} sits within 0.05 of the contour")
-        d = 0
-        while d < sigma + 1:
+            if n > 400:
+                raise ContinuationError("left pole family does not descend")
+            if val >= sigma:
+                lefts.append(n)
+        rights = range(max(0, int(mp.ceil(sigma + 1))))
+        for d in rights:
             if abs(d - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
                     f"right pole {d} sits within 0.05 of the contour")
-            d += 1
+        rights = [d for d in rights if d < sigma]
 
         # height from the observed exponential decay of the integrand
         t_cur = mp.mpf(12) if height is None else mp.mpf(height)
@@ -1589,24 +1598,12 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         # right poles left of the line enter with a plus, continued-family
         # poles right of the line with a minus, and the left-closure value
         # is the negative of the separated line integral.
-        corr_lefts = [(val, n) for val, n in lefts if mp.re(val) >= sigma]
-        paper: dict = {}
-        if corr_lefts:
-            bound = max(n for _, n in corr_lefts)
-            if ex == "ex2":
-                paper = _terms_ex2(fr, bound, kmax=0)
-            else:
-                paper = _TERM_BUILDERS[ex](fr, bound)
-        corrections = 0
         total = -vhat
-        for val, n in corr_lefts:
-            total = total + _mb_left_term(ex, fr, paper, n, q)
-            corrections += 1
-        d = 0
-        while d < sigma:
-            total = total + _mb_inside_term(ex, fr, d, q)
-            corrections += 1
-            d += 1
+        for n in lefts:
+            total = total - kern.left_value(n)
+        for d in rights:
+            total = total + kern.right_residue(d)
         return MBResult(example=ex, value=total, error=budget, side=side,
                         sigma=sigma, height=t_cur, wall=wall,
-                        corrections=corrections, endpoint_magnitude=top)
+                        corrections=len(lefts) + len(rights),
+                        endpoint_magnitude=top)

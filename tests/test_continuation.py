@@ -1,17 +1,19 @@
 """Numeric continuation: input handling, special-function jets, the U solve
 and the MB integral."""
 
+import dataclasses
+
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import crepant.continuation as continuation
-from crepant import LambdaRat, builtin
+from crepant import LambdaRat, build_ifunction, builtin
 from crepant.algebra import Algebra
 from crepant.continuation import (ContinuationError, Frame, NilExpansion,
                                   _GammaDerivs, _Kernel, _RGammaDerivs, _lstsq,
-                                  _mb_inside_term, _numeric_algebra,
-                                  _polygamma_jet, _to_mp,
+                                  _numeric_algebra, _polygamma_jet,
+                                  _rataz_numeric, _to_mp,
                                   mellin_barnes_integral, solve_umatrix)
 
 
@@ -108,11 +110,13 @@ def test_mb_matches_inside_series_ex4():
     res = mellin_barnes_integral("ex4", q, lam=lam, digits=15, tol="1e-12")
     assert res.side == "inside"
     with mp.workdps(25):
-        na = _numeric_algebra(builtin("ex4-Y").algebra, lam, 15)
+        geom = builtin("ex4-Y")
+        na = _numeric_algebra(geom.algebra, lam, 15)
         fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=15)
+        kern = _Kernel(geom, fr, q)
         total = fr.zero()
         for d in range(60):
-            term = _mb_inside_term("ex4", fr, d, q)
+            term = kern.right_residue(d)
             total = total + term
             if term.maxabs() < mp.mpf("1e-23"):
                 break
@@ -121,24 +125,48 @@ def test_mb_matches_inside_series_ex4():
         assert (total - res.value).maxabs() <= res.error
 
 
+def _kernel_at(ex, q, digits):
+    """ex's Y-side kernel at lambda 0.7+0.31i, z = 1 and the point q."""
+    geom = builtin(ex + "-Y")
+    lam = mp.mpc("0.7", "0.31")
+    na = _numeric_algebra(geom.algebra, lam, digits)
+    fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=digits)
+    return _Kernel(geom, fr, mp.mpf(q))
+
+
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
 def test_kernel_residues_are_the_inside_terms(ex, q):
-    # the residue at s = d, as the trapezoid rule on a circle of radius 0.05
-    # (no other pole within 0.2), is the d-th term of the inside series
-    geom = builtin(ex + "-Y")
-    with mp.workdps(25):
-        lam = mp.mpc("0.7", "0.31")
-        q = mp.mpf(q)
-        na = _numeric_algebra(geom.algebra, lam, 15)
-        fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=15)
-        kern = _Kernel(geom, fr, q)
+    # the residue at s = d is z times the exact I-function coefficient of
+    # index d, evaluated at lambda, with its dressing and q^d
+    with mp.workdps(30):
+        kern = _kernel_at(ex, q, 30)
+        fr = kern.fr
+        ifn = build_ifunction(builtin(ex + "-Y"), 2)
         for d in range(3):
+            co = _rataz_numeric(ifn.coefficient((d,)), fr.na, fr.lam, fr.z)
+            want = (co.scale(fr.z) * kern.pdress).scale(mp.mpf(q) ** d)
+            got = kern.right_residue(d)
+            assert (got - want).maxabs() <= mp.mpf("1e-26"), d
+
+
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_kernel_left_residues_match_the_contour(ex, q):
+    # the residue at the left pole s_n, as the trapezoid rule with 96 nodes
+    # on a circle of radius 0.04 (the nearest other pole is 0.14 away, from
+    # ex1's s_1 to s = 0); ex4's even poles are double and carry log q
+    with mp.workdps(30):
+        kern = _kernel_at(ex, q, 30)
+        fr = kern.fr
+        for n in range(4):
+            centre = fr.scalar(kern.left_pole(n))
             res = fr.zero()
-            for k in range(48):
-                w = mp.mpf("0.05") * mp.expjpi(mp.mpf(k) / 24)
-                res = res + kern(d + w).scale(w / 48)
-            want = _mb_inside_term(ex, fr, d, q)
-            assert (res - want).maxabs() <= mp.mpf("1e-16"), d
+            for k in range(96):
+                w = mp.mpf("0.04") * mp.expjpi(mp.mpf(k) / 48)
+                res = res + kern(centre + w).scale(w / 96)
+            got = kern.left_value(n)
+            assert (res - got).maxabs() <= mp.mpf("1e-24"), n
+            assert len(kern.left_residue(n)) == (2 if ex == "ex4"
+                                                 and n % 2 == 0 else 1)
 
 
 def test_mb_without_a_radius_is_refused():
@@ -189,6 +217,73 @@ def test_nonequivariant_u_ex1_unit_to_top_class():
         assert u.residual <= mp.mpf("1e-25")
 
 
+def _gram_at(algebra, lam):
+    n = algebra.dim
+    g = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = _to_mp(algebra.gram[i][j].evaluate(lam))
+    return g
+
+
+@pytest.mark.parametrize("ex, digits, truncation", [
+    ("ex1", 30, None), ("ex3", 30, None), ("ex4", 30, None),
+    pytest.param("ex2", 20, 5, marks=pytest.mark.xfail(
+        strict=True, reason="ex2's equivariant U is not symplectic: the "
+                            "defect is 1.7 in the X-side unit row and "
+                            "column, here and at 40 digits, truncation 10")),
+])
+def test_umatrix_is_symplectic(ex, digits, truncation):
+    # U(-z)^T G_Y U(z) = G_X for the Givental pairing at a generic lambda
+    with mp.workdps(digits):
+        lam = mp.mpc("0.7", "0.31")
+    u = {z: solve_umatrix(ex, truncation, mode="equivariant-numeric",
+                          lam=lam, z=z, digits=digits) for z in (1, -1)}
+    with mp.workdps(digits):
+        defect = (u[-1].scalar_matrix().T
+                  * _gram_at(builtin(ex + "-Y").algebra, lam)
+                  * u[1].scalar_matrix()
+                  - _gram_at(builtin(ex + "-X").algebra, lam))
+        worst = max(abs(defect[i, j]) for i in range(defect.rows)
+                    for j in range(defect.cols))
+    assert worst <= mp.mpf("1e-25")
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex4"])
+def test_equivariant_u_tends_to_the_nonequivariant_u(ex):
+    # the gap shrinks linearly with lambda: 8.3e-8 here, 8.3e-4 at 1e-4
+    with mp.workdps(30):
+        lam = mp.mpc("0.7", "0.31") * mp.mpf("1e-8")
+    ue = solve_umatrix(ex, mode="equivariant-numeric", lam=lam, z=1,
+                       digits=30)
+    u0 = solve_umatrix(ex, digits=30)
+    with mp.workdps(30):
+        gap = max(abs(ue.entry_value(i, j) - u0.entry_value(i, j, 1))
+                  for i in range(len(ue.ylabels))
+                  for j in range(len(ue.xlabels)))
+    assert gap <= mp.mpf("1e-6")
+
+
+def test_scalar_prefactor_mismatch_is_refused(monkeypatch):
+    # ex1's continued series reads its scalar exponent off the kernel's
+    # left poles, so an X side that records another one is caught
+    real = continuation.builtin
+
+    def patched(name):
+        g = real(name)
+        if name != "ex1-X":
+            return g
+        (var,) = g.variables
+        return dataclasses.replace(g, variables=(dataclasses.replace(
+            var, scalar_exponent=var.scalar_exponent + 1),))
+
+    monkeypatch.setattr(continuation, "builtin", patched)
+    with pytest.raises(ContinuationError,
+                       match="scalar prefactors of the two sides do not "
+                             "agree"):
+        solve_umatrix("ex1", digits=30)
+
+
 _ENTRY = st.one_of(
     st.none(), st.none(),
     st.tuples(st.sampled_from(["real", "complex", "complex0"]),
@@ -231,7 +326,9 @@ def test_lstsq_equals_dense_normal_equations(system, p):
                     for b in bs]
         try:
             want = [mp.lu_solve(a.H * a, a.H * b) for b in dense_bs]
-        except ZeroDivisionError:
+        except (ZeroDivisionError, TypeError):
+            # a singular Gram matrix: mpmath raises TypeError when a whole
+            # column has no pivot left
             with pytest.raises(ContinuationError, match="rank-deficient"):
                 _lstsq(cols, bs, rows, p)
             return
