@@ -8,7 +8,6 @@ from .algebra import (
     AlgebraError,
     AlgebraZ,
     Element,
-    ZLaurent,
     exp_nilpotent,
     nonequivariant_limit,
 )
@@ -30,7 +29,7 @@ from .geometry import (
 
 __all__ = [
     "LambdaPoly", "LambdaRat", "format_lambda_rat", "parse_lambda_rat",
-    "Algebra", "AlgebraError", "AlgebraZ", "Element", "ZLaurent",
+    "Algebra", "AlgebraError", "AlgebraZ", "Element",
     "exp_nilpotent", "nonequivariant_limit",
     "BUILTIN_NAMES", "CurveVariable", "DegreeLattice", "GammaRow",
     "Geometry", "GeometryError", "builtin", "config_from_dict",

@@ -289,89 +289,6 @@ class Element:
         return " + ".join(parts) if parts else "0"
 
 
-class ZLaurent:
-    """Finite Laurent polynomial in z with LambdaRat coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        out = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(c, LambdaRat):
-                c = LambdaRat(c)
-            if not c.is_zero:
-                out[e] = c
-        self.coeffs = out
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, e: int) -> LambdaRat:
-        return self.coeffs.get(e, RAT_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, RAT_ZERO) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        r = ZLaurent.__new__(ZLaurent)
-        r.coeffs = out
-        return r
-
-    def __neg__(self):
-        r = ZLaurent.__new__(ZLaurent)
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LambdaRat)):
-            out = {}
-            for e, c in self.coeffs.items():
-                p = c * other
-                if not p.is_zero:
-                    out[e] = p
-            r = ZLaurent.__new__(ZLaurent)
-            r.coeffs = out
-            return r
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, RAT_ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = ZLaurent.__new__(ZLaurent)
-        r.coeffs = out
-        return r
-
-    __rmul__ = __mul__
-
-    def nonequivariant_limit(self) -> "ZLaurent":
-        return ZLaurent({e: c.nonequivariant_limit()
-                         for e, c in self.coeffs.items()})
-
-    def __repr__(self):
-        keys = sorted(self.coeffs)
-        return "ZLaurent({" + ", ".join(
-            f"{e}: {format_lambda_rat(self.coeffs[e])}" for e in keys) + "})"
-
-
 class AlgebraZ:
     """Finite Laurent polynomial in z with Element coefficients."""
 
@@ -436,12 +353,6 @@ class AlgebraZ:
             r.algebra = self.algebra
             r.layers = out
             return r
-        if isinstance(other, ZLaurent):
-            out = None
-            for e2, c2 in other.coeffs.items():
-                term = self.shift(e2) * c2
-                out = term if out is None else out + term
-            return out if out is not None else AlgebraZ(self.algebra)
         if not isinstance(other, AlgebraZ):
             return NotImplemented
         out = {}

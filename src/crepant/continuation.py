@@ -1,6 +1,6 @@
 """Analytic continuation across the convergence wall, numerically.
 
-Continued series for the four built-in pairs, a Gamma calculus for
+Continued series for the built-in pairs, a Gamma calculus for
 arguments with nilpotent (divisor-class) parts, a Mellin-Barnes contour
 integral used as an independent cross-check, and the connection-matrix solve
 that reads off the wall-crossing transformation U by comparing coefficients
@@ -27,23 +27,34 @@ jets of Gamma and 1/Gamma take every polygamma order they need from one
 shared series (_polygamma_jet): one recurrence shift and one Stirling tail
 serve all orders at once.
 
-The Mellin-Barnes kernel is derived from the Y side's gamma rows.  The
-contour runs along the one Y-side variable that has a radius (the radius
-is the wall; the other indices stay 0).  Along it row j has the rate c_j
-(charge over denominator) and the class kappa_j; rows with c_j = 0 drop
-out and identical rows are grouped with a multiplicity.  With P the
-variable's prefactor class,
+The Mellin-Barnes kernel is derived from the Y side's gamma rows.  It
+sums one residue class of Y indices, d = base + N m e_c for m = 0, 1, ...,
+along a contour variable y_c.  N is the denominator of y_c's sector_map
+entry, so every index of the class has the sector class S of base; base
+fixes the other (spectator) indices and a = d_c < N.  Along y_c row j has
+the rate c_j = N charge_j[c]/den_c, the offset o_j (its shifted index at
+base) and the class kappa_j; identical rows are grouped with a
+multiplicity.  In gamma_ratio's convention, with b_j in (0, 1] and
+b_j = o_j mod 1, and with P the prefactor class of y_c,
 
-    head = z * prod_j Gamma(1 + kappa_j/z)
-             * prod_{c_j<0} (-sin(pi kappa_j/z)/pi),
-    K(s) = head * prod_{c_j<0} Gamma(|c_j| s - kappa_j/z)
-                * prod_{c_j>0} 1/Gamma(1 + kappa_j/z + c_j s)
+    head = z^(1 + sum_j (b_j - 1)) * S * prod_j Gamma(b_j + kappa_j/z)
+             * prod_{c_j=0} 1/Gamma(1 + o_j + kappa_j/z)
+             * prod_{c_j<0} (-sin(pi (o_j + kappa_j/z))/pi),
+    K(s) = head * prod_{c_j<0} Gamma(|c_j| s - o_j - kappa_j/z)
+                * prod_{c_j>0} 1/Gamma(1 + o_j + kappa_j/z + c_j s)
                 * pi/sin(pi s) * q^s * exp(P log q / z).
+
+pi/sin(pi s) gives the series its signs only when the c_j are integers
+whose negative ones sum to an odd number; other rows are refused.  The
+Mellin-Barnes integral runs along the one Y variable with a radius (the
+wall) from base 0, where every o_j = 0 and b_j = 1.  The continued series
+takes y_c, the spectators and a from the pair's lattice map (see
+continued_ifunction).
 
 The residue at a right pole s = d is (-1)^d times K(d) without
 pi/sin(pi s): the d-th term of the inside series.  The continued series
-is minus the residues at the left poles s_n = (kappa_p/z - n)/|c_p|, p
-the row with the largest |c_p|.  At s_n + eps a factor whose argument is
+is minus the residues at the left poles s_n = (kappa_p/z + o_p - n)/|c_p|,
+p the row with the largest |c_p|.  At s_n + eps a factor whose argument is
 exactly -m <= 0 gives Gamma(-m + |c_j| eps), a simple pole (c_j < 0: the
 rows with kappa_j/|c_j| = kappa_p/|c_p| as classes), or
 1/Gamma(-m + c_j eps), a simple zero (c_j > 0); poles less zeros is the
@@ -70,8 +81,8 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import count
-from math import comb, factorial
+from itertools import count, permutations, product
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -83,7 +94,8 @@ from mpmath.libmp import (fhalf, fone, fzero, from_int, mpc_add,
                           round_nearest, to_int)
 
 from .algebra import Algebra
-from .geometry import Geometry, builtin
+from .geometry import (Geometry, _solve_exact, builtin, enumerate_degrees,
+                       pairs)
 from .ifunction import RatAZ, build_ifunction, expand_prefactor
 
 
@@ -93,17 +105,13 @@ class ContinuationError(ValueError):
 
 DEFAULT_DIGITS = 64
 
-_EXAMPLES = {
-    "I": "ex1", "II": "ex2", "III": "ex3", "IV": "ex4",
-    "ex1": "ex1", "ex2": "ex2", "ex3": "ex3", "ex4": "ex4",
-}
 
 def _example(name: str) -> str:
     key = str(name)
-    if key not in _EXAMPLES:
+    if key not in pairs():
         raise ContinuationError(
-            f"unknown example {name!r}; choose from I, II, III, IV")
-    return _EXAMPLES[key]
+            f"unknown example {name!r}; choose from {', '.join(pairs())}")
+    return key
 
 
 def default_lambda():
@@ -710,10 +718,6 @@ class Arg:
         return f"Arg({self.a0}, {self.alam}, {self.div})"
 
 
-def _arg(a0, alam=0, **div):
-    return Arg(a0, alam, div)
-
-
 def _affine(a0, *terms) -> Arg:
     """a0 + sum of k * arg over the (k, arg) pairs."""
     div: Counter = Counter()
@@ -745,6 +749,7 @@ class Frame:
         self.tol = mp.mpf(10) ** (-(digits - 6))
         self._gamma = _GammaDerivs(self.tol)
         self._rgamma = _RGammaDerivs(self.tol)
+        self._heads: dict = {}
 
     # -- scalars and tails ---------------------------------------------------
 
@@ -801,7 +806,11 @@ class Frame:
                                self.digits)
 
     def gamma(self, arg: Arg) -> NilExpansion:
-        return self._apply(self._gamma, arg)
+        # the kernels of one continued series share their heads
+        key = (arg.a0, arg.alam, arg.div)
+        if key not in self._heads:
+            self._heads[key] = self._apply(self._gamma, arg)
+        return self._heads[key]
 
     def rgamma(self, arg: Arg) -> NilExpansion:
         if self.mode == "symbolic" and self.exact_pole(arg) is not None:
@@ -817,21 +826,6 @@ class Frame:
             raise ContinuationError("reciprocal of a value with no scalar part")
         return _apply_analytic(_recip_derivs, c, x.without_unit_scalar(),
                                self.digits)
-
-    def sin_ratio(self, arga: Arg, argb: Arg, n) -> NilExpansion:
-        """sin(pi*arga)/sin(pi*argb) where arga = n*argb + m, n and m
-        integers: (-1)^m sin(pi n argb)/sin(pi argb), a Chebyshev
-        polynomial in cos(pi argb), so regular also where the scalar part
-        of argb is an integer and both sines vanish on the nilpotent locus.
-        """
-        off = _affine(0, (1, arga), (-Fraction(n), argb))
-        if (Fraction(n).denominator != 1 or off.alam or off.div
-                or off.a0.denominator != 1):
-            raise ContinuationError(
-                "sine ratio needs arga = n*argb + m with integers n, m")
-        self.off_resonance(argb)
-        return self._apply(_SineRatio([int(n)], 0), argb).scale(
-            (-1) ** int(off.a0 % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -863,118 +857,117 @@ class ContinuedSeries:
     na: NumericAlgebra
 
 
-def _terms_ex2(fr: Frame, bound: int) -> dict:
-    out: dict = {}
-    p1 = NilExpansion.basis(fr.na, "p1")
-    p1 = p1.zshift(-1) if fr.mode == "symbolic" else p1.scale(1 / fr.z)
-    logpows = [fr.const(1)]
-    while len(logpows) <= 2:
-        nxt = logpows[-1] * p1
-        if nxt.is_zero:
-            break
-        logpows.append(nxt)
-    for k in range(bound + 1):
-        for n in range(bound + 1 - k):
-            rg_res = fr.rgamma(_arg(1 - Fraction(5 * k + n, 3), 1,
-                                    p1=Fraction(-5, 3)))
-            if rg_res.is_zero:
-                continue
-            ratio = fr.sin_ratio(
-                _arg(0, 0, p1=1, p2=-3),
-                _arg(Fraction(k - n, 3), 0, p1=Fraction(1, 3), p2=-1), 3)
-            g2 = fr.gamma(_arg(1, 0, p2=1))
-            rg2 = fr.rgamma(_arg(1 + Fraction(k - n, 3), 0, p1=Fraction(1, 3)))
-            gp1 = fr.gamma(_arg(1, 0, p1=1))
-            rgp1k = fr.rgamma(_arg(1 + k, 0, p1=1))
-            gb = fr.gamma(_arg(1, 0, p1=1, p2=-3))
-            gc = fr.gamma(_arg(1, 1, p1=-2, p2=1))
-            base = ratio * g2 * g2 * rg2 * rg2 * gp1 * rgp1k * gb * gc * rg_res
-            base = fr.zpow(base, 1).scale(
-                Fraction((-1) ** (n + k), 3 * factorial(n)))
-            for c, dress in enumerate(logpows):
-                val = (base * dress).scale(Fraction(1, factorial(c)))
-                if not val.is_zero:
-                    key = ((k, n), (c, 0))
-                    out[key] = out[key] + val if key in out else val
-    return out
+# the total power of log x in the keys of xside_terms
+_LOG_ORDER = 3
 
 
-def _terms_ex3(fr: Frame, bound: int) -> dict:
-    out: dict = {}
-    for nh in range(bound + 1):
-        for e in range(bound + 1 - nh):
-            for abar in range(3):
-                c1 = Fraction(abar - e, 3)
-                f1 = c1 - (c1.numerator // c1.denominator)
-                b1 = f1 if f1 > 0 else Fraction(1)
-                cw = Fraction(5 * abar + e, 3)
-                phi = cw - (cw.numerator // cw.denominator)
-                mint = int(cw - phi)
-                fw = (1 - phi) if phi > 0 else Fraction(0)
-                bw = fw if fw > 0 else Fraction(1)
-                sig = Fraction(e - abar, 3)
-                sig = sig - (sig.numerator // sig.denominator)
-                nu = 2 * (b1 - 1 - c1) + (bw - 1 + cw) - abar - e
-                assert nu.denominator == 1
-                # reciprocal-gamma factors; their zeros (inherited from the
-                # arguments hitting nonpositive integers at lambda = 0) kill
-                # the term exactly, and they do so for both factors at once
-                rga = fr.rgamma(_arg(1 - Fraction(2 * e + nh, 5),
-                                     Fraction(1, 5)))
-                rgb = fr.rgamma(_arg(1 - Fraction(e + 3 * nh, 5),
-                                     Fraction(3, 5)))
-                if fr.mode == "symbolic":
-                    assert rga.is_zero == rgb.is_zero
-                if rga.is_zero or rgb.is_zero:
-                    continue
-                # resonance of the sine quotient happens only on untwisted
-                # residue families (phi = 0 forces the target sector to 0)
-                if phi == 0:
-                    assert sig == 0
-                ratio = fr.sin_ratio(
-                    _arg(phi, -1, p=5),
-                    _arg(-(mint + phi + nh) / Fraction(5), Fraction(1, 5),
-                         p=-1), -5)
-                gp = fr.gamma(Arg(b1, 0, {"p": 1}))
-                gw = fr.gamma(Arg(bw, 1, {"p": -5}))
-                gq = fr.gamma(_arg(1, 0, p=3))
-                val = ratio * gp * gp * gw * gq * rga * rga * rgb
-                val = val * NilExpansion.basis(fr.na, fr.na.labels[
-                    fr.na.sector_index(sig)])
-                scale = Fraction((-1) ** (mint % 2 + nh % 2),
-                                 5 * factorial(e) * factorial(nh))
-                # overall -1: orientation of the closed contour, anchored so
-                # the unit monomial reproduces the unit column
-                val = fr.zpow(val, 1 + int(nu)).scale(-scale)
-                key = ((nh, e), (0, 0))
-                out[key] = out[key] + val if key in out else val
-    return out
+def _lattice_map(g_y: Geometry, g_x: Geometry) -> list:
+    """D, with d = D n the Y index of the X index n (rows: Y variables).
 
-
-# ex2 and ex3 keep their residue sums written out until each pair stores
-# its X<->Y change of variables; ex1 and ex4 are derived from the kernel
-_TERM_BUILDERS = {"ex2": _terms_ex2, "ex3": _terms_ex3}
-
-
-def _terms_from_kernel(fr: Frame, g_y: Geometry, g_x: Geometry,
-                       bound: int):
-    """Minus the kernel's left residues, and the X-side scalar exponents.
-
-    The n-th left pole gives the key ((n,), (c,)) per power c of log x: with
-    q^(-1/|c_p|) = x^step, log q = -|c_p| step log x, and the stripped
-    q^(alam lambda/z) of s_n is x^(-a lambda/z) with a = |c_p| step alam.
-    q^s_n exp(P log q / z) must keep no divisor class, as in ex1 and ex4.
+    T solves charge_X[sigma(j)] = charge_Y[j] T exactly for a permutation
+    sigma of the X rows, so both sides have the same shifted index v_j, and
+    D_ik = den_Y_i T_ik / den_X_k.  Exactly one T must fit.
     """
-    kern = _Kernel(g_y, fr)
-    (var_x,) = g_x.variables
-    per_logx = -kern.left_rate * var_x.step
-    out = {}
-    for n in range(bound + 1):
-        for c, r in enumerate(kern.left_residue(n)):
-            val = r.scale(-per_logx ** c)
+    ny, nx = len(g_y.variables), len(g_x.variables)
+    cols = [[Fraction(row.charge[i]) for row in g_y.rows] for i in range(ny)]
+    found = set()
+    if ny == nx and len(g_y.rows) == len(g_x.rows):
+        for perm in set(permutations(row.charge for row in g_x.rows)):
+            t = [_solve_exact(cols, [Fraction(ch[k]) for ch in perm])
+                 for k in range(nx)]
+            if None not in t:
+                found.add(tuple(tuple(tk[i] for tk in t) for i in range(ny)))
+    if len(found) != 1:
+        raise ContinuationError(
+            f"{g_y.pair}: {len(found)} lattice maps take the charges of "
+            f"{g_y.name} to those of {g_x.name}; the continuation needs one")
+    (t,) = found
+    return [[g_y.variables[i].denominator * t[i][k]
+             / g_x.variables[k].denominator for k in range(nx)]
+            for i in range(ny)]
+
+
+def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
+    """Minus the kernels' left residues on the X lattice, and the X-side
+    scalar exponents, as in continued_ifunction's docstring."""
+    d = _lattice_map(g_y, g_x)
+    ny = len(d)
+    neg = [i for i in range(ny) if min(d[i]) < 0]
+    if len(neg) != 1:
+        raise ContinuationError(
+            f"{g_y.pair}: no single contour variable in the lattice map {d}")
+    (c,) = neg
+    split = g_y.sector_map[c].denominator
+    # column k of A^-1 gives log y_i = sum_k A^-1_ik log x_k, where
+    # log x_k = sum_i A_ki log y_i
+    acols = [[g_y.variables[i].step * d[i][k] / v.step
+              for k, v in enumerate(g_x.variables)] for i in range(ny)]
+    inv = [_solve_exact(acols, [Fraction(i == k) for i in range(ny)])
+           for k in range(ny)]
+    if None in inv:
+        raise ContinuationError(f"{g_y.pair}: the lattice map {d} is singular")
+    kernels: dict = {}
+
+    def kernel(base):
+        if base not in kernels:
+            kernels[base] = _Kernel(g_y, fr, var=c, base=base)
+        return kernels[base]
+
+    # the class of s_n, times log q = split step_c log y_c, joins the Y
+    # prefactors; rewritten in log x its lambda parts are the scalar
+    # exponents and its divisor parts the dressing exp(sum_k Q_k log x_k/z)
+    kern = kernel((0,) * ny)
+    sigma = _affine(0, (1 / kern.left_rate,
+                        Arg(0, kern.kappa.alam, kern.kappa.div)))
+    logq = split * g_y.variables[c].step
+    pres = [Arg(0, -v.scalar_exponent, () if v.prefactor is None
+                else _class_arg(g_y.algebra, v.prefactor).div)
+            for v in g_y.variables]
+    qs = [_affine(0, (logq * col[c], sigma), *zip(col, pres)) for col in inv]
+    tails = [fr.tail(Arg(0, 0, q.div)) for q in qs]
+    dress = {}
+    for e in product(range(_LOG_ORDER + 1), repeat=ny):
+        if 0 < sum(e) <= _LOG_ORDER:
+            val = fr.const(Fraction(1, prod(map(factorial, e))))
+            for t, k in zip(tails, e):
+                val = reduce(mul, [t] * k, val)
             if not val.is_zero:
-                out[((n,), (c,))] = val
-    return out, (-per_logx * kern.left_pole(0).alam,)
+                dress[e] = val
+    # logs[k]: (log q)^k as exact coefficients of the powers of log x
+    logs = [{(0,) * ny: Fraction(1)}]
+    for _ in range(_LOG_ORDER):
+        nxt: Counter = Counter()
+        for e, v in logs[-1].items():
+            for k, col in enumerate(inv):
+                if col[c]:
+                    nxt[e[:k] + (e[k] + 1,) + e[k + 1:]] += v * logq * col[c]
+        logs.append(nxt)
+
+    out: dict = {}
+    for nx_ in enumerate_degrees(g_x.lattice(bound)):
+        dy = [sum(map(mul, row, nx_)) for row in d]
+        if any(v.denominator != 1 for i, v in enumerate(dy) if i != c):
+            continue
+        # every residue class a of d_c mod split has its n-th left pole at
+        # d_c = split s_n + a, n the pole row's shifted index there
+        for a in range(split):
+            kern = kernel(tuple(a if i == c else int(v)
+                                for i, v in enumerate(dy)))
+            n = kern.kappa.a0 - kern.left_rate * (dy[c] - a) / split
+            if n.denominator != 1 or n < 0:
+                continue
+            for k, r in enumerate(kern.left_residue(int(n))[:len(logs)]):
+                for e1, coef in logs[k].items():
+                    val = r.scale(-coef)
+                    terms = [(e1, val)] + [
+                        (tuple(map(add, e1, e2)), val * dv)
+                        for e2, dv in dress.items()
+                        if sum(e1) + sum(e2) <= _LOG_ORDER]
+                    for e, v in terms:
+                        if not v.is_zero:
+                            key = (nx_, e)
+                            out[key] = out[key] + v if key in out else v
+    return out, tuple(-q.alam for q in qs)
 
 
 def continued_ifunction(example, truncation: int,
@@ -988,14 +981,21 @@ def continued_ifunction(example, truncation: int,
     negated z so they compare directly against the partner series in the
     connection solve.
 
-    ex1 and ex4 are derived: their terms are minus the left residues of the
-    Mellin-Barnes kernel, and their scalar exponents are read off the left
-    poles, so solve_umatrix compares them with the X side's as two
-    independent derivations.  ex2 and ex3 keep written-out residue sums
-    (_terms_ex2, _terms_ex3) and the X side's scalar exponents: ex2's
-    contour variable y2 maps to both X variables, with log x1 dressings,
-    and ex3-Y has no single contour variable, so both need the pair's X<->Y
-    change of variables, which no geometry stores yet.
+    Every pair is derived from the charges of its two sides.  The lattice
+    map D (_lattice_map) takes an X index n to the Y index d = D n with the
+    same shifted indices.  The contour variable y_c is the one Y variable
+    whose row of D has a negative entry; the others are spectators, and N
+    splits d_c = N m + a as in the module docstring.  For each X index n in
+    the truncation whose spectators are integers, every residue class a
+    adds minus the left residue of the kernel with base (a, spectators) at
+    the pole s_n with d_c = N s_n + a: n is the shifted index of the pole
+    row p at d.  With log q = N step_c log y_c and log x_k = sum_i A_ki
+    log y_i, A_ki = step_Y_i D_ik / step_X_k, q^s_n and the Y prefactors
+    leave the X monomial times exp(sum_k Q_k log x_k / z).  The lambda
+    parts of the classes Q_k are the scalar exponents, which solve_umatrix
+    compares with the X side's as an independent derivation.  Their
+    divisor parts, and the residue's powers of log q, expand into powers
+    of log x, up to the total order xside_terms keeps.
     """
     ex = _example(example)
     if truncation < 0:
@@ -1003,27 +1003,22 @@ def continued_ifunction(example, truncation: int,
     g_y = builtin(ex + "-Y")
     g_x = builtin(ex + "-X")
 
-    def series(fr):
-        builder = _TERM_BUILDERS.get(ex)
-        if builder is None:
-            return _terms_from_kernel(fr, g_y, g_x, truncation)
-        return (builder(fr, truncation),
-                tuple(v.scalar_exponent for v in g_x.variables))
-
     with mp.workdps(digits + 10):
         if mode == "equivariant-numeric":
             lam = default_lambda() if lam is None else _to_mp(lam)
             z = mp.mpf(1) if z is None else _to_mp(z)
             na = _numeric_algebra(g_y.algebra, lam, digits)
             fr = Frame(na, "numeric", lam=lam, z=-z, digits=digits)
-            terms, scalar_exponents = series(fr)
+            terms, scalar_exponents = _continued_terms(fr, g_y, g_x,
+                                                        truncation)
         elif mode == "nonequivariant":
             if lam not in (None, 0):
                 raise ContinuationError(
                     "nonequivariant mode fixes lambda = 0")
             na = _numeric_algebra(g_y.algebra, None, digits)
             fr = Frame(na, "symbolic", digits=digits)
-            terms, scalar_exponents = series(fr)
+            terms, scalar_exponents = _continued_terms(fr, g_y, g_x,
+                                                        truncation)
             terms = {k: negate_z(v) for k, v in terms.items()}
         else:
             raise ContinuationError(f"unknown mode {mode!r}")
@@ -1099,7 +1094,7 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
     ex = _example(example)
     g_x = builtin(ex + "-X")
     ifn = build_ifunction(g_x, truncation)
-    pre = expand_prefactor(ifn, log_order=3)
+    pre = expand_prefactor(ifn, log_order=_LOG_ORDER)
     with mp.workdps(digits + 10):
         if mode == "equivariant-numeric":
             lam = default_lambda() if lam is None else _to_mp(lam)
@@ -1344,31 +1339,55 @@ _Row = namedtuple("_Row", "c arg mult sin")
 class _Kernel:
     """Integrand of the continuation contour, derived from the gamma rows
     as in the module docstring, and its residues: at a right pole s = d
-    the d-th inside term, at a left pole minus the continued term.  A
-    kernel made without q is not evaluated; its left_residue still works.
+    the d-th inside term, at a left pole minus the continued term.  var
+    and base pick the contour variable and the residue class (by default
+    the variable with a radius and base 0).  A kernel made without q is
+    not evaluated; its left_residue still works.
     """
 
-    def __init__(self, geom: Geometry, fr: Frame, q=None):
+    def __init__(self, geom: Geometry, fr: Frame, q=None, var=None,
+                 base=None):
         self.fr = fr
         alg = geom.algebra
-        var = _mb_direction(geom)
-        self.pre = _class_arg(alg, geom.variables[var].prefactor)
+        if var is None:
+            var = _mb_direction(geom)
         if q is not None:
+            self.pre = _class_arg(alg, geom.variables[var].prefactor)
             self.logq = mp.log(_to_mp(q))
             self.pdress = self.qpow(self.pre)
-        rates = [(row.klass, geom.rate(j)[var])
-                 for j, row in enumerate(geom.rows)]
-        groups = Counter(kc for kc in rates if kc[1])
+        base = base or (0,) * len(geom.variables)
+        split = geom.sector_map[var].denominator
+        groups = Counter((row.klass, split * geom.rate(j)[var],
+                          geom.shifted_index(j, base))
+                         for j, row in enumerate(geom.rows))
         self.rows = []
         gammas = []
-        for (klass, c), mult in groups.items():
-            arg = _class_arg(alg, klass)
-            gammas += [fr.gamma(_class_arg(alg, klass, 1))] * mult
-            self.rows.append(_Row(c, arg, mult,
-                                  fr.sinpi(arg) if c < 0 else None))
-        # the Gamma(|c| s - kappa/z) factors first, then the 1/Gamma ones
+        zexp = 1
+        for (klass, c, o), mult in groups.items():
+            if not (c or o):
+                continue
+            # the head Gamma(b + kappa/z), with b in (0, 1] and b = o mod 1
+            b = 1 - (-o) % 1
+            zexp += (b - 1) * mult
+            gammas += [fr.gamma(_class_arg(alg, klass, b))] * mult
+            arg = _class_arg(alg, klass, o)
+            if c:
+                self.rows.append(_Row(c, arg, mult,
+                                      fr.sinpi(arg) if c < 0 else None))
+            else:
+                gammas += [fr.rgamma(_affine(1, (1, arg)))] * mult
+        sector = fr.na.sector_index(geom.sector_of(base))
+        if sector != alg.unit:
+            gammas.append(NilExpansion.basis(fr.na, alg.labels[sector]))
+        odd = sum(-r.c * r.mult for r in self.rows if r.c < 0)
+        if any(r.c.denominator != 1 for r in self.rows) or odd % 2 != 1:
+            raise ContinuationError(
+                f"{geom.name}: pi/sin(pi s) gives the signs of the series "
+                f"along {geom.variables[var].symbol} only for integer rates "
+                f"whose negative ones sum to an odd number")
+        # the Gamma(|c| s - o - kappa/z) factors first, then the 1/Gamma ones
         self.rows.sort(key=lambda r: r.c > 0)
-        self.gammas = fr.zpow(reduce(mul, gammas), 1)
+        self.gammas = fr.zpow(reduce(mul, gammas), int(zexp))
         sines = [r.sin for r in self.rows if r.c < 0 for _ in range(r.mult)]
         self.nsines = len(sines)
         self.head = (self.gammas * reduce(mul, sines)).scale(

@@ -78,9 +78,10 @@ class CurveVariable:
     normalization row instead of a prefactor.  scalar_exponent a records an
     overall x^(-a*lambda/z) attached to this variable.  radius, when set, is
     the radius of convergence of the one-variable slice (unused by exact
-    arithmetic).  On a Y side it also picks the direction of the
-    Mellin-Barnes continuation: the contour runs along the one variable
-    with a radius, the others stay at index 0, and the radius is the wall.
+    arithmetic).  On a Y side it now only places the Mellin-Barnes
+    integral: the integral runs along the one variable with a radius, the
+    others stay at index 0, and the radius is its wall.  The continued
+    series takes its contour variable from the pair's lattice map instead.
     """
 
     symbol: str

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from crepant.algebra import (
     AlgebraError,
     AlgebraZ,
-    ZLaurent,
     exp_nilpotent,
     nonequivariant_limit,
 )
@@ -128,11 +127,6 @@ def test_algebraz_arithmetic_and_shift():
     assert g.coefficient(-1) == 2 * p
     assert g.coefficient(-2) == KP2.from_label("p^2")
     assert g.shift(2).support() == [0, 1, 2]
-    zl = ZLaurent({1: parse_lambda_rat("λ"), 0: LambdaRat(-1)})
-    h = f * zl
-    assert h.coefficient(1) == el(KP2, **{"1": "λ"})
-    assert h.coefficient(0) == el(KP2, **{"1": "-1", "p": "λ"})
-    assert h.coefficient(-1) == -p
 
 
 def test_algebraz_nonequivariant_error_names_layer():
