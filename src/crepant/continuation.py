@@ -22,10 +22,13 @@ roots of its minimal polynomial, found numerically).  For nilpotent t this
 reduces to the finite Taylor jet; for semisimple directions it evaluates f
 at the shifted eigenvalues.  Either way the computation is exact and finite,
 which matters because the naive polygamma power series diverges on algebras
-whose degree-two classes are not nilpotent at numeric lambda.  The Taylor
-jets of Gamma and 1/Gamma take every polygamma order they need from one
-shared series (_polygamma_jet): one recurrence shift and one Stirling tail
-serve all orders at once.
+whose degree-two classes are not nilpotent at numeric lambda.  A Taylor
+jet of Gamma or 1/Gamma of order >= 1 takes its value and every polygamma
+order from one fixed-point pass (_gamma_polygamma): in Python integers
+scaled by 2^wp, one recurrence shift and one Stirling tail serve Gamma and
+all orders at once, with guard bits for the smallest order; order-0 jets
+stay on mp.gamma and mp.rgamma.  A power Gamma^mult is the jet of
+exp(mult log Gamma).
 
 The Mellin-Barnes kernel is derived from the Y side's gamma rows.  It
 sums one residue class of Y indices, d = base + N m e_c for m = 0, 1, ...,
@@ -71,7 +74,10 @@ sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
 
 The integral integrates each component of the kernel along the contour
 with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
-tanh-sinh when poles sit a few tenths from the line.
+tanh-sinh when poles sit a few tenths from the line.  The kernel builds its
+s-independent algebra once: head times exp(P log q / z), and for each row
+whose class part t is nilpotent the powers t^k/k!, so that on the contour
+f(x + t) = sum_k f^(k)(x) t^k/k! costs one jet and a few scaled adds.
 """
 
 from __future__ import annotations
@@ -87,11 +93,11 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.libmp import (fhalf, fone, fzero, from_int, mpc_add,
-                          mpc_add_mpf, mpc_log, mpc_mul, mpc_mul_int,
-                          mpc_mul_mpf, mpc_neg, mpc_pos, mpc_reciprocal,
-                          mpc_sub, mpc_zero, mpf_bernoulli, mpf_div, mpf_pos,
-                          round_nearest, to_int)
+from mpmath.libmp import (bernfrac, from_int, from_man_exp,
+                          fzero, mpc_div, mpc_exp, mpc_log, mpc_mul,
+                          mpc_reciprocal, mpf_add, round_nearest, to_fixed,
+                          to_int)
+from mpmath.libmp.gammazeta import ln_sqrt2pi_fixed
 
 from .algebra import Algebra
 from .geometry import (Geometry, _solve_exact, builtin, enumerate_degrees,
@@ -285,11 +291,7 @@ class NilExpansion:
                     f = c1 * c2
                     for k, s in table[(i, j)]:
                         key = (k, e1 + e2)
-                        acc = out.get(key, 0) + f * s
-                        if acc == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
+                        out[key] = out[key] + f * s if key in out else f * s
             return NilExpansion(self.na, out)
         return self.scale(other)
 
@@ -491,14 +493,15 @@ def _apply_analytic(derivs: Callable, s, t: NilExpansion,
 
 
 def _bell_jet(base, exponent_derivs, jmax: int):
-    """Derivatives of exp(g) given g', g'', ... and the value exp(g(x))."""
-    bell = [mp.mpf(1)]
+    """Derivatives of exp(g) given g', g'', ... and the value exp(g(x)):
+    (exp g)^(m) = sum_k C(m-1, k) (exp g)^(k) g^(m-k)."""
+    out = [base]
     for m in range(1, jmax + 1):
-        total = mp.mpf(0)
+        total = 0
         for k in range(m):
-            total += comb(m - 1, k) * bell[k] * exponent_derivs[m - 1 - k]
-        bell.append(total)
-    return [base * b for b in bell]
+            total += comb(m - 1, k) * out[k] * exponent_derivs[m - 1 - k]
+        out.append(total)
+    return out
 
 
 def _gamma_pole_at(x, tol) -> Optional[int]:
@@ -508,113 +511,190 @@ def _gamma_pole_at(x, tol) -> Optional[int]:
     return None
 
 
-# per working precision: raw (B_2k, B_2k/(2k)) for k = 1, 2, ...; rounding
-# mpmath's cached Bernoulli numbers anew costs more than a multiplication
+# per wp: B_2k, B_2k/(2k (2k-1)) and B_2k/(2k), scaled by 2^wp, for
+# k = 1, 2, ...
 _BERNOULLI: dict = {}
+
+
+def _gamma_polygamma(x, n: int):
+    """(Gamma(x), [psi^(m)(x) for m = 0..n-1]) from one fixed-point pass.
+
+    The arithmetic is mpmath's own for mpc_gamma: Python integers scaled
+    by 2^wp.  One shift loop moves x to y = x + N with Re y >= 0.11 (prec
+    + 20) + 6, and accumulates P(x) = prod_k (x+k) and the power sums
+    S_m = sum_k (x+k)^-(m+1) of every order m, so that
+    Gamma(x) = Gamma(y)/P(x) and psi^(m)(x) = psi^(m)(y) - (-1)^m m! S_m.
+    One Stirling loop at y shares each term B_2k u^2k, u = 1/y, between
+    log Gamma(y) = (y - 1/2) log y - y + log sqrt(2 pi)
+                   + y sum_k B_2k/(2k (2k-1)) u^2k
+    and every polygamma order,
+    psi(y) = log y - u/2 - sum_k B_2k/(2k) u^2k and, for m >= 1,
+    psi^(m)(y) = (-1)^(m+1) u^m [(m-1)! + m!/2 u
+                                 + sum_k B_2k (2k+m-1)!/(2k)! u^2k].
+    The tail is asymptotic, so it stops at its smallest term if that comes
+    before 2^-(prec+20); the shift makes the smallest term about
+    e^(-2 pi |y|), below that.  u^2k is kept as a mantissa of about wp
+    bits and a binary exponent, as in mpmath's complex_stirling_series,
+    because B_2k grows faster than a fixed-point u^2k would keep its bits.
+
+    Guard bits: every sum is exact to 2^-wp, while psi^(m)(y) ~ (m-1)! u^m
+    and log Gamma(y) ~ y log y, so wp = prec + 24 plus log2 |y| bits per
+    order above the first (at least one for log Gamma).  A factor x+k
+    within 1/2 of 0 (x near a pole) stays in floating form, in P and in
+    its reciprocal: its fixed-point form would have lost the bits of x
+    below 2^-wp.  x must not be a pole (a nonpositive integer).
+    """
+    x = _to_mp(x)
+    prec = mp.prec
+    real = isinstance(x, mp.mpf)
+    a, b = (x._mpf_, fzero) if real else x._mpc_
+    shift = max(0, int(0.11 * (prec + 20)) + 6 - to_int(a))
+    ybits = (abs(to_int(a)) + shift + abs(to_int(b)) + 1).bit_length()
+    wp = prec + 24 + max(n - 1, 1) * ybits
+    one = 1 << wp
+    half = one >> 1
+    yre, yim = to_fixed(a, wp), to_fixed(b, wp)
+    sre, sim = [0] * n, [0] * n
+    pre, pim = one, 0
+    near = None
+    for k in range(shift):
+        if abs(yre) < half and abs(yim) < half:
+            near = (mpf_add(a, from_int(k)), b)
+            rre, rim = (to_fixed(v, wp) for v in mpc_reciprocal(near, wp))
+        else:
+            mag = (yre * yre + yim * yim) >> wp
+            rre, rim = (yre << wp) // mag, (-yim << wp) // mag
+            pre, pim = ((pre * yre - pim * yim) >> wp,
+                        (pre * yim + pim * yre) >> wp)
+        qre, qim = rre, rim
+        for m in range(n):
+            if m:
+                qre, qim = ((qre * rre - qim * rim) >> wp,
+                            (qre * rim + qim * rre) >> wp)
+            sre[m] += qre
+            sim[m] += qim
+        yre += one
+    mag = (yre * yre + yim * yim) >> wp
+    ure, uim = (yre << wp) // mag, (-yim << wp) // mag
+    u2re, u2im = (ure * ure - uim * uim) >> wp, (ure * uim) >> (wp - 1)
+    usize = max(abs(u2re), abs(u2im)).bit_length()
+    tre, tim, e = u2re, u2im, 0  # u^2k = t 2^-(wp + e)
+    lre = lim = 0  # sum_k B_2k/(2k (2k-1)) u^2k
+    ore, oim = [0] * n, [0] * n  # the bracketed sums of each order
+    coeffs = _BERNOULLI.setdefault(wp, [])
+    stop = wp - prec - 20
+    prev = None
+    k = 1
+    while True:
+        if len(coeffs) < k:
+            p, q = bernfrac(2 * k)
+            coeffs.append(tuple((p << wp) // (q * d)
+                                for d in (1, 2 * k * (2 * k - 1), 2 * k)))
+        cb, cl, c0 = coeffs[k - 1]
+        s = wp + e
+        lre += (tre * cl) >> s
+        lim += (tim * cl) >> s
+        if n:
+            ore[0] += (tre * c0) >> s
+            oim[0] += (tim * c0) >> s
+        c = 1  # (2k+m-1)!/(2k)! for m >= 1
+        for m in range(1, n):
+            cm = cb * c
+            ore[m] += (tre * cm) >> s
+            oim[m] += (tim * cm) >> s
+            c *= 2 * k + m
+        # a log2 bound on the largest term, in units of 2^-wp
+        top = (max(abs(tre), abs(tim)).bit_length() + cb.bit_length() - s
+               + max(c.bit_length(), ybits))
+        if top < stop or (prev is not None and top >= prev):
+            break
+        prev = top
+        tre, tim = ((tre * u2re - tim * u2im) >> usize,
+                    (tre * u2im + tim * u2re) >> usize)
+        e += wp - usize
+        k += 1
+    log_y = mpc_log((from_man_exp(yre, -wp), from_man_exp(yim, -wp)), wp)
+    lyre, lyim = to_fixed(log_y[0], wp), to_fixed(log_y[1], wp)
+    hre = yre - half
+    gre = (((hre * lyre - yim * lyim + yre * lre - yim * lim) >> wp)
+           - yre + ln_sqrt2pi_fixed(wp))
+    gim = ((hre * lyim + yim * lyre + yre * lim + yim * lre) >> wp) - yim
+    den = (from_man_exp(pre, -wp), from_man_exp(pim, -wp))
+    if near is not None:
+        den = mpc_mul(den, near, wp)
+    gamma = mpc_div(mpc_exp((from_man_exp(gre, -wp), from_man_exp(gim, -wp)),
+                            wp), den, prec, round_nearest)
+    out = []
+    if n:
+        out.append((lyre - (ure >> 1) - ore[0] - sre[0],
+                    lyim - (uim >> 1) - oim[0] - sim[0]))
+    umre, umim = ure, uim
+    fact = 1  # (m-1)!
+    for m in range(1, n):
+        inre = fact * one + ((m * fact * ure) >> 1) + ore[m]
+        inim = ((m * fact * uim) >> 1) + oim[m]
+        fact *= m
+        vre = ((umre * inre - umim * inim) >> wp) + fact * sre[m]
+        vim = ((umre * inim + umim * inre) >> wp) + fact * sim[m]
+        out.append((vre, vim) if m % 2 else (-vre, -vim))
+        umre, umim = ((umre * ure - umim * uim) >> wp,
+                      (umre * uim + umim * ure) >> wp)
+    if real:
+        return mp.make_mpf(gamma[0]), [
+            mp.make_mpf(from_man_exp(v, -wp, prec, round_nearest))
+            for v, _ in out]
+    return mp.make_mpc(gamma), [
+        mp.make_mpc((from_man_exp(vre, -wp, prec, round_nearest),
+                     from_man_exp(vim, -wp, prec, round_nearest)))
+        for vre, vim in out]
 
 
 def _polygamma_jet(x, n: int) -> list:
     """psi^(m)(x) for m = 0..n-1 at the working precision, from one series.
 
-    The recurrence psi^(m)(x) = psi^(m)(y) - (-1)^m m! sum_k (x+k)^-(m+1)
-    moves x to y = x + N with Re y >= 0.11 wp + 6; the powers of each
-    1/(x+k) serve every order.  At y the Stirling series
-    psi^(m)(y) = (-1)^(m+1) [(m-1)! y^-m + m!/2 y^-(m+1)
-                 + sum_k B_2k (2k+m-1)!/(2k)! y^-(2k+m)]
-    (psi(y) = log y - 1/(2y) - sum_k B_2k/(2k y^2k) for m = 0) shares each
-    term B_2k y^-2k across orders.  The tail is asymptotic, so it stops at
-    its smallest term if that comes before the working precision; the
-    shift makes the smallest term about e^(-2 pi |y|), below 2^-wp.  x must
-    not be a pole (a nonpositive integer).  n = 0 returns [].
+    They are the polygamma half of _gamma_polygamma's fixed-point pass: one
+    recurrence shift and one Stirling tail serve every order, in integers
+    scaled by 2^wp whose guard bits cover the smallest, top order (psi^(m)
+    ~ (m-1)!/y^m at the shifted point y).  x must not be a pole (a
+    nonpositive integer).  n = 0 returns [].
     """
-    if n == 0:
-        return []
-    x = _to_mp(x)
-    prec = mp.prec
-    wp = prec + 20
-    real = isinstance(x, mp.mpf)
-    y = (x._mpf_, fzero) if real else x._mpc_
-    shift = [mpc_zero] * n
-    for _ in range(int(0.11 * wp) + 6 - to_int(y[0])):
-        r = mpc_reciprocal(y, wp)
-        power = r
-        shift[0] = mpc_add(shift[0], r, wp)
-        for m in range(1, n):
-            power = mpc_mul(power, r, wp)
-            shift[m] = mpc_add(shift[m], power, wp)
-        y = mpc_add_mpf(y, fone, wp)
-    u = mpc_reciprocal(y, wp)
-    u2 = mpc_mul(u, u, wp)
-    tails = [mpc_zero] * n
-    bern = _BERNOULLI.setdefault(wp, [])
-    u2k = u2
-    k = 1
-    prev = None
-    while True:
-        if len(bern) < k:
-            b = mpf_bernoulli(2 * k, wp)
-            bern.append((b, mpf_div(b, from_int(2 * k), wp)))
-        b, b_2k = bern[k - 1]
-        term = mpc_mul_mpf(u2k, b, wp)
-        tails[0] = mpc_add(tails[0], mpc_mul_mpf(u2k, b_2k, wp), wp)
-        c = 1  # (2k+m-1)!/(2k)! for m >= 1
-        for m in range(1, n):
-            tails[m] = mpc_add(tails[m], mpc_mul_int(term, c, wp), wp)
-            c *= 2 * k + m
-        # a log2 bound on the top order's term relative to its leading term
-        mags = [part[2] + part[3] for part in term if part[1]]
-        if not mags:
-            break
-        mag = max(mags) + c.bit_length()
-        if mag < -wp or (prev is not None and mag >= prev):
-            break
-        prev = mag
-        u2k = mpc_mul(u2k, u2, wp)
-        k += 1
-    out = [mpc_sub(mpc_sub(mpc_log(y, wp), mpc_mul_mpf(u, fhalf, wp), wp),
-                   mpc_add(tails[0], shift[0], wp), wp)]
-    um = u
-    fact = 1  # (m-1)!
-    for m in range(1, n):
-        lead = mpc_add_mpf(mpc_mul_mpf(mpc_mul_int(u, m * fact, wp), fhalf,
-                                       wp), from_int(fact), wp)
-        fact *= m
-        v = mpc_add(mpc_mul(um, mpc_add(lead, tails[m], wp), wp),
-                    mpc_mul_int(shift[m], fact, wp), wp)
-        out.append(v if m % 2 else mpc_neg(v))
-        um = mpc_mul(um, u, wp)
-    if real:
-        return [mp.make_mpf(mpf_pos(v[0], prec, round_nearest)) for v in out]
-    return [mp.make_mpc(mpc_pos(v, prec, round_nearest)) for v in out]
+    return _gamma_polygamma(x, n)[1] if n else []
 
 
 class _GammaDerivs:
-    """f = Gamma, via the complete Bell polynomials of the polygammas."""
+    """f = Gamma^power, via the complete Bell polynomials of the
+    polygammas: Gamma^power = exp(power log Gamma)."""
 
     def __init__(self, tol):
         self.tol = tol
 
-    def jet(self, x, jmax):
+    def jet(self, x, jmax, power=1):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is not None:
             raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
-        return _bell_jet(mp.gamma(x), _polygamma_jet(x, jmax), jmax)
+        if jmax == 0:
+            return [mp.gamma(x) ** power]
+        g, psis = _gamma_polygamma(x, jmax)
+        return _bell_jet(g ** power, [power * v for v in psis], jmax)
 
 
 class _RGammaDerivs:
-    """f = 1/Gamma, entire; near the poles of Gamma the reflection form
-    1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies the jet."""
+    """f = 1/Gamma^power, entire; near the poles of Gamma the reflection
+    form 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies the jet."""
 
     def __init__(self, tol):
         self.tol = tol
 
-    def jet(self, x, jmax):
+    def jet(self, x, jmax, power=1):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is None:
-            psis = [-v for v in _polygamma_jet(x, jmax)]
-            return _bell_jet(mp.rgamma(x), psis, jmax)
+            if jmax == 0:
+                return [mp.rgamma(x) ** power]
+            g, psis = _gamma_polygamma(x, jmax)
+            return _bell_jet(1 / g ** power, [-power * v for v in psis], jmax)
         y = 1 - x
-        gjet = _bell_jet(mp.gamma(y), _polygamma_jet(y, jmax), jmax)
+        gjet = (_bell_jet(*_gamma_polygamma(y, jmax), jmax) if jmax
+                else [mp.gamma(y)])
         out = []
         for j in range(jmax + 1):
             total = mp.mpf(0)
@@ -622,7 +702,11 @@ class _RGammaDerivs:
                 sin_d = mp.pi ** (j - k) * mp.sinpi(x + mp.mpf(j - k) / 2)
                 total += comb(j, k) * (-1) ** k * gjet[k] * sin_d / mp.pi
             out.append(total)
-        return out
+        if power == 1:
+            return out
+        taylor = [v / factorial(j) for j, v in enumerate(out)]
+        return [v * factorial(j) for j, v in
+                enumerate(reduce(_series_mul, [taylor] * power))]
 
 
 def _sinpi_derivs(x, j):
@@ -967,7 +1051,19 @@ def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
                         if not v.is_zero:
                             key = (nx_, e)
                             out[key] = out[key] + v if key in out else v
-    return out, tuple(-q.alam for q in qs)
+    # the sums run at digits + 10, so where residues cancel exactly rounding
+    # leaves components near 10^-(digits + 10) times the largest coefficient;
+    # each would add an equation to the solve, so every component below
+    # 10^-digits of the largest is dropped
+    floor = mp.mpf(10) ** -fr.digits * max(
+        (v.maxabs() for v in out.values()), default=0)
+    kept = {}
+    for key, v in out.items():
+        v = NilExpansion(fr.na, {c: x for c, x in v.terms.items()
+                                 if abs(x) >= floor})
+        if not v.is_zero:
+            kept[key] = v
+    return kept, tuple(-q.alam for q in qs)
 
 
 def continued_ifunction(example, truncation: int,
@@ -1298,6 +1394,7 @@ class MBResult:
     wall: Fraction
     corrections: int
     endpoint_magnitude: object
+    evaluations: int  # kernel evaluations, the height probes included
 
 
 def _exp_nil(fr: Frame, x: NilExpansion) -> NilExpansion:
@@ -1334,6 +1431,19 @@ def _mb_direction(geom: Geometry) -> int:
 
 
 _Row = namedtuple("_Row", "c arg mult sin")
+_Factor = namedtuple("_Factor", "slope offset derivs tail powers mult")
+
+
+def _nil_powers(t: NilExpansion, digits: int) -> Optional[list]:
+    """[t^k/k! for k < K] when t^K vanishes to the working precision,
+    else None."""
+    nodes = [(0, 1)] if t.is_zero else _eigennodes(t, digits)
+    if len(nodes) != 1 or nodes[0][0] != 0:
+        return None
+    powers = [NilExpansion.unit(t.na)]
+    for k in range(1, nodes[0][1]):
+        powers.append((powers[-1] * t).scale(mp.mpf(1) / k))
+    return powers
 
 
 class _Kernel:
@@ -1394,6 +1504,21 @@ class _Kernel:
             (-1 / mp.pi) ** self.nsines)
         c, self.kappa, _, _ = min(self.rows, key=lambda r: r.c)
         self.left_rate = -c
+        if q is not None:
+            # the s-independent algebra of the contour: head times the
+            # dressing, and per row x(s) = slope s + offset, its tail t and,
+            # for nilpotent t, the powers t^k/k!
+            self.hp = self.head * self.pdress
+            self.contour = []
+            for r in self.rows:
+                offset, tail = fr.scalar(r.arg), fr.tail(r.arg)
+                if r.c < 0:  # Gamma(|c| s - o - kappa/z)
+                    offset, tail, derivs = -offset, tail.scale(-1), fr._gamma
+                else:  # 1/Gamma(1 + o + kappa/z + c s)
+                    offset, derivs = 1 + offset, fr._rgamma
+                self.contour.append(_Factor(
+                    _frac_mp(abs(r.c)), offset, derivs, tail,
+                    _nil_powers(tail, fr.digits), r.mult))
 
     def qpow(self, arg: Arg) -> NilExpansion:
         """q^arg = exp(arg log q), for a kernel made with q."""
@@ -1402,20 +1527,25 @@ class _Kernel:
             mp.exp(fr.scalar(arg) * self.logq))
 
     def _body(self, s) -> NilExpansion:
-        """The kernel without pi/sin(pi s) and q^s."""
-        fr = self.fr
-        val = self.head
-        for r in self.rows:
-            c, scal, tail = _frac_mp(r.c), fr.scalar(r.arg), fr.tail(r.arg)
-            if c < 0:
-                f = _apply_analytic(fr._gamma, -c * s - scal, tail.scale(-1),
-                                    fr.digits)
+        """The kernel without pi/sin(pi s) and q^s.  A row with nilpotent
+        tail t gives f(x + t) = sum_k f^(k)(x) t^k/k! for f = Gamma^mult or
+        1/Gamma^mult, from one jet; any other row goes through
+        _apply_analytic, once per multiplicity."""
+        val = self.hp
+        for slope, offset, derivs, tail, powers, mult in self.contour:
+            x = slope * s + offset
+            if powers is None:
+                f = reduce(mul, [_apply_analytic(derivs, x, tail,
+                                                 self.fr.digits)] * mult)
             else:
-                f = _apply_analytic(fr._rgamma, 1 + c * s + scal, tail,
-                                    fr.digits)
-            for _ in range(r.mult):
-                val = val * f
-        return val * self.pdress
+                terms: dict = {}
+                for p, v in zip(powers, derivs.jet(x, len(powers) - 1, mult)):
+                    for key, c in p.terms.items():
+                        cv = c * v
+                        terms[key] = terms[key] + cv if key in terms else cv
+                f = NilExpansion(self.fr.na, terms)
+            val = val * f
+        return val
 
     def __call__(self, s) -> NilExpansion:
         s = mp.mpc(s)
@@ -1508,8 +1638,13 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     breakpoints, all components sharing one cache of kernel samples; the
     error budget is the quadrature's own estimate plus the tail beyond the
     height, and a budget above tol (default 1e-30) raises
-    ContinuationError.  The Gamma and 1/Gamma jets in the kernel take their
-    polygamma orders from one shared series (_polygamma_jet).
+    ContinuationError.  The kernel builds its s-independent algebra once
+    (the head with the dressing exp(P log q / z), and each nilpotent row's
+    tail powers t^k/k!), so an evaluation costs one fixed-point pass per row
+    for Gamma^mult or 1/Gamma^mult and its polygammas (_gamma_polygamma,
+    with guard bits for the top order), a few scaled adds and one product
+    per row.  evaluations counts the kernel evaluations, the height probes
+    included.
     """
     ex = _example(example)
     g_y = builtin(ex + "-Y")
@@ -1552,11 +1687,18 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                     f"right pole {d} sits within 0.05 of the contour")
         rights = [d for d in rights if d < sigma]
 
+        evaluations = 0
+
+        def evaluate(t):
+            nonlocal evaluations
+            evaluations += 1
+            return kern(sigma + 1j * t)
+
         # height from the observed exponential decay of the integrand
         t_cur = mp.mpf(12) if height is None else mp.mpf(height)
         while True:
-            top = kern(sigma + 1j * t_cur).maxabs()
-            prev = kern(sigma + 1j * (t_cur - 1)).maxabs()
+            top = evaluate(t_cur).maxabs()
+            prev = evaluate(t_cur - 1).maxabs()
             if top == 0:
                 rate = mp.mpf(1)
                 tail = mp.mpf(0)
@@ -1575,7 +1717,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         def sample(t):
             key = str(t)
             if key not in cache:
-                cache[key] = kern(sigma + 1j * t)
+                cache[key] = evaluate(t)
             return cache[key]
 
         # for real parameters the integrand obeys the Schwarz reflection
@@ -1625,4 +1767,4 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         return MBResult(example=ex, value=total, error=budget, side=side,
                         sigma=sigma, height=t_cur, wall=wall,
                         corrections=len(lefts) + len(rights),
-                        endpoint_magnitude=top)
+                        endpoint_magnitude=top, evaluations=evaluations)

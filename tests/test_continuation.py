@@ -13,10 +13,12 @@ import crepant.continuation as continuation
 from crepant import LambdaRat, build_ifunction, builtin
 from crepant.algebra import Algebra
 from crepant.continuation import (Arg, ContinuationError, Frame,
-                                  NilExpansion, _affine, _GammaDerivs,
-                                  _Kernel, _lattice_map, _RGammaDerivs,
-                                  _SineRatio, _lstsq, _numeric_algebra,
-                                  _polygamma_jet, _rataz_numeric, _to_mp,
+                                  NilExpansion, _affine, _apply_analytic,
+                                  _frac_mp, _gamma_polygamma, _GammaDerivs,
+                                  _Kernel, _lattice_map, _nil_powers,
+                                  _RGammaDerivs, _SineRatio, _lstsq,
+                                  _numeric_algebra, _polygamma_jet,
+                                  _rataz_numeric, _to_mp,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral, negate_z,
                                   solve_umatrix)
@@ -65,16 +67,19 @@ def test_polygamma_jet_real_and_empty():
 
 def test_order_zero_jets_call_no_polygamma(monkeypatch):
     orders = []
-    real_jet = _polygamma_jet
 
-    def counting_jet(x, n):
-        orders.append(n)
-        return real_jet(x, n)
+    def counting(real):
+        def jet(x, n):
+            orders.append(n)
+            return real(x, n)
+        return jet
 
     def no_psi(*args):
         raise AssertionError("mp.psi called")
 
-    monkeypatch.setattr(continuation, "_polygamma_jet", counting_jet)
+    for name in ("_polygamma_jet", "_gamma_polygamma"):
+        monkeypatch.setattr(continuation, name,
+                            counting(getattr(continuation, name)))
     monkeypatch.setattr(mp.mp, "psi", no_psi)
     with mp.workdps(30):
         tol = mp.mpf(10) ** -24
@@ -86,6 +91,65 @@ def test_order_zero_jets_call_no_polygamma(monkeypatch):
         (val,) = _RGammaDerivs(tol).jet(pole, 0)
         assert abs(val - mp.rgamma(pole)) <= mp.mpf(10) ** -50
     assert not any(orders)
+
+
+# points 1e-3 from the poles of Gamma at 0, -1, ..., -7
+_NEAR_POLE = st.builds(lambda n, d: -n + d, st.integers(0, 7),
+                       st.sampled_from([1e-3, -1e-3, 1e-3j, 7e-4 - 7e-4j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(-7, 6).map(complex),
+                 st.builds(complex, st.floats(-7, 6), st.floats(-60, 60)),
+                 _NEAR_POLE),
+       st.sampled_from([15, 25, 40, 64]))
+def test_gamma_pass_matches_mpmath(x, digits):
+    # Gamma and 1/Gamma (the jets' values) and psi^(0..4), all from the
+    # fixed-point pass, against mpmath's own functions
+    assume(abs(x - round(x.real)) > 1e-6 or round(x.real) > 0)
+    with mp.workdps(digits):
+        x = mp.mpf(x.real) if x.imag == 0 else mp.mpc(x)
+        tol = mp.mpf(10) ** -(digits - 6)
+        gamma = _GammaDerivs(tol).jet(x, 1)[0]
+        rgamma = _RGammaDerivs(tol).jet(x, 1)[0]
+        psis = _polygamma_jet(x, 5)
+        eps = mp.mpf(mp.eps)
+    assert isinstance(gamma, type(x)) and isinstance(psis[4], type(x))
+    with mp.workdps(digits + 20):
+        pairs = [(gamma, mp.gamma(x)), (rgamma, mp.rgamma(x))]
+        pairs += [(v, mp.psi(m, x)) for m, v in enumerate(psis)]
+        for k, (got, want) in enumerate(pairs):
+            assert abs(got - want) <= 100 * eps * abs(want), (k, x)
+
+
+@pytest.mark.parametrize("x", ["0.3+5000j", "-3.00000000000000000001"])
+def test_gamma_pass_far_out_and_near_a_pole(x):
+    # at |x| = 5000, psi^(4)(x) ~ 6/x^4 is about 2^-52: a sum exact to
+    # 2^-wp keeps its digits only through guard bits that grow with
+    # log2 |y| per order.  1e-20 from the pole at -3, x + 3 has no digits
+    # left at 2^-wp and must stay in floating form.
+    with mp.workdps(15 if "j" in x else 30):
+        x = mp.mpmathify(x)
+        gamma, psis = _gamma_polygamma(x, 5)
+        eps = mp.mpf(mp.eps)
+    with mp.workdps(60):
+        pairs = [(gamma, mp.gamma(x))]
+        pairs += [(v, mp.psi(m, x)) for m, v in enumerate(psis)]
+        for k, (got, want) in enumerate(pairs):
+            assert abs(got - want) <= 100 * eps * abs(want), k
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_rgamma_reflection_jet_of_a_power(power):
+    # within tol of the pole at -2, 1/Gamma^power comes from the reflection
+    # form; its derivatives against mpmath's numerical ones
+    with mp.workdps(30):
+        tol = mp.mpf(10) ** -24
+        x = mp.mpf(-2) + mp.mpf(10) ** -28
+        got = _RGammaDerivs(tol).jet(x, 3, power)
+        for j, v in enumerate(got):
+            want = mp.diff(lambda t: mp.rgamma(t) ** power, x, j)
+            assert abs(v - want) <= mp.mpf(10) ** -24 * max(1, abs(want)), j
 
 
 def _two_class_algebra(square: int) -> Algebra:
@@ -172,6 +236,65 @@ def test_kernel_left_residues_match_the_contour(ex, q):
             assert (res - got).maxabs() <= mp.mpf("1e-24"), n
             assert len(kern.left_residue(n)) == (2 if ex == "ex4"
                                                  and n % 2 == 0 else 1)
+
+
+@pytest.mark.parametrize("powers", [True, False])
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_kernel_on_the_contour_matches_hermite_evaluation(
+        monkeypatch, ex, q, powers):
+    # the contour kernel from its precomputed tail powers and one jet of
+    # Gamma^mult per row (or, with no powers, the path a non-nilpotent tail
+    # takes), against each row through _apply_analytic once per
+    # multiplicity, with jets by numerical differentiation
+    if not powers:
+        monkeypatch.setattr(continuation, "_nil_powers", lambda t, d: None)
+    digits = 30
+    with mp.workdps(digits):
+        kern = _kernel_at(ex, q, digits)
+        fr = kern.fr
+
+        def numerical_jet(f):
+            return lambda x, j: mp.diff(f, x, j)
+
+        for s in (mp.mpc("0.5", 0), mp.mpc("0.5", "1.3"),
+                  mp.mpc("0.5", "-2.7"), mp.mpc("0.4", 6), mp.mpc("0.5", 11)):
+            want = kern.head * kern.pdress
+            for r in kern.rows:
+                c, scal, tail = _frac_mp(r.c), fr.scalar(r.arg), fr.tail(r.arg)
+                x, t = ((-c * s - scal, tail.scale(-1)) if c < 0
+                        else (1 + c * s + scal, tail))
+                f = _apply_analytic(
+                    numerical_jet(mp.gamma if c < 0 else mp.rgamma), x, t,
+                    digits)
+                for _ in range(r.mult):
+                    want = want * f
+            want = want.scale(mp.pi / mp.sinpi(s) * mp.exp(s * kern.logq))
+            got = kern(s)
+            assert set(got.terms) == set(want.terms)
+            bound = mp.mpf(10) ** (5 - digits) * want.maxabs()
+            assert (got - want).maxabs() <= bound, s
+
+
+def test_nil_powers_of_nilpotent_and_semisimple_tails():
+    # p*p = 0: the powers 1, p; p*p = 2: no finite jet, so None
+    for square, want in ((0, [{(0, 0): 1}, {(1, 0): mp.mpf("0.5")}]),
+                         (2, None)):
+        na = _numeric_algebra(_two_class_algebra(square), None, 20)
+        with mp.workdps(30):
+            t = NilExpansion(na, {(1, 0): mp.mpf("0.5")})
+            got = _nil_powers(t, 20)
+        assert (got if got is None else [p.terms for p in got]) == want
+
+
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_mb_evaluation_count(ex, q):
+    # the seed-0 benchmark points take 761 kernel evaluations each, the
+    # height probes included: a faster integral must come from cheaper
+    # evaluations, not from fewer samples
+    res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
+                                 digits=15, tol="1e-12")
+    assert (res.evaluations, res.height, res.corrections) == (
+        761, 12, {"ex1": 1, "ex4": 2}[ex])
 
 
 def test_mb_without_a_radius_is_refused():
@@ -334,6 +457,30 @@ def test_derived_series_matches_the_written_out_sums(ex, mode):
                         <= mp.mpf("1e-25") * max(1, abs(ref))), (key, comp)
     assert cs.scalar_exponents == tuple(
         v.scalar_exponent for v in builtin(ex + "-X").variables)
+
+
+@pytest.mark.parametrize("mode, truncation", [
+    ("nonequivariant", 4), ("nonequivariant", 7),
+    ("equivariant-numeric", 4)])
+def test_continued_series_keeps_no_rounding_noise(mode, truncation):
+    # ex2's cancelling residues leave rounding noise where the exact value
+    # is 0: no key may be all noise, and every other key keeps the value it
+    # has at 15 more digits
+    digits = 30
+    cs = continued_ifunction("ex2", truncation, mode=mode, digits=digits)
+    fine = continued_ifunction("ex2", truncation, mode=mode,
+                               digits=digits + 15)
+    with mp.workdps(digits + 20):
+        floor = mp.mpf(10) ** -digits
+        assert all(v.maxabs() >= floor for v in cs.terms.values())
+        for key in set(cs.terms) | set(fine.terms):
+            want = fine.terms.get(key, NilExpansion(fine.na))
+            if key not in cs.terms:
+                assert want.maxabs() < floor, key
+                continue
+            got = cs.terms[key]
+            assert (got - NilExpansion(got.na, want.terms)).maxabs() <= \
+                mp.mpf(10) ** (5 - digits), key
 
 
 @pytest.mark.parametrize("ex, d", [
