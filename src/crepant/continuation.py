@@ -16,19 +16,21 @@ decimal digits (default 64).  Two parameter modes exist everywhere:
                          series terminates, so results are exact to the
                          working precision.
 
-Functions of algebra-valued arguments f(s + t) are evaluated through the
-Newton form of the Hermite interpolation of f on the spectrum of t (the
-roots of its minimal polynomial, found numerically).  For nilpotent t this
-reduces to the finite Taylor jet; for semisimple directions it evaluates f
-at the shifted eigenvalues.  Either way the computation is exact and finite,
-which matters because the naive polygamma power series diverges on algebras
-whose degree-two classes are not nilpotent at numeric lambda.  A Taylor
-jet of Gamma or 1/Gamma of order >= 1 takes its value and every polygamma
-order from one fixed-point pass (_gamma_polygamma): in Python integers
-scaled by 2^wp, one recurrence shift and one Stirling tail serve Gamma and
-all orders at once, with guard bits for the smallest order; order-0 jets
-stay on mp.gamma and mp.rgamma.  A power Gamma^mult is the jet of
-exp(mult log Gamma).
+Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin, 1/x and
+exp alike), goes through one evaluator, _Spectrum: the Newton form of the
+Hermite interpolation of f on the spectrum of t (the roots of its minimal
+polynomial, found numerically).  Its Newton basis depends on t alone and
+is built once, so an evaluation costs one jet(x, jmax) = [f(x), ...,
+f^(jmax)(x)] per root and a few scaled adds.  For nilpotent t this is the
+Taylor jet; for semisimple directions it evaluates f at the shifted
+eigenvalues.  Either way it is exact and finite, which matters because the
+naive polygamma power series diverges on algebras whose degree-two classes
+are not nilpotent at numeric lambda.  A jet of Gamma or 1/Gamma of order
+>= 1 takes its value and every polygamma order from one fixed-point pass
+(_gamma_polygamma): in Python integers scaled by 2^wp, one recurrence shift
+and one Stirling tail serve Gamma and all orders at once, with guard bits
+for the smallest order; order-0 jets stay on mp.gamma and mp.rgamma.  A
+power Gamma^mult is the jet of exp(mult log Gamma).
 
 The Mellin-Barnes kernel is derived from the Y side's gamma rows.  It
 sums one residue class of Y indices, d = base + N m e_c for m = 0, 1, ...,
@@ -75,9 +77,9 @@ sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
 The integral integrates each component of the kernel along the contour
 with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
 tanh-sinh when poles sit a few tenths from the line.  The kernel builds its
-s-independent algebra once: head times exp(P log q / z), and for each row
-whose class part t is nilpotent the powers t^k/k!, so that on the contour
-f(x + t) = sum_k f^(k)(x) t^k/k! costs one jet and a few scaled adds.
+s-independent algebra once: head times exp(P log q / z), and each row's
+spectrum, so that on the contour a row costs one jet per root of its
+class part.  exp(P log q / z) is refused unless P is nilpotent.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import count, permutations, product
 from math import comb, factorial, prod
 from operator import add, mul
@@ -140,6 +142,46 @@ def _to_mp(x):
     if isinstance(x, int):
         return mp.mpf(x)
     return mp.mpc(x) if isinstance(x, complex) else x
+
+
+def _number(where: str, name: str, x, real: bool = False):
+    """x as a finite mpmath number (real if asked), or ContinuationError."""
+    try:
+        v = mp.mpmathify(_to_mp(x))
+    except (TypeError, ValueError):
+        v = None
+    if v is None or not mp.isfinite(v) or (real and mp.im(v)):
+        raise ContinuationError(f"{where}: {name} must be a finite "
+                                f"{'real ' if real else ''}number, not {x!r}")
+    return mp.re(v) if real else v
+
+
+def _parameters(where: str, mode: str, lam, z, digits, truncation=0):
+    """(lambda, z) of a numeric entry point, made at digits + 10 working
+    digits with the defaults default_lambda() and 1, or (None, None) in
+    nonequivariant mode; a bad parameter raises ContinuationError."""
+    def bad(msg):
+        return ContinuationError(f"{where}: {msg}")
+    # below 10 the tolerance 10^-(digits - 6) of poles and nilpotency is none
+    if type(digits) is not int or digits < 10:
+        raise bad(f"digits must be an integer >= 10, not {digits!r}")
+    if type(truncation) is not int or truncation < 0:
+        raise bad(f"truncation must be a nonnegative integer, "
+                  f"not {truncation!r}")
+    if mode == "nonequivariant":
+        if lam not in (None, 0) or z is not None:
+            raise bad(f"nonequivariant mode fixes lambda = 0 and keeps z "
+                      f"symbolic, not lam={lam!r}, z={z!r}")
+        return None, None
+    if mode != "equivariant-numeric":
+        raise bad(f"unknown mode {mode!r}; choose from equivariant-numeric, "
+                  f"nonequivariant")
+    with mp.workdps(digits + 10):
+        lam = default_lambda() if lam is None else _number(where, "lam", lam)
+        z = mp.mpf(1) if z is None else _number(where, "z", z)
+    if z == 0:
+        raise bad("z must be nonzero")
+    return lam, z
 
 
 def _near_int(x, tol) -> Optional[int]:
@@ -245,14 +287,6 @@ class NilExpansion:
 
     def maxabs(self):
         return max((abs(v) for v in self.terms.values()), default=mp.mpf(0))
-
-    def unit_scalar(self):
-        return self.terms.get((self.na.unit, 0), mp.mpf(0))
-
-    def without_unit_scalar(self) -> "NilExpansion":
-        out = dict(self.terms)
-        out.pop((self.na.unit, 0), None)
-        return NilExpansion(self.na, out)
 
     def __add__(self, other):
         if not isinstance(other, NilExpansion):
@@ -379,28 +413,10 @@ def _lstsq(cols, bs, rows: int, p=2):
     return xs, residuals
 
 
-_NODE_CACHE: dict = {}
-
-
-def _eigennodes(t: NilExpansion, digits: int):
-    """Spectrum of t with minimal-polynomial multiplicities.
-
-    Returns a list of (eigenvalue, multiplicity).  Nilpotency is detected
-    first; otherwise the minimal monic dependence among the powers of t is
-    solved for and its roots are clustered.  The same few tails recur
-    thousands of times per run, so results are memoized on the exact terms.
-    """
-    ckey = (id(t.na), digits,
-            tuple(sorted((k, repr(v)) for k, v in t.terms.items())))
-    hit = _NODE_CACHE.get(ckey)
-    if hit is not None:
-        return hit
-    nodes = _eigennodes_raw(t, digits)
-    _NODE_CACHE[ckey] = nodes
-    return nodes
-
-
 def _eigennodes_raw(t: NilExpansion, digits: int):
+    """[(eigenvalue, multiplicity)] of t's minimal polynomial: nilpotency
+    is detected first, else the minimal monic dependence among the powers of
+    t is solved for and its roots are clustered."""
     na = t.na
     cap = na.dim + 1
     powers = [NilExpansion.unit(na)]
@@ -448,48 +464,62 @@ def _eigennodes_raw(t: NilExpansion, digits: int):
     raise ContinuationError("no minimal polynomial found for the argument")
 
 
-def _jet(derivs: Callable, x, jmax: int) -> list:
-    """Derivatives 0..jmax of derivs at x, batched when supported."""
-    batched = getattr(derivs, "jet", None)
-    if batched is not None:
-        return batched(x, jmax)
-    return [derivs(x, j) for j in range(jmax + 1)]
+class _Spectrum:
+    """f(s + t) for a class t, as in the module docstring: in Newton form
 
+        f(s + t) = sum_j f[s + mu_0, ..., s + mu_j] prod_{i<j} (t - mu_i),
 
-def _apply_analytic(derivs: Callable, s, t: NilExpansion,
-                    digits: int) -> NilExpansion:
-    """f(s + t) via Hermite interpolation on the spectrum of t.
-
-    derivs(x, j) must return the j-th derivative of f at the scalar x.
-    t must have no scalar part on the unit at z^0.
+    mu_0, mu_1, ... the roots of the minimal polynomial of t, each repeated
+    by its multiplicity; nilpotent means one root 0 (the zero class has
+    the root 0 of multiplicity 1).
     """
-    na = t.na
-    if t.is_zero:
-        return NilExpansion.unit(na, _jet(derivs, s, 0)[0])
-    nodes = _eigennodes(t, digits)
-    s_mp = _to_mp(s)
-    jets = {}
-    seq = []
-    for mu, mult in nodes:
-        jets[mu] = _jet(derivs, s_mp + mu, mult - 1)
-        seq.extend([mu] * mult)
-    n = len(seq)
-    dd = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dd[i][i] = jets[seq[i]][0]
-    for w in range(1, n):
-        for i in range(n - w):
-            j = i + w
-            if seq[i] == seq[j]:
-                dd[i][j] = jets[seq[i]][w] / factorial(w)
-            else:
-                dd[i][j] = (dd[i + 1][j] - dd[i][j - 1]) / (seq[j] - seq[i])
-    acc = NilExpansion.unit(na, dd[0][0])
-    prod = NilExpansion.unit(na)
-    for j in range(1, n):
-        prod = prod * (t - NilExpansion.unit(na, seq[j - 1]))
-        acc = acc + prod.scale(dd[0][j])
-    return acc
+
+    __slots__ = ("na", "nodes", "owner", "basis", "nilpotent")
+
+    def __init__(self, t: NilExpansion, digits: int):
+        na = self.na = t.na
+        nodes = self.nodes = ([(mp.mpf(0), 1)] if t.is_zero
+                              else _eigennodes_raw(t, digits))
+        self.nilpotent = len(nodes) == 1 and nodes[0][0] == 0
+        # the root of each position of the Newton sequence, and its basis
+        self.owner = [k for k, (_, m) in enumerate(nodes) for _ in range(m)]
+        basis = [NilExpansion.unit(na)]
+        for k in self.owner[:-1]:
+            basis.append(basis[-1] * (t - NilExpansion.unit(na, nodes[k][0])))
+        self.basis = [tuple(b.terms.items()) for b in basis]
+
+    def apply(self, jet: Callable, s, shift: int = 0) -> NilExpansion:
+        """f^(shift)(s + t), where jet(x, jmax) returns [f(x), f'(x), ...,
+        f^(jmax)(x)] at the scalar x."""
+        s, nodes, owner = _to_mp(s), self.nodes, self.owner
+        jets = [jet(s + mu, mult - 1 + shift)[shift:] for mu, mult in nodes]
+        col = [jets[k][0] for k in owner]  # then col[i] = f[x_i..x_(i+w)]
+        coeffs = [col[0]]
+        for w in range(1, len(owner)):
+            col = [jets[owner[i]][w] / factorial(w)
+                   if owner[i] == owner[i + w] else (col[i + 1] - col[i])
+                   / (nodes[owner[i + w]][0] - nodes[owner[i]][0])
+                   for i in range(len(owner) - w)]
+            coeffs.append(col[0])
+        terms: dict = {}
+        for b, c in zip(self.basis, coeffs):
+            for key, v in b:
+                cv = v * c
+                terms[key] = terms[key] + cv if key in terms else cv
+        return NilExpansion(self.na, terms)
+
+
+_SPECTRA: dict = {}
+
+
+def _spectrum(t: NilExpansion, digits: int) -> _Spectrum:
+    """_Spectrum(t, digits), memoized on the exact terms of t and the
+    working precision: the same few tails recur thousands of times."""
+    key = (id(t.na), digits, mp.prec,
+           tuple(sorted((k, repr(v)) for k, v in t.terms.items())))
+    if key not in _SPECTRA:
+        _SPECTRA[key] = _Spectrum(t, digits)
+    return _SPECTRA[key]
 
 
 def _bell_jet(base, exponent_derivs, jmax: int):
@@ -505,6 +535,9 @@ def _bell_jet(base, exponent_derivs, jmax: int):
 
 
 def _gamma_pole_at(x, tol) -> Optional[int]:
+    # no pole is closer than |Im x|, and most contour points are far off
+    if type(x) is mp.mpc and abs(x.imag) >= tol:
+        return None
     n = _near_int(x, tol)
     if n is not None and n <= 0:
         return -n
@@ -649,18 +682,6 @@ def _gamma_polygamma(x, n: int):
         for vre, vim in out]
 
 
-def _polygamma_jet(x, n: int) -> list:
-    """psi^(m)(x) for m = 0..n-1 at the working precision, from one series.
-
-    They are the polygamma half of _gamma_polygamma's fixed-point pass: one
-    recurrence shift and one Stirling tail serve every order, in integers
-    scaled by 2^wp whose guard bits cover the smallest, top order (psi^(m)
-    ~ (m-1)!/y^m at the shifted point y).  x must not be a pole (a
-    nonpositive integer).  n = 0 returns [].
-    """
-    return _gamma_polygamma(x, n)[1] if n else []
-
-
 class _GammaDerivs:
     """f = Gamma^power, via the complete Bell polynomials of the
     polygammas: Gamma^power = exp(power log Gamma)."""
@@ -709,19 +730,12 @@ class _RGammaDerivs:
                 enumerate(reduce(_series_mul, [taylor] * power))]
 
 
-def _sinpi_derivs(x, j):
-    return mp.pi ** j * mp.sinpi(_to_mp(x) + mp.mpf(j) / 2)
+def _sinpi_jet(x, jmax):
+    return [mp.pi ** j * mp.sinpi(x + mp.mpf(j) / 2) for j in range(jmax + 1)]
 
 
-class _Shifted:
-    """Derivatives of f^(k), from the derivatives of f."""
-
-    def __init__(self, derivs: Callable, k: int):
-        self.derivs = derivs
-        self.k = k
-
-    def jet(self, x, jmax):
-        return _jet(self.derivs, x, jmax + self.k)[self.k:]
+def _exp_jet(x, jmax):
+    return [mp.exp(x)] * (jmax + 1)
 
 
 def _series_mul(a: list, b: list) -> list:
@@ -778,9 +792,9 @@ class _SineRatio:
         return [+v for v in out]
 
 
-def _recip_derivs(x, j):
-    x = _to_mp(x)
-    return (-1) ** j * mp.mpf(factorial(j)) / x ** (j + 1)
+def _recip_jet(x, jmax):
+    return [(-1) ** j * mp.mpf(factorial(j)) / x ** (j + 1)
+            for j in range(jmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +845,8 @@ class Frame:
         self.z = z
         self.digits = digits
         self.tol = mp.mpf(10) ** (-(digits - 6))
-        self._gamma = _GammaDerivs(self.tol)
-        self._rgamma = _RGammaDerivs(self.tol)
+        self._gamma = _GammaDerivs(self.tol).jet
+        self._rgamma = _RGammaDerivs(self.tol).jet
         self._heads: dict = {}
 
     # -- scalars and tails ---------------------------------------------------
@@ -885,9 +899,9 @@ class Frame:
 
     # -- special functions -----------------------------------------------------
 
-    def _apply(self, derivs, arg: Arg) -> NilExpansion:
-        return _apply_analytic(derivs, self.scalar(arg), self.tail(arg),
-                               self.digits)
+    def _apply(self, jet, arg: Arg) -> NilExpansion:
+        return _spectrum(self.tail(arg), self.digits).apply(
+            jet, self.scalar(arg))
 
     def gamma(self, arg: Arg) -> NilExpansion:
         # the kernels of one continued series share their heads
@@ -902,14 +916,8 @@ class Frame:
         return self._apply(self._rgamma, arg)
 
     def sinpi(self, arg: Arg) -> NilExpansion:
-        return self._apply(_sinpi_derivs, arg)
+        return self._apply(_sinpi_jet, arg)
 
-    def recip(self, x: NilExpansion) -> NilExpansion:
-        c = x.unit_scalar()
-        if abs(c) < self.tol:
-            raise ContinuationError("reciprocal of a value with no scalar part")
-        return _apply_analytic(_recip_derivs, c, x.without_unit_scalar(),
-                               self.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,30 +1102,20 @@ def continued_ifunction(example, truncation: int,
     of log x, up to the total order xside_terms keeps.
     """
     ex = _example(example)
-    if truncation < 0:
-        raise ContinuationError("truncation must be nonnegative")
+    lam, z = _parameters(f"{ex}: continued_ifunction", mode, lam, z, digits,
+                         truncation)
     g_y = builtin(ex + "-Y")
     g_x = builtin(ex + "-X")
 
     with mp.workdps(digits + 10):
+        na = _numeric_algebra(g_y.algebra, lam, digits)
         if mode == "equivariant-numeric":
-            lam = default_lambda() if lam is None else _to_mp(lam)
-            z = mp.mpf(1) if z is None else _to_mp(z)
-            na = _numeric_algebra(g_y.algebra, lam, digits)
             fr = Frame(na, "numeric", lam=lam, z=-z, digits=digits)
-            terms, scalar_exponents = _continued_terms(fr, g_y, g_x,
-                                                        truncation)
-        elif mode == "nonequivariant":
-            if lam not in (None, 0):
-                raise ContinuationError(
-                    "nonequivariant mode fixes lambda = 0")
-            na = _numeric_algebra(g_y.algebra, None, digits)
-            fr = Frame(na, "symbolic", digits=digits)
-            terms, scalar_exponents = _continued_terms(fr, g_y, g_x,
-                                                        truncation)
-            terms = {k: negate_z(v) for k, v in terms.items()}
         else:
-            raise ContinuationError(f"unknown mode {mode!r}")
+            fr = Frame(na, "symbolic", digits=digits)
+        terms, scalar_exponents = _continued_terms(fr, g_y, g_x, truncation)
+        if mode == "nonequivariant":
+            terms = {k: negate_z(v) for k, v in terms.items()}
     return ContinuedSeries(
         example=ex, geometry=g_y.name, mode=mode,
         lam=None if mode == "nonequivariant" else mp.nstr(lam, digits),
@@ -1147,15 +1145,16 @@ def _rataz_numeric(co: RatAZ, na: NumericAlgebra, lam, z) -> NilExpansion:
             else:
                 out[key] = acc
     val = NilExpansion(na, out)
-    if co.den:
-        fr = Frame(na, "numeric", lam=lam, z=z, digits=na.digits)
-        for d, b in co.den:
-            fac: dict = {}
-            for i, c in enumerate(d.coeffs):
-                if not c.is_zero:
-                    fac[(i, 0)] = _to_mp(c.evaluate(lam))
-            fac[(na.unit, 0)] = fac.get((na.unit, 0), 0) + _frac_mp(b) * z
-            val = val * fr.recip(NilExpansion(na, fac))
+    for d, b in co.den:
+        # 1/(D + b z) is 1/x at x + t: x the unit part of D plus b z, t the
+        # rest of D
+        tail = {(i, 0): _to_mp(c.evaluate(lam))
+                for i, c in enumerate(d.coeffs) if not c.is_zero}
+        x = tail.pop((na.unit, 0), 0) + _frac_mp(b) * z
+        if abs(x) < mp.mpf(10) ** (6 - na.digits):
+            raise ContinuationError("reciprocal of a value with no scalar part")
+        val = val * _spectrum(NilExpansion(na, tail), na.digits).apply(
+            _recip_jet, x)
     return val
 
 
@@ -1188,30 +1187,22 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
     polynomials in z (zmin = None expands far enough to prove termination).
     """
     ex = _example(example)
+    lam, z = _parameters(f"{ex}: xside_terms", mode, lam, z, digits,
+                         truncation)
     g_x = builtin(ex + "-X")
     ifn = build_ifunction(g_x, truncation)
     pre = expand_prefactor(ifn, log_order=_LOG_ORDER)
     with mp.workdps(digits + 10):
-        if mode == "equivariant-numeric":
-            lam = default_lambda() if lam is None else _to_mp(lam)
-            z = mp.mpf(1) if z is None else _to_mp(z)
-            na = _numeric_algebra(g_x.algebra, lam, digits)
-            zeff = -z
-            terms = {}
-            for key in sorted(pre):
-                val = _rataz_numeric(pre[key], na, lam, zeff).scale(zeff)
-                if not val.is_zero:
-                    terms[key] = val
-        elif mode == "nonequivariant":
-            na = _numeric_algebra(g_x.algebra, None, digits)
-            terms = {}
-            for key in sorted(pre):
+        na = _numeric_algebra(g_x.algebra, lam, digits)
+        terms = {}
+        for key in sorted(pre):
+            if mode == "equivariant-numeric":
+                val = _rataz_numeric(pre[key], na, lam, -z).scale(-z)
+            else:
                 base = _rataz_symbolic(pre[key], na, zmin)
-                flip = negate_z(base).zshift(1).scale(-1)  # times -z
-                if not flip.is_zero:
-                    terms[key] = flip
-        else:
-            raise ContinuationError(f"unknown mode {mode!r}")
+                val = negate_z(base).zshift(1).scale(-1)  # times -z
+            if not val.is_zero:
+                terms[key] = val
     return terms, na, tuple(v.scalar_exponent for v in g_x.variables)
 
 
@@ -1397,19 +1388,6 @@ class MBResult:
     evaluations: int  # kernel evaluations, the height probes included
 
 
-def _exp_nil(fr: Frame, x: NilExpansion) -> NilExpansion:
-    out = fr.const(1)
-    power = fr.const(1)
-    for k in range(1, x.na.dim + 2):
-        power = power * x
-        if power.is_zero:
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-    else:
-        raise ContinuationError("exponential of a non-nilpotent element")
-    return out
-
-
 def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
     """a0 + kappa/z for a class kappa = w*lambda*1 + a constant degree-2
     part, given by its coefficient vector (a gamma row or a prefactor)."""
@@ -1431,19 +1409,7 @@ def _mb_direction(geom: Geometry) -> int:
 
 
 _Row = namedtuple("_Row", "c arg mult sin")
-_Factor = namedtuple("_Factor", "slope offset derivs tail powers mult")
-
-
-def _nil_powers(t: NilExpansion, digits: int) -> Optional[list]:
-    """[t^k/k! for k < K] when t^K vanishes to the working precision,
-    else None."""
-    nodes = [(0, 1)] if t.is_zero else _eigennodes(t, digits)
-    if len(nodes) != 1 or nodes[0][0] != 0:
-        return None
-    powers = [NilExpansion.unit(t.na)]
-    for k in range(1, nodes[0][1]):
-        powers.append((powers[-1] * t).scale(mp.mpf(1) / k))
-    return powers
+_Factor = namedtuple("_Factor", "slope offset spectrum jet")
 
 
 class _Kernel:
@@ -1506,45 +1472,36 @@ class _Kernel:
         self.left_rate = -c
         if q is not None:
             # the s-independent algebra of the contour: head times the
-            # dressing, and per row x(s) = slope s + offset, its tail t and,
-            # for nilpotent t, the powers t^k/k!
+            # dressing, and per row x(s) = slope s + offset, the spectrum of
+            # its tail t and the jet of Gamma^mult or 1/Gamma^mult
             self.hp = self.head * self.pdress
             self.contour = []
             for r in self.rows:
                 offset, tail = fr.scalar(r.arg), fr.tail(r.arg)
                 if r.c < 0:  # Gamma(|c| s - o - kappa/z)
-                    offset, tail, derivs = -offset, tail.scale(-1), fr._gamma
+                    offset, tail, jet = -offset, tail.scale(-1), fr._gamma
                 else:  # 1/Gamma(1 + o + kappa/z + c s)
-                    offset, derivs = 1 + offset, fr._rgamma
+                    offset, jet = 1 + offset, fr._rgamma
                 self.contour.append(_Factor(
-                    _frac_mp(abs(r.c)), offset, derivs, tail,
-                    _nil_powers(tail, fr.digits), r.mult))
+                    _frac_mp(abs(r.c)), offset, _spectrum(tail, fr.digits),
+                    partial(jet, power=r.mult)))
 
     def qpow(self, arg: Arg) -> NilExpansion:
-        """q^arg = exp(arg log q), for a kernel made with q."""
+        """q^arg = exp(scalar log q) exp(tail log q), for a kernel made with
+        q.  The tail must be nilpotent."""
         fr = self.fr
-        return _exp_nil(fr, fr.tail(arg).scale(self.logq)).scale(
+        spec = _spectrum(fr.tail(arg).scale(self.logq), fr.digits)
+        if not spec.nilpotent:
+            raise ContinuationError("exponential of a non-nilpotent element")
+        return spec.apply(_exp_jet, 0).scale(
             mp.exp(fr.scalar(arg) * self.logq))
 
     def _body(self, s) -> NilExpansion:
-        """The kernel without pi/sin(pi s) and q^s.  A row with nilpotent
-        tail t gives f(x + t) = sum_k f^(k)(x) t^k/k! for f = Gamma^mult or
-        1/Gamma^mult, from one jet; any other row goes through
-        _apply_analytic, once per multiplicity."""
+        """The kernel without pi/sin(pi s) and q^s: per row, Gamma^mult or
+        1/Gamma^mult at x(s) + t from one jet per root of t."""
         val = self.hp
-        for slope, offset, derivs, tail, powers, mult in self.contour:
-            x = slope * s + offset
-            if powers is None:
-                f = reduce(mul, [_apply_analytic(derivs, x, tail,
-                                                 self.fr.digits)] * mult)
-            else:
-                terms: dict = {}
-                for p, v in zip(powers, derivs.jet(x, len(powers) - 1, mult)):
-                    for key, c in p.terms.items():
-                        cv = c * v
-                        terms[key] = terms[key] + cv if key in terms else cv
-                f = NilExpansion(self.fr.na, terms)
-            val = val * f
+        for slope, offset, spec, jet in self.contour:
+            val = val * spec.apply(jet, slope * s + offset)
         return val
 
     def __call__(self, s) -> NilExpansion:
@@ -1594,31 +1551,28 @@ class _Kernel:
             scale = [_frac_mp(abs(r.c) ** k) / factorial(k)
                      for k in range(size + 1)]
             scal, tail = fr.scalar(arg), fr.tail(arg)
-            derivs = fr._gamma if r.c < 0 else fr._rgamma
+            fjet = fr._gamma if r.c < 0 else fr._rgamma
             if m is None and r.c < 0:
                 const = reduce(mul, [r.sin] * r.mult, const)
             if m is None and not tail.is_zero:
-                jet = [_apply_analytic(_Shifted(derivs, k), scal, tail,
-                                       fr.digits).scale(scale[k])
+                spec = _spectrum(tail, fr.digits)
+                jet = [spec.apply(fjet, scal, k).scale(scale[k])
                        for k in range(size)]
                 series = reduce(_series_mul, [jet] * r.mult, series)
                 continue
             if m is None:
-                jet = [v * w for v, w in zip(_jet(derivs, scal, size - 1),
-                                             scale)]
+                jet = [v * w for v, w in zip(fjet(scal, size - 1), scale)]
             else:
                 # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
                 jet = [v * w for v, w in
-                       zip(fr._rgamma.jet(-m, size), scale)][1:]
+                       zip(fr._rgamma(-m, size), scale)][1:]
                 if r.c < 0:
                     jet = _series_recip(jet)
                     # its head sine (-1)^m sin(pi |c| s_n) moves into R
                     rates += [abs(r.c)] * r.mult
                     const = const.scale((-1) ** (m * r.mult))
             scalars = reduce(_series_mul, [jet] * r.mult, scalars)
-        ratio = [_apply_analytic(_SineRatio(rates, k), fr.scalar(sn),
-                                 fr.tail(sn), fr.digits)
-                 for k in range(size)]
+        ratio = [fr._apply(_SineRatio(rates, k).jet, sn) for k in range(size)]
         series = _series_mul(_series_mul(series, scalars), ratio)
         return [(const * series[size - 1 - k]).scale(mp.mpf(1) / factorial(k))
                 for k in range(size)]
@@ -1639,23 +1593,26 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     error budget is the quadrature's own estimate plus the tail beyond the
     height, and a budget above tol (default 1e-30) raises
     ContinuationError.  The kernel builds its s-independent algebra once
-    (the head with the dressing exp(P log q / z), and each nilpotent row's
-    tail powers t^k/k!), so an evaluation costs one fixed-point pass per row
-    for Gamma^mult or 1/Gamma^mult and its polygammas (_gamma_polygamma,
-    with guard bits for the top order), a few scaled adds and one product
-    per row.  evaluations counts the kernel evaluations, the height probes
-    included.
+    (the head with the dressing exp(P log q / z), and the spectrum of each
+    row's class part with its Newton basis), so an evaluation costs, per row
+    and root, one fixed-point pass for Gamma^mult or 1/Gamma^mult and its
+    polygammas (_gamma_polygamma, with guard bits for the top order), then
+    a few scaled adds and one product per row.  evaluations counts the
+    kernel evaluations, the height probes included.
     """
     ex = _example(example)
+    where = f"{ex}: mellin_barnes_integral"
+    lam, z = _parameters(where, "equivariant-numeric", lam, z, digits)
     g_y = builtin(ex + "-Y")
     wall = g_y.variables[_mb_direction(g_y)].radius
     with mp.workdps(digits + 10):
-        lam = default_lambda() if lam is None else _to_mp(lam)
-        z = mp.mpf(1) if z is None else _to_mp(z)
-        q = _to_mp(q)
-        tol = mp.mpf("1e-30") if tol is None else mp.mpf(tol)
-        if mp.im(q) == 0 and mp.re(q) < 0:
-            raise ContinuationError("q must stay off the branch cut")
+        q = _number(where, "q", q)
+        tol = _number(where, "tol", "1e-30" if tol is None else tol, real=True)
+        if tol <= 0:
+            raise ContinuationError(f"{where}: tol must be positive")
+        if mp.im(q) == 0 and mp.re(q) <= 0:
+            raise ContinuationError(f"{where}: q must be nonzero and stay "
+                                    f"off the branch cut")
         aq = abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")
@@ -1663,7 +1620,8 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         na = _numeric_algebra(g_y.algebra, lam, digits)
         fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
         kern = _Kernel(g_y, fr, q)
-        sigma = mp.mpf("0.5") if sigma is None else mp.mpf(sigma)
+        sigma = _number(where, "sigma", "0.5" if sigma is None else sigma,
+                        real=True)
 
         # poles near the line are a precondition failure, not a warning;
         # only poles within 1 of the line are checked, and the residues of
@@ -1695,7 +1653,8 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             return kern(sigma + 1j * t)
 
         # height from the observed exponential decay of the integrand
-        t_cur = mp.mpf(12) if height is None else mp.mpf(height)
+        t_cur = _number(where, "height", 12 if height is None else height,
+                        real=True)
         while True:
             top = evaluate(t_cur).maxabs()
             prev = evaluate(t_cur - 1).maxabs()

@@ -422,7 +422,6 @@ def _coerce(x):
 
 RAT_ZERO = LambdaRat(0)
 RAT_ONE = LambdaRat(1)
-LAMBDA = LambdaRat.gen(1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the MB integral."""
 
 import dataclasses
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -13,15 +14,14 @@ import crepant.continuation as continuation
 from crepant import LambdaRat, build_ifunction, builtin
 from crepant.algebra import Algebra
 from crepant.continuation import (Arg, ContinuationError, Frame,
-                                  NilExpansion, _affine, _apply_analytic,
+                                  NilExpansion, _affine, _exp_jet,
                                   _frac_mp, _gamma_polygamma, _GammaDerivs,
-                                  _Kernel, _lattice_map, _nil_powers,
-                                  _RGammaDerivs, _SineRatio, _lstsq,
-                                  _numeric_algebra, _polygamma_jet,
-                                  _rataz_numeric, _to_mp,
+                                  _Kernel, _lattice_map, _RGammaDerivs,
+                                  _SineRatio, _lstsq, _numeric_algebra,
+                                  _rataz_numeric, _spectrum, _to_mp,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral, negate_z,
-                                  solve_umatrix)
+                                  solve_umatrix, xside_terms)
 
 
 def test_to_mp_accepts_strings():
@@ -46,7 +46,7 @@ def test_polygamma_jet_matches_psi(re, im, digits):
     assume(abs(complex(re, im) - round(re)) > 0.1 or round(re) > 0)
     with mp.workdps(digits):
         x = mp.mpc(re, im)
-        got = _polygamma_jet(x, 5)
+        got = _gamma_polygamma(x, 5)[1]
         eps = mp.mpf(mp.eps)  # the constant, fixed at this precision
     assert len(got) == 5
     with mp.workdps(digits + 20):
@@ -58,11 +58,11 @@ def test_polygamma_jet_matches_psi(re, im, digits):
 def test_polygamma_jet_real_and_empty():
     with mp.workdps(30):
         x = mp.mpf("-2.3")
-        got = _polygamma_jet(x, 3)
+        got = _gamma_polygamma(x, 3)[1]
         assert all(isinstance(v, mp.mpf) for v in got)
         for m, v in enumerate(got):
             assert abs(v - mp.psi(m, x)) <= 100 * mp.eps * abs(v)
-        assert _polygamma_jet(x, 0) == []
+        assert _gamma_polygamma(x, 0)[1] == []
 
 
 def test_order_zero_jets_call_no_polygamma(monkeypatch):
@@ -77,9 +77,8 @@ def test_order_zero_jets_call_no_polygamma(monkeypatch):
     def no_psi(*args):
         raise AssertionError("mp.psi called")
 
-    for name in ("_polygamma_jet", "_gamma_polygamma"):
-        monkeypatch.setattr(continuation, name,
-                            counting(getattr(continuation, name)))
+    monkeypatch.setattr(continuation, "_gamma_polygamma",
+                        counting(continuation._gamma_polygamma))
     monkeypatch.setattr(mp.mp, "psi", no_psi)
     with mp.workdps(30):
         tol = mp.mpf(10) ** -24
@@ -112,7 +111,7 @@ def test_gamma_pass_matches_mpmath(x, digits):
         tol = mp.mpf(10) ** -(digits - 6)
         gamma = _GammaDerivs(tol).jet(x, 1)[0]
         rgamma = _RGammaDerivs(tol).jet(x, 1)[0]
-        psis = _polygamma_jet(x, 5)
+        psis = _gamma_polygamma(x, 5)[1]
         eps = mp.mpf(mp.eps)
     assert isinstance(gamma, type(x)) and isinstance(psis[4], type(x))
     with mp.workdps(digits + 20):
@@ -238,23 +237,18 @@ def test_kernel_left_residues_match_the_contour(ex, q):
                                                  and n % 2 == 0 else 1)
 
 
-@pytest.mark.parametrize("powers", [True, False])
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
-def test_kernel_on_the_contour_matches_hermite_evaluation(
-        monkeypatch, ex, q, powers):
-    # the contour kernel from its precomputed tail powers and one jet of
-    # Gamma^mult per row (or, with no powers, the path a non-nilpotent tail
-    # takes), against each row through _apply_analytic once per
-    # multiplicity, with jets by numerical differentiation
-    if not powers:
-        monkeypatch.setattr(continuation, "_nil_powers", lambda t, d: None)
+def test_kernel_on_the_contour_matches_hermite_evaluation(ex, q):
+    # the contour kernel, one jet of Gamma^mult per row and root, against
+    # each row evaluated once per multiplicity, with jets by numerical
+    # differentiation
     digits = 30
     with mp.workdps(digits):
         kern = _kernel_at(ex, q, digits)
         fr = kern.fr
 
         def numerical_jet(f):
-            return lambda x, j: mp.diff(f, x, j)
+            return lambda x, jmax: [mp.diff(f, x, j) for j in range(jmax + 1)]
 
         for s in (mp.mpc("0.5", 0), mp.mpc("0.5", "1.3"),
                   mp.mpc("0.5", "-2.7"), mp.mpc("0.4", 6), mp.mpc("0.5", 11)):
@@ -263,9 +257,8 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(
                 c, scal, tail = _frac_mp(r.c), fr.scalar(r.arg), fr.tail(r.arg)
                 x, t = ((-c * s - scal, tail.scale(-1)) if c < 0
                         else (1 + c * s + scal, tail))
-                f = _apply_analytic(
-                    numerical_jet(mp.gamma if c < 0 else mp.rgamma), x, t,
-                    digits)
+                f = _spectrum(t, digits).apply(
+                    numerical_jet(mp.gamma if c < 0 else mp.rgamma), x)
                 for _ in range(r.mult):
                     want = want * f
             want = want.scale(mp.pi / mp.sinpi(s) * mp.exp(s * kern.logq))
@@ -275,15 +268,40 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(
             assert (got - want).maxabs() <= bound, s
 
 
-def test_nil_powers_of_nilpotent_and_semisimple_tails():
-    # p*p = 0: the powers 1, p; p*p = 2: no finite jet, so None
-    for square, want in ((0, [{(0, 0): 1}, {(1, 0): mp.mpf("0.5")}]),
-                         (2, None)):
-        na = _numeric_algebra(_two_class_algebra(square), None, 20)
-        with mp.workdps(30):
-            t = NilExpansion(na, {(1, 0): mp.mpf("0.5")})
-            got = _nil_powers(t, 20)
-        assert (got if got is None else [p.terms for p in got]) == want
+def _closed_jet(f, x, k):
+    """f^(k)(x) for f = exp or Gamma, k <= 2, in closed form."""
+    if f == "exp":
+        return mp.exp(x)
+    g, psi = mp.gamma(x), mp.psi(0, x)
+    return (g, g * psi, g * (psi ** 2 + mp.psi(1, x)))[k]
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("f", ["exp", "gamma"])
+@pytest.mark.parametrize("square", [0, 2])
+def test_spectrum_apply_closed_forms(square, f, shift):
+    # f^(shift)(s + c p) with p*p = 0 is the jet f(s) + c f'(s) p; with
+    # p*p = 2, c p has the eigenvalues +-c sqrt 2 and the projectors
+    # (1 +- p/sqrt 2)/2
+    na = _numeric_algebra(_two_class_algebra(square), None, 20)
+    with mp.workdps(30):
+        s, c = mp.mpc("1.3", "0.4"), mp.mpf("0.5")
+        jet = _exp_jet if f == "exp" else _GammaDerivs(mp.mpf(10) ** -14).jet
+        spec = _spectrum(NilExpansion(na, {(1, 0): c}), 20)
+        got = spec.apply(jet, s, shift)
+        if square == 0:
+            want = {(0, 0): _closed_jet(f, s, shift),
+                    (1, 0): c * _closed_jet(f, s, shift + 1)}
+        else:
+            r2 = mp.sqrt(2)
+            plus = _closed_jet(f, s + c * r2, shift)
+            minus = _closed_jet(f, s - c * r2, shift)
+            want = {(0, 0): (plus + minus) / 2,
+                    (1, 0): (plus - minus) / (2 * r2)}
+        assert spec.nilpotent == (square == 0)
+        assert set(got.terms) == set(want)
+        for key, v in want.items():
+            assert abs(got.terms[key] - v) <= mp.mpf(10) ** -25 * abs(v), key
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -328,7 +346,7 @@ def _sin_ratio(fr, arga, argb, n):
     assert Fraction(n).denominator == 1 and not off.alam and not off.div
     assert off.a0.denominator == 1
     fr.off_resonance(argb)
-    return fr._apply(_SineRatio([int(n)], 0), argb).scale(
+    return fr._apply(_SineRatio([int(n)], 0).jet, argb).scale(
         (-1) ** int(off.a0 % 2))
 
 
@@ -782,3 +800,42 @@ def test_mb_budget_above_tol_raises(monkeypatch):
                              r"1\.0e-12"):
         mellin_barnes_integral("ex1", "0.06", digits=15, tol="1e-12")
     assert calls and all(kw.get("error") for kw in calls)
+
+
+def _bad(call, kwargs, match):
+    return pytest.param(call, kwargs, match, id="{}-{}".format(
+        call.__name__, "-".join(f"{k}={v!r}" for k, v in kwargs.items())))
+
+
+@pytest.mark.parametrize("call, kwargs, match", [
+    _bad(xside_terms, {"truncation": 2, "mode": "nonequivariant", "lam": 0.5},
+         "xside_terms: nonequivariant mode fixes lambda = 0"),
+    _bad(xside_terms, {"truncation": "3"},
+         "xside_terms: truncation must be a nonnegative integer, not '3'"),
+    _bad(xside_terms, {"truncation": 2, "mode": "exact"},
+         "xside_terms: unknown mode 'exact'"),
+    _bad(continued_ifunction, {"truncation": 2, "z": 0},
+         "continued_ifunction: z must be nonzero"),
+    _bad(continued_ifunction, {"truncation": 2.5},
+         "continued_ifunction: truncation must be a nonnegative integer, "
+         "not 2.5"),
+    _bad(continued_ifunction, {"truncation": 2, "lam": "abc"},
+         "continued_ifunction: lam must be a finite number, not 'abc'"),
+    _bad(solve_umatrix, {"digits": "15"},
+         "continued_ifunction: digits must be an integer >= 10, not '15'"),
+    _bad(solve_umatrix, {"digits": 0},
+         "continued_ifunction: digits must be an integer >= 10, not 0"),
+    _bad(mellin_barnes_integral, {"q": 0},
+         "mellin_barnes_integral: q must be nonzero"),
+    _bad(mellin_barnes_integral, {"q": None},
+         "mellin_barnes_integral: q must be a finite number, not None"),
+    _bad(mellin_barnes_integral, {"q": "0.06", "tol": "abc"},
+         "mellin_barnes_integral: tol must be a finite real number, "
+         "not 'abc'"),
+    _bad(mellin_barnes_integral, {"q": "0.06", "z": 0},
+         "mellin_barnes_integral: z must be nonzero"),
+])
+def test_bad_parameters_raise_with_context(call, kwargs, match):
+    # every numeric entry point checks its parameters alike, before any work
+    with pytest.raises(ContinuationError, match="^ex1: " + re.escape(match)):
+        call("ex1", **kwargs)
