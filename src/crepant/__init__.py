@@ -8,7 +8,6 @@ from .algebra import (
     AlgebraError,
     AlgebraZ,
     Element,
-    exp_nilpotent,
     nonequivariant_limit,
 )
 from .geometry import (
@@ -30,7 +29,7 @@ from .geometry import (
 __all__ = [
     "LambdaPoly", "LambdaRat", "format_lambda_rat", "parse_lambda_rat",
     "Algebra", "AlgebraError", "AlgebraZ", "Element",
-    "exp_nilpotent", "nonequivariant_limit",
+    "nonequivariant_limit",
     "BUILTIN_NAMES", "CurveVariable", "DegreeLattice", "GammaRow",
     "Geometry", "GeometryError", "builtin", "config_from_dict",
     "config_to_dict", "enumerate_degrees", "load_config", "pairs",
@@ -44,7 +43,6 @@ from .ifunction import (
     build_ifunction,
     expand_prefactor,
     gamma_ratio,
-    modification_factor,
 )
 
 __all__ += [
@@ -54,7 +52,6 @@ __all__ += [
     "build_ifunction",
     "expand_prefactor",
     "gamma_ratio",
-    "modification_factor",
 ]
 
 from .picardfuchs import (

@@ -9,7 +9,6 @@ Laurent polynomials in z with Element coefficients; deg z = 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .lambda_rat import LambdaRat, RAT_ONE, RAT_ZERO, format_lambda_rat
 
@@ -21,8 +20,7 @@ class AlgebraError(ValueError):
 class Algebra:
     """Basis-indexed multiplication table and pairing; validated on demand."""
 
-    def __init__(self, name, labels, degrees, sectors, unit, table, gram,
-                 involution=None):
+    def __init__(self, name, labels, degrees, sectors, unit, table, gram):
         self.name = name
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -32,8 +30,6 @@ class Algebra:
         # table[i][j]: coefficient vector of basis_i · basis_j
         self.table = tuple(tuple(tuple(row) for row in line) for line in table)
         self.gram = tuple(tuple(row) for row in gram)
-        self.involution = tuple(involution) if involution is not None \
-            else tuple(range(self.dim))
         self._dual = None
         self._gram_inv = None
 
@@ -149,11 +145,6 @@ class Algebra:
                     raise AlgebraError(
                         f"{self.name}: pairing couples sectors "
                         f"{self.sectors[i]} and {self.sectors[j]}")
-                if self.involution[i] != i and \
-                        self.sectors[j] != self.sectors[self.involution[i]]:
-                    raise AlgebraError(
-                        f"{self.name}: involution convention broken at "
-                        f"({self.labels[i]}, {self.labels[j]})")
                 mono = g.as_monomial()
                 if mono is None:
                     raise AlgebraError(f"{self.name}: pairing entry not a λ-monomial")
@@ -178,9 +169,9 @@ class Algebra:
         if not isinstance(other, Algebra):
             return NotImplemented
         return (self.name, self.labels, self.degrees, self.sectors, self.unit,
-                self.table, self.gram, self.involution) == \
+                self.table, self.gram) == \
                (other.name, other.labels, other.degrees, other.sectors,
-                other.unit, other.table, other.gram, other.involution)
+                other.unit, other.table, other.gram)
 
     def __repr__(self):
         return f"Algebra({self.name}, dim={self.dim})"
@@ -392,19 +383,6 @@ class AlgebraZ:
     def __repr__(self):
         keys = sorted(self.layers)
         return "AlgebraZ({" + ", ".join(f"{e}: {self.layers[e]!r}" for e in keys) + "})"
-
-
-def exp_nilpotent(a: Element, zshift: int = 1) -> AlgebraZ:
-    """exp(a/z^zshift) = Σ_k a^k / (k! z^{k·zshift}); requires a nilpotent."""
-    alg = a.algebra
-    layers = {0: alg.one()}
-    power = alg.one()
-    for k in range(1, alg.dim + 2):
-        power = power * a
-        if power.is_zero:
-            return AlgebraZ(alg, layers)
-        layers[-k * zshift] = power * Fraction(1, factorial(k))
-    raise AlgebraError(f"element of {alg.name} is not nilpotent: {a!r}")
 
 
 def nonequivariant_limit(x):

@@ -50,10 +50,12 @@ b_j = o_j mod 1, and with P the prefactor class of y_c,
                 * pi/sin(pi s) * q^s * exp(P log q / z).
 
 pi/sin(pi s) gives the series its signs only when the c_j are integers
-whose negative ones sum to an odd number; other rows are refused.  The
-Mellin-Barnes integral runs along the one Y variable with a radius (the
-wall) from base 0, where every o_j = 0 and b_j = 1.  The continued series
-takes y_c, the spectators and a from the pair's lattice map (see
+whose negative ones sum to an odd number; other rows are refused.  Both
+the continued series and the Mellin-Barnes integral take y_c from the
+pair's lattice map (_contour).  The integral runs from base 0, where every
+o_j = 0 and b_j = 1, and only where N = 1; its wall is
+|q| = prod_j |c_j|^(c_j), each row counted with its multiplicity.  The
+continued series takes the spectators and a from the lattice map too (see
 continued_ifunction).
 
 The residue at a right pole s = d is (-1)^d times K(d) without
@@ -979,16 +981,22 @@ def _lattice_map(g_y: Geometry, g_x: Geometry) -> list:
             for i in range(ny)]
 
 
-def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
-    """Minus the kernels' left residues on the X lattice, and the X-side
-    scalar exponents, as in continued_ifunction's docstring."""
+def _contour(g_y: Geometry, g_x: Geometry) -> tuple[list, int]:
+    """(D, c): the lattice map and the contour variable y_c, the one Y
+    variable whose row of D has a negative entry."""
     d = _lattice_map(g_y, g_x)
-    ny = len(d)
-    neg = [i for i in range(ny) if min(d[i]) < 0]
+    neg = [i for i, row in enumerate(d) if min(row) < 0]
     if len(neg) != 1:
         raise ContinuationError(
             f"{g_y.pair}: no single contour variable in the lattice map {d}")
-    (c,) = neg
+    return d, neg[0]
+
+
+def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
+    """Minus the kernels' left residues on the X lattice, and the X-side
+    scalar exponents, as in continued_ifunction's docstring."""
+    d, c = _contour(g_y, g_x)
+    ny = len(d)
     split = g_y.sector_map[c].denominator
     # column k of A^-1 gives log y_i = sum_k A^-1_ik log x_k, where
     # log x_k = sum_i A_ki log y_i
@@ -1002,7 +1010,7 @@ def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
 
     def kernel(base):
         if base not in kernels:
-            kernels[base] = _Kernel(g_y, fr, var=c, base=base)
+            kernels[base] = _Kernel(g_y, fr, c, base=base)
         return kernels[base]
 
     # the class of s_n, times log q = split step_c log y_c, joins the Y
@@ -1350,6 +1358,7 @@ def solve_umatrix(example, truncation: Optional[int] = None,
     g_y = builtin(ex + "-Y")
     if truncation is None:
         truncation = g_x.algebra.dim + 2
+    _parameters(f"{ex}: solve_umatrix", mode, lam, z, digits, truncation)
     cs = continued_ifunction(ex, truncation, mode=mode, lam=lam, z=z,
                              digits=digits)
     xt, na_x, scal = xside_terms(ex, truncation, mode=mode, lam=lam, z=z,
@@ -1398,16 +1407,6 @@ def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
                 if i != alg.unit and not c.is_zero})
 
 
-def _mb_direction(geom: Geometry) -> int:
-    """The variable the contour continues in: the one that has a radius."""
-    hits = [i for i, v in enumerate(geom.variables) if v.radius is not None]
-    if len(hits) != 1:
-        raise ContinuationError(
-            f"{geom.name}: no single-contour representation: the contour "
-            f"needs exactly one variable with a radius, found {len(hits)}")
-    return hits[0]
-
-
 _Row = namedtuple("_Row", "c arg mult sin")
 _Factor = namedtuple("_Factor", "slope offset spectrum jet")
 
@@ -1416,17 +1415,15 @@ class _Kernel:
     """Integrand of the continuation contour, derived from the gamma rows
     as in the module docstring, and its residues: at a right pole s = d
     the d-th inside term, at a left pole minus the continued term.  var
-    and base pick the contour variable and the residue class (by default
-    the variable with a radius and base 0).  A kernel made without q is
-    not evaluated; its left_residue still works.
+    picks the contour variable y_c and base the residue class (by default
+    base 0).  A kernel made without q is not evaluated; its left_residue
+    still works.
     """
 
-    def __init__(self, geom: Geometry, fr: Frame, q=None, var=None,
+    def __init__(self, geom: Geometry, fr: Frame, var: int, q=None,
                  base=None):
         self.fr = fr
         alg = geom.algebra
-        if var is None:
-            var = _mb_direction(geom)
         if q is not None:
             self.pre = _class_arg(alg, geom.variables[var].prefactor)
             self.logq = mp.log(_to_mp(q))
@@ -1485,6 +1482,12 @@ class _Kernel:
                 self.contour.append(_Factor(
                     _frac_mp(abs(r.c)), offset, _spectrum(tail, fr.digits),
                     partial(jet, power=r.mult)))
+
+    @property
+    def wall(self) -> Fraction:
+        """The inside series' radius prod_j |c_j|^(c_j), in |q|."""
+        return prod(Fraction(abs(r.c)) ** int(r.c * r.mult)
+                    for r in self.rows)
 
     def qpow(self, arg: Arg) -> NilExpansion:
         """q^arg = exp(scalar log q) exp(tail log q), for a kernel made with
@@ -1583,7 +1586,9 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                            height=None) -> MBResult:
     """Contour integral of the continuation kernel along a vertical line.
 
-    The returned value equals the inside residue series for |q| below the
+    The contour variable and the wall are derived as in the module
+    docstring; a contour variable with N > 1 (ex3's y1) is refused.  The
+    returned value equals the inside residue series for |q| below the
     wall and the continued series above it; residues of poles sitting on
     the wrong side of the line are transferred explicitly, so the line
     itself never needs to separate the two interlaced pole families.
@@ -1604,7 +1609,13 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     where = f"{ex}: mellin_barnes_integral"
     lam, z = _parameters(where, "equivariant-numeric", lam, z, digits)
     g_y = builtin(ex + "-Y")
-    wall = g_y.variables[_mb_direction(g_y)].radius
+    _, c = _contour(g_y, builtin(ex + "-X"))
+    split = g_y.sector_map[c].denominator
+    if split != 1:
+        raise ContinuationError(
+            f"{g_y.name}: the contour variable {g_y.variables[c].symbol} "
+            f"splits into {split} residue classes; the Mellin-Barnes "
+            f"integral runs along one")
     with mp.workdps(digits + 10):
         q = _number(where, "q", q)
         tol = _number(where, "tol", "1e-30" if tol is None else tol, real=True)
@@ -1613,13 +1624,13 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         if mp.im(q) == 0 and mp.re(q) <= 0:
             raise ContinuationError(f"{where}: q must be nonzero and stay "
                                     f"off the branch cut")
-        aq = abs(q)
+        na = _numeric_algebra(g_y.algebra, lam, digits)
+        fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
+        kern = _Kernel(g_y, fr, c, q)
+        wall, aq = kern.wall, abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")
         side = "inside" if aq < _frac_mp(wall) else "outside"
-        na = _numeric_algebra(g_y.algebra, lam, digits)
-        fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
-        kern = _Kernel(g_y, fr, q)
         sigma = _number(where, "sigma", "0.5" if sigma is None else sigma,
                         real=True)
 

@@ -3,7 +3,11 @@
 A geometry bundles everything the series machinery needs to know about one
 side of a birational pair: the equivariant cohomology algebra, the curve
 variables the generating series is expanded in, and one gamma row per toric
-coordinate (its class, torus weight, and integer charge vector).
+coordinate (its class and integer charge vector).  Whatever these fix is
+derived rather than stored: a row's torus weight is the lambda-multiple of
+its class's unit part (Geometry.weight), a variable is a divisor variable
+exactly when it carries a prefactor class, and a side's partner is the
+other side of its pair.
 
 Charge conventions.  Variable i stores integer indices n_i; the actual curve
 degree is d_i = n_i / m_i where m_i is the variable's denominator.  Charge
@@ -12,25 +16,25 @@ ratio of row j at index vector n is sum_i charge[j][i] * n_i / m_i.  The
 exponent of variable i in the series is step_i * n_i (+ P_i/z for divisor
 variables), and the sector label of the term is frac(sum_i sector_map[i]*n_i).
 
-Config file schema (JSON, strict: unknown or missing fields are errors):
+Config file schema (JSON, strict: unknown or missing fields are errors, and
+a malformed field raises GeometryError naming it):
 
     {
       "name": str, "description": str,
-      "pair": str, "side": "X" | "Y", "partner": str,
+      "pair": str, "side": "X" | "Y",
       "algebra": {
         "name": str, "labels": [str], "degrees": [int], "sectors": [frac],
-        "unit": int, "involution": [int],
+        "unit": int,
         "table": [[[rat]]],          # table[i][j][k], see algebra.Algebra
         "gram": [[rat]]
       },
       "variables": [{
-        "symbol": str, "kind": "divisor" | "sector-insertion",
-        "denominator": int, "step": frac,
-        "prefactor": [rat] | null,   # coefficient vector, divisor kind only
-        "scalar_exponent": frac,     # a in the overall x^(-a*lambda/z)
-        "factorial": bool, "radius": frac | null
+        "symbol": str, "denominator": int, "step": frac,
+        "prefactor": [rat] | null,   # coefficient vector; null on a
+                                     # sector-insertion variable
+        "scalar_exponent": frac      # a in the overall x^(-a*lambda/z)
       }],
-      "rows": [{"klass": [rat], "charge": [int], "weight": frac}],
+      "rows": [{"klass": [rat], "charge": [int]}],
       "sector_map": [frac],
       "pi_star": [{"source": str, "image": str, "r": frac}],
       "metadata": {str: str}
@@ -73,39 +77,32 @@ BUILTIN_NAMES = (
 class CurveVariable:
     """One expansion variable of a generating series.
 
-    Divisor variables enter as x^(step*n + P/z) with P a degree-2 class;
-    sector-insertion variables enter as x^(step*n) and carry a factorial
-    normalization row instead of a prefactor.  scalar_exponent a records an
-    overall x^(-a*lambda/z) attached to this variable.  radius, when set, is
-    the radius of convergence of the one-variable slice (unused by exact
-    arithmetic).  On a Y side it now only places the Mellin-Barnes
-    integral: the integral runs along the one variable with a radius, the
-    others stay at index 0, and the radius is its wall.  The continued
-    series takes its contour variable from the pair's lattice map instead.
+    Divisor variables carry a prefactor class P and enter as
+    x^(step*n + P/z), P a degree-2 class; sector-insertion variables carry
+    none and enter as x^(step*n), normalized by a bare factorial row.
+    scalar_exponent a records an overall x^(-a*lambda/z) attached to this
+    variable.
     """
 
     symbol: str
-    kind: str
     denominator: int = 1
     step: Fraction = Fraction(1)
     prefactor: Optional[tuple[LambdaRat, ...]] = None
     scalar_exponent: Fraction = Fraction(0)
-    factorial: bool = False
-    radius: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
 class GammaRow:
-    """One toric coordinate: its class, torus weight, and charge vector.
+    """One toric coordinate: its class and charge vector.
 
     klass is the coefficient vector of an algebra element linear in the
-    degree-2 generators and lambda; weight is the lambda-multiple of its
-    unit part; charge has one integer per variable, in degree units.
+    degree-2 generators and lambda (its unit part is the torus weight times
+    lambda, see Geometry.weight); charge has one integer per variable, in
+    degree units.
     """
 
     klass: tuple[LambdaRat, ...]
     charge: tuple[int, ...]
-    weight: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,6 @@ class Geometry:
     description: str
     pair: str
     side: str
-    partner: str
     algebra: Algebra
     variables: tuple[CurveVariable, ...]
     rows: tuple[GammaRow, ...]
@@ -152,7 +148,8 @@ class Geometry:
         """Total curve-class degree; sector insertions carry none."""
         return sum(
             (Fraction(n, v.denominator)
-             for n, v in zip(index, self.variables) if v.kind == "divisor"),
+             for n, v in zip(index, self.variables)
+             if v.prefactor is not None),
             Fraction(0),
         )
 
@@ -161,6 +158,11 @@ class Geometry:
         return tuple(
             Fraction(c, v.denominator) for c, v in zip(r.charge, self.variables)
         )
+
+    def weight(self, row: int) -> Fraction:
+        """The row's torus weight: the lambda-multiple of its unit part."""
+        c = self.rows[row].klass[self.algebra.unit]
+        return Fraction(0) if c.is_zero else c.as_monomial()[0]
 
     def shifted_index(self, row: int, index: tuple[int, ...]) -> Fraction:
         return sum(
@@ -216,35 +218,22 @@ class Geometry:
 
         deg2 = [i for i, d in enumerate(alg.degrees) if d == 2]
         for v in self.variables:
-            if v.kind not in ("divisor", "sector-insertion"):
-                raise GeometryError(f"{self.name}: unknown variable kind {v.kind!r}")
             if v.denominator < 1:
                 raise GeometryError(f"{self.name}: denominator must be >= 1")
             if v.step <= 0:
                 raise GeometryError(f"{self.name}: step must be positive")
-            if v.radius is not None and v.radius <= 0:
-                raise GeometryError(f"{self.name}: radius must be positive")
-            if v.kind == "divisor":
-                if v.prefactor is None:
+            if v.prefactor is None:
+                continue
+            if len(v.prefactor) != dim:
+                raise GeometryError(
+                    f"{self.name}: prefactor length mismatch on {v.symbol}"
+                )
+            for i, c in enumerate(v.prefactor):
+                if c != RAT_ZERO and (i not in deg2 or c.as_monomial() is None
+                                      or c.as_monomial()[1] != 0):
                     raise GeometryError(
-                        f"{self.name}: divisor variable {v.symbol} needs a prefactor class"
-                    )
-                if len(v.prefactor) != dim:
-                    raise GeometryError(
-                        f"{self.name}: prefactor length mismatch on {v.symbol}"
-                    )
-                for i, c in enumerate(v.prefactor):
-                    if c != RAT_ZERO and (i not in deg2 or c.as_monomial() is None
-                                          or c.as_monomial()[1] != 0):
-                        raise GeometryError(
-                            f"{self.name}: prefactor of {v.symbol} must be a constant "
-                            "combination of degree-2 classes"
-                        )
-            else:
-                if v.prefactor is not None:
-                    raise GeometryError(
-                        f"{self.name}: sector-insertion variable {v.symbol} "
-                        "cannot carry a prefactor class"
+                        f"{self.name}: prefactor of {v.symbol} must be a "
+                        "constant combination of degree-2 classes"
                     )
 
         for j, row in enumerate(self.rows):
@@ -254,19 +243,13 @@ class Geometry:
                 raise GeometryError(f"{self.name}: row {j} charge length mismatch")
             # class must be (weight*lambda) * unit + constant degree-2 part
             for i, c in enumerate(row.klass):
-                if c == RAT_ZERO:
-                    continue
                 mono = c.as_monomial()
-                if i == alg.unit:
-                    if mono is None or mono[1] != 1 or mono[0] != row.weight:
-                        raise GeometryError(
-                            f"{self.name}: row {j} unit part must equal "
-                            f"weight*λ (declared weight {row.weight})"
-                        )
-                elif i not in deg2 or mono is None or mono[1] != 0:
+                power = 1 if i == alg.unit else 0
+                if c != RAT_ZERO and (mono is None or mono[1] != power
+                                      or i not in deg2 + [alg.unit]):
                     raise GeometryError(
-                        f"{self.name}: row {j} class must be linear in λ and "
-                        "the degree-2 classes"
+                        f"{self.name}: row {j} class must be a λ-multiple of "
+                        "the unit plus constant degree-2 classes"
                     )
 
         self._check_divisor_charges(deg2)
@@ -298,20 +281,6 @@ class Geometry:
                     f"component on {alg.labels[i]}"
                 )
 
-        # factorial bookkeeping: variable flagged iff a bare factorial row
-        # (zero class, charge = denominator * e_i) exists for it
-        for i, v in enumerate(self.variables):
-            has = any(
-                all(c == RAT_ZERO for c in row.klass)
-                and row.charge[i] == v.denominator
-                and all(c == 0 for k, c in enumerate(row.charge) if k != i)
-                for row in self.rows
-            )
-            if has != v.factorial:
-                raise GeometryError(
-                    f"{self.name}: factorial flag on {v.symbol} does not match rows"
-                )
-
         # sector map lands in the algebra's sector set (a subgroup of Q/Z)
         for i in range(nvar):
             e = tuple(1 if k == i else 0 for k in range(nvar))
@@ -336,22 +305,19 @@ class Geometry:
         charge[j][i]/m_i == c[j][i] * step_i.
         """
         alg = self.algebra
-        div = [i for i, v in enumerate(self.variables) if v.kind == "divisor"]
+        div = [i for i, v in enumerate(self.variables)
+               if v.prefactor is not None]
         if not div:
             return
-        cols = []
-        for i in div:
-            vec = []
-            for k in deg2:
-                mono = self.variables[i].prefactor[k].as_monomial()
-                vec.append(mono[0] if mono is not None else Fraction(0))
-            cols.append(vec)
+
+        def consts(klass):
+            # the degree-2 part, constant by the checks in validate
+            return [Fraction(0) if klass[k].is_zero
+                    else klass[k].as_monomial()[0] for k in deg2]
+
+        cols = [consts(self.variables[i].prefactor) for i in div]
         for j, row in enumerate(self.rows):
-            target = []
-            for k in deg2:
-                mono = row.klass[k].as_monomial()
-                target.append(mono[0] if mono is not None else Fraction(0))
-            coeffs = _solve_exact(cols, target)
+            coeffs = _solve_exact(cols, consts(row.klass))
             if coeffs is None:
                 raise GeometryError(
                     f"{self.name}: row {j} degree-2 part is not spanned by "
@@ -402,18 +368,9 @@ def _solve_exact(cols: list[list[Fraction]],
 # serialization
 
 
-def _fr(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GeometryError(f"bad rational {s!r}: {exc}") from None
-
-
-def _fr_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _expect_keys(d: dict, keys: set[str], where: str) -> None:
+def _expect_keys(d, keys: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise GeometryError(f"{where} must be an object")
     got = set(d)
     missing = keys - got
     unknown = got - keys
@@ -423,14 +380,50 @@ def _expect_keys(d: dict, keys: set[str], where: str) -> None:
         raise GeometryError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _reader(ok, parse, what: str):
+    """read(x, where): parse(x) for a JSON leaf x that ok accepts, else
+    GeometryError naming the field where."""
+    def read(x, where: str):
+        try:
+            if ok(x):
+                return parse(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise GeometryError(f"{where} must be {what}, not {x!r}")
+    return read
+
+
+_str = _reader(lambda x: isinstance(x, str), str, "a string")
+_int = _reader(lambda x: type(x) is int, int, "an integer")
+_fr = _reader(lambda x: type(x) in (str, int), Fraction,
+              'a rational like "1/3"')
+_rat = _reader(lambda x: isinstance(x, str), parse_lambda_rat,
+               'a λ-rational like "9/λ^3"')
+_metadata = _reader(lambda x: isinstance(x, dict) and all(
+    isinstance(v, str) for kv in x.items() for v in kv), dict,
+    "a map of strings to strings")
+
+
+def _array(x, where: str, shape: tuple, read) -> tuple:
+    """x as nested tuples of the given shape (None: any length), each leaf
+    read by read(leaf, its path)."""
+    if not shape:
+        return read(x, where)
+    n = shape[0]
+    if not isinstance(x, list) or n not in (None, len(x)):
+        raise GeometryError(
+            f"{where} must be a list" + ("" if n is None else f" of {n}"))
+    return tuple(_array(v, f"{where}[{i}]", shape[1:], read)
+                 for i, v in enumerate(x))
+
+
 def _algebra_to_dict(alg: Algebra) -> dict:
     return {
         "name": alg.name,
         "labels": list(alg.labels),
         "degrees": list(alg.degrees),
-        "sectors": [_fr_str(s) for s in alg.sectors],
+        "sectors": [str(s) for s in alg.sectors],
         "unit": alg.unit,
-        "involution": list(alg.involution),
         "table": [
             [[format_lambda_rat(c) for c in vec] for vec in row]
             for row in alg.table
@@ -439,27 +432,23 @@ def _algebra_to_dict(alg: Algebra) -> dict:
     }
 
 
-def _algebra_from_dict(d: dict) -> Algebra:
+def _algebra_from_dict(d) -> Algebra:
     _expect_keys(d, {"name", "labels", "degrees", "sectors", "unit",
-                     "involution", "table", "gram"}, "algebra")
-    labels = tuple(d["labels"])
+                     "table", "gram"}, "algebra")
+    labels = _array(d["labels"], "algebra: labels", (None,), _str)
     dim = len(labels)
-    table = tuple(
-        tuple(tuple(parse_lambda_rat(c) for c in vec) for vec in row)
-        for row in d["table"]
-    )
-    gram = tuple(tuple(parse_lambda_rat(c) for c in row) for row in d["gram"])
-    if len(table) != dim or any(len(r) != dim for r in table):
-        raise GeometryError("algebra: table shape mismatch")
+    unit = _int(d["unit"], "algebra: unit")
+    if not 0 <= unit < dim:
+        raise GeometryError(
+            f"algebra: unit must index one of the {dim} labels, not {unit}")
     return Algebra(
-        name=d["name"],
+        name=_str(d["name"], "algebra: name"),
         labels=labels,
-        degrees=tuple(int(x) for x in d["degrees"]),
-        sectors=tuple(_fr(s) for s in d["sectors"]),
-        unit=int(d["unit"]),
-        table=table,
-        gram=gram,
-        involution=tuple(int(x) for x in d["involution"]),
+        degrees=_array(d["degrees"], "algebra: degrees", (dim,), _int),
+        sectors=_array(d["sectors"], "algebra: sectors", (dim,), _fr),
+        unit=unit,
+        table=_array(d["table"], "algebra: table", (dim,) * 3, _rat),
+        gram=_array(d["gram"], "algebra: gram", (dim,) * 2, _rat),
     )
 
 
@@ -469,19 +458,15 @@ def config_to_dict(g: Geometry) -> dict:
         "description": g.description,
         "pair": g.pair,
         "side": g.side,
-        "partner": g.partner,
         "algebra": _algebra_to_dict(g.algebra),
         "variables": [
             {
                 "symbol": v.symbol,
-                "kind": v.kind,
                 "denominator": v.denominator,
-                "step": _fr_str(v.step),
+                "step": str(v.step),
                 "prefactor": None if v.prefactor is None
                 else [format_lambda_rat(c) for c in v.prefactor],
-                "scalar_exponent": _fr_str(v.scalar_exponent),
-                "factorial": v.factorial,
-                "radius": None if v.radius is None else _fr_str(v.radius),
+                "scalar_exponent": str(v.scalar_exponent),
             }
             for v in g.variables
         ],
@@ -489,63 +474,66 @@ def config_to_dict(g: Geometry) -> dict:
             {
                 "klass": [format_lambda_rat(c) for c in r.klass],
                 "charge": list(r.charge),
-                "weight": _fr_str(r.weight),
             }
             for r in g.rows
         ],
-        "sector_map": [_fr_str(s) for s in g.sector_map],
+        "sector_map": [str(s) for s in g.sector_map],
         "pi_star": [
-            {"source": s, "image": i, "r": _fr_str(r)} for s, i, r in g.pi_star
+            {"source": s, "image": i, "r": str(r)} for s, i, r in g.pi_star
         ],
         "metadata": dict(g.metadata),
     }
 
 
-def config_from_dict(d: dict) -> Geometry:
-    _expect_keys(d, {"name", "description", "pair", "side", "partner",
-                     "algebra", "variables", "rows", "sector_map",
-                     "pi_star", "metadata"}, "config")
-    variables = []
-    for vd in d["variables"]:
-        _expect_keys(vd, {"symbol", "kind", "denominator", "step", "prefactor",
-                          "scalar_exponent", "factorial", "radius"},
-                     f"variable {vd.get('symbol', '?')}")
-        variables.append(CurveVariable(
-            symbol=vd["symbol"],
-            kind=vd["kind"],
-            denominator=int(vd["denominator"]),
-            step=_fr(vd["step"]),
-            prefactor=None if vd["prefactor"] is None
-            else tuple(parse_lambda_rat(c) for c in vd["prefactor"]),
-            scalar_exponent=_fr(vd["scalar_exponent"]),
-            factorial=bool(vd["factorial"]),
-            radius=None if vd["radius"] is None else _fr(vd["radius"]),
-        ))
-    rows = []
-    for i, rd in enumerate(d["rows"]):
-        _expect_keys(rd, {"klass", "charge", "weight"}, f"row {i}")
-        rows.append(GammaRow(
-            klass=tuple(parse_lambda_rat(c) for c in rd["klass"]),
-            charge=tuple(int(c) for c in rd["charge"]),
-            weight=_fr(rd["weight"]),
-        ))
-    meta = d["metadata"]
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
-        raise GeometryError("metadata must map strings to strings")
+def _variable_from_dict(vd, where: str) -> CurveVariable:
+    if isinstance(vd, dict) and isinstance(vd.get("symbol"), str):
+        where = f"variable {vd['symbol']}"
+    _expect_keys(vd, {"symbol", "denominator", "step", "prefactor",
+                      "scalar_exponent"}, where)
+    return CurveVariable(
+        symbol=_str(vd["symbol"], f"{where}: symbol"),
+        denominator=_int(vd["denominator"], f"{where}: denominator"),
+        step=_fr(vd["step"], f"{where}: step"),
+        prefactor=None if vd["prefactor"] is None
+        else _array(vd["prefactor"], f"{where}: prefactor", (None,), _rat),
+        scalar_exponent=_fr(vd["scalar_exponent"],
+                            f"{where}: scalar_exponent"),
+    )
+
+
+def _row_from_dict(rd, where: str) -> GammaRow:
+    _expect_keys(rd, {"klass", "charge"}, where)
+    return GammaRow(
+        klass=_array(rd["klass"], f"{where}: klass", (None,), _rat),
+        charge=_array(rd["charge"], f"{where}: charge", (None,), _int),
+    )
+
+
+def _pi_star_from_dict(pd, where: str) -> tuple[str, str, Fraction]:
+    _expect_keys(pd, {"source", "image", "r"}, where)
+    return (_str(pd["source"], f"{where}: source"),
+            _str(pd["image"], f"{where}: image"),
+            _fr(pd["r"], f"{where}: r"))
+
+
+def config_from_dict(d) -> Geometry:
+    _expect_keys(d, {"name", "description", "pair", "side", "algebra",
+                     "variables", "rows", "sector_map", "pi_star",
+                     "metadata"}, "config")
     g = Geometry(
-        name=d["name"],
-        description=d["description"],
-        pair=d["pair"],
-        side=d["side"],
-        partner=d["partner"],
+        name=_str(d["name"], "config: name"),
+        description=_str(d["description"], "config: description"),
+        pair=_str(d["pair"], "config: pair"),
+        side=_str(d["side"], "config: side"),
         algebra=_algebra_from_dict(d["algebra"]),
-        variables=tuple(variables),
-        rows=tuple(rows),
-        sector_map=tuple(_fr(s) for s in d["sector_map"]),
-        pi_star=tuple(
-            (p["source"], p["image"], _fr(p["r"])) for p in d["pi_star"]
-        ),
-        metadata=dict(meta),
+        variables=_array(d["variables"], "config: variables", (None,),
+                         _variable_from_dict),
+        rows=_array(d["rows"], "config: rows", (None,), _row_from_dict),
+        sector_map=_array(d["sector_map"], "config: sector_map", (None,),
+                          _fr),
+        pi_star=_array(d["pi_star"], "config: pi_star", (None,),
+                       _pi_star_from_dict),
+        metadata=_metadata(d["metadata"], "config: metadata"),
     )
     g.validate()
     return g
@@ -576,7 +564,7 @@ def load_config(path: str) -> Geometry:
 # built-in algebras
 
 
-def _mk_algebra(name, labels, degrees, sectors, unit, prods, gram, involution):
+def _mk_algebra(name, labels, degrees, sectors, unit, prods, gram):
     dim = len(labels)
     table = []
     for i in range(dim):
@@ -601,7 +589,6 @@ def _mk_algebra(name, labels, degrees, sectors, unit, prods, gram, involution):
         unit=unit,
         table=tuple(table),
         gram=tuple(tuple(parse_lambda_rat(s) for s in row) for row in gram),
-        involution=tuple(involution),
     )
 
 
@@ -619,7 +606,6 @@ def _alg_kp2():
             ["3/λ^2", "1/λ", "0"],
             ["1/λ", "0", "0"],
         ],
-        involution=(0, 1, 2),
     )
 
 
@@ -641,7 +627,6 @@ def _alg_c3z3():
             ["0", "0", "1/3"],
             ["0", "1/3", "0"],
         ],
-        involution=(0, 2, 1),
     )
 
 
@@ -668,7 +653,6 @@ def _alg_kp113():
             ["0", "0", "0", "0", "1/3"],
             ["0", "0", "0", "1/3", "0"],
         ],
-        involution=(0, 1, 2, 4, 3),
     )
 
 
@@ -696,7 +680,6 @@ def _alg_kf3():
             ["1/λ", "0", "0", "0", "0"],
             ["1/(3λ)", "0", "(-1)/3", "0", "λ/3"],
         ],
-        involution=(0, 1, 2, 3, 4),
     )
 
 
@@ -727,7 +710,6 @@ def _alg_c3z5():
             ["0", "0", "1/5", "0", "0"],
             ["0", "1/5", "0", "0", "0"],
         ],
-        involution=(0, 4, 3, 2, 1),
     )
 
 
@@ -749,7 +731,6 @@ def _alg_op12():
             ["1/(2λ^3)", "0", "0"],
             ["0", "0", "1/2"],
         ],
-        involution=(0, 1, 2),
     )
 
 
@@ -767,7 +748,6 @@ def _alg_op2_12():
             ["1/λ^3", "1/(2λ^2)", "0"],
             ["1/(2λ^2)", "0", "0"],
         ],
-        involution=(0, 1, 2),
     )
 
 
@@ -787,14 +767,12 @@ def _geom_ex1_y():
     p = _cls(alg, **{"p": "1"})
     return Geometry(
         name="ex1-Y", description="canonical bundle of the projective plane",
-        pair="ex1", side="Y", partner="ex1-X",
+        pair="ex1", side="Y",
         algebra=alg,
-        variables=(CurveVariable("y", "divisor", prefactor=p,
-                                 radius=Fraction(1, 27)),),
+        variables=(CurveVariable("y", prefactor=p),),
         rows=(
             GammaRow(p, (1,)), GammaRow(p, (1,)), GammaRow(p, (1,)),
-            GammaRow(_cls(alg, **{"1": "λ", "p": "(-3)/1"}), (-3,),
-                     Fraction(1)),
+            GammaRow(_cls(alg, **{"1": "λ", "p": "(-3)/1"}), (-3,)),
         ),
         sector_map=(Fraction(0),),
         metadata={"patch": "resolved chamber of the anticanonical fan"},
@@ -806,15 +784,14 @@ def _geom_ex1_x():
     third = _cls(alg, **{"1_0": "λ/3"})
     return Geometry(
         name="ex1-X", description="threefold quotient point of order three",
-        pair="ex1", side="X", partner="ex1-Y",
+        pair="ex1", side="X",
         algebra=alg,
-        variables=(CurveVariable("x", "sector-insertion", denominator=3,
-                                 scalar_exponent=Fraction(1), factorial=True,
-                                 radius=Fraction(3)),),
+        variables=(CurveVariable("x", denominator=3,
+                                 scalar_exponent=Fraction(1)),),
         rows=(
-            GammaRow(third, (-1,), Fraction(1, 3)),
-            GammaRow(third, (-1,), Fraction(1, 3)),
-            GammaRow(third, (-1,), Fraction(1, 3)),
+            GammaRow(third, (-1,)),
+            GammaRow(third, (-1,)),
+            GammaRow(third, (-1,)),
             GammaRow(_cls(alg), (3,)),
         ),
         sector_map=(Fraction(1, 3),),
@@ -829,19 +806,18 @@ def _geom_ex2_y():
     return Geometry(
         name="ex2-Y",
         description="canonical bundle of the third Hirzebruch surface",
-        pair="ex2", side="Y", partner="ex2-X",
+        pair="ex2", side="Y",
         algebra=alg,
         variables=(
-            CurveVariable("y1", "divisor", prefactor=p1),
-            CurveVariable("y2", "divisor", prefactor=p2,
-                          radius=Fraction(1, 27)),
+            CurveVariable("y1", prefactor=p1),
+            CurveVariable("y2", prefactor=p2),
         ),
         rows=(
             GammaRow(p2, (0, 1)), GammaRow(p2, (0, 1)),
             GammaRow(p1, (1, 0)),
             GammaRow(_cls(alg, p1="1", p2="(-3)/1"), (1, -3)),
             GammaRow(_cls(alg, **{"1": "λ", "p1": "(-2)/1", "p2": "1"}),
-                     (-2, 1), Fraction(1)),
+                     (-2, 1)),
         ),
         sector_map=(Fraction(0), Fraction(0)),
         metadata={"patch": "fully resolved chamber"},
@@ -853,19 +829,17 @@ def _geom_ex2_x():
     return Geometry(
         name="ex2-X",
         description="canonical bundle of the (1,1,3) weighted plane",
-        pair="ex2", side="X", partner="ex2-Y",
+        pair="ex2", side="X",
         algebra=alg,
         variables=(
-            CurveVariable("x1", "divisor", denominator=3,
+            CurveVariable("x1", denominator=3,
                           prefactor=_cls(alg, p="3")),
-            CurveVariable("x2", "sector-insertion", denominator=3,
-                          factorial=True),
+            CurveVariable("x2", denominator=3),
         ),
         rows=(
             GammaRow(_cls(alg, p="1"), (1, -1)),
             GammaRow(_cls(alg, p="1"), (1, -1)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-5)/1"}), (-5, -1),
-                     Fraction(1)),
+            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-5)/1"}), (-5, -1)),
             GammaRow(_cls(alg, p="3"), (3, 0)),
             GammaRow(_cls(alg), (0, 3)),
         ),
@@ -880,13 +854,12 @@ def _geom_ex3_y():
     return Geometry(
         name="ex3-Y",
         description="canonical bundle of the (1,1,3) weighted plane",
-        pair="ex3", side="Y", partner="ex3-X",
+        pair="ex3", side="Y",
         algebra=g.algebra,
         variables=(
-            CurveVariable("y1", "divisor", denominator=3,
+            CurveVariable("y1", denominator=3,
                           prefactor=_cls(g.algebra, p="3")),
-            CurveVariable("y2", "sector-insertion", denominator=3,
-                          factorial=True),
+            CurveVariable("y2", denominator=3),
         ),
         rows=g.rows,
         sector_map=g.sector_map,
@@ -899,18 +872,17 @@ def _geom_ex3_x():
     fifth = _cls(alg, **{"1_0": "λ/5"})
     return Geometry(
         name="ex3-X", description="threefold quotient point of order five",
-        pair="ex3", side="X", partner="ex3-Y",
+        pair="ex3", side="X",
         algebra=alg,
         variables=(
-            CurveVariable("x1", "sector-insertion", denominator=5,
-                          scalar_exponent=Fraction(1), factorial=True),
-            CurveVariable("x2", "sector-insertion", denominator=5,
-                          factorial=True),
+            CurveVariable("x1", denominator=5,
+                          scalar_exponent=Fraction(1)),
+            CurveVariable("x2", denominator=5),
         ),
         rows=(
-            GammaRow(fifth, (-1, -2), Fraction(1, 5)),
-            GammaRow(fifth, (-1, -2), Fraction(1, 5)),
-            GammaRow(_cls(alg, **{"1_0": "3λ/5"}), (-3, -1), Fraction(3, 5)),
+            GammaRow(fifth, (-1, -2)),
+            GammaRow(fifth, (-1, -2)),
+            GammaRow(_cls(alg, **{"1_0": "3λ/5"}), (-3, -1)),
             GammaRow(_cls(alg), (5, 0)),
             GammaRow(_cls(alg), (0, 5)),
         ),
@@ -925,16 +897,13 @@ def _geom_ex4_y():
     return Geometry(
         name="ex4-Y",
         description="sum of degree -1 and -2 line bundles over the projective plane",
-        pair="ex4", side="Y", partner="ex4-X",
+        pair="ex4", side="Y",
         algebra=alg,
-        variables=(CurveVariable("y", "divisor", prefactor=p,
-                                 radius=Fraction(1, 4)),),
+        variables=(CurveVariable("y", prefactor=p),),
         rows=(
             GammaRow(p, (1,)), GammaRow(p, (1,)), GammaRow(p, (1,)),
-            GammaRow(_cls(alg, **{"1": "2λ", "p": "(-2)/1"}), (-2,),
-                     Fraction(2)),
-            GammaRow(_cls(alg, **{"1": "λ", "p": "(-1)/1"}), (-1,),
-                     Fraction(1)),
+            GammaRow(_cls(alg, **{"1": "2λ", "p": "(-2)/1"}), (-2,)),
+            GammaRow(_cls(alg, **{"1": "λ", "p": "(-1)/1"}), (-1,)),
         ),
         sector_map=(Fraction(0),),
         metadata={"patch": "one side of the flop wall"},
@@ -946,20 +915,16 @@ def _geom_ex4_x():
     return Geometry(
         name="ex4-X",
         description="rank-three negative line bundle over the (1,2) weighted line",
-        pair="ex4", side="X", partner="ex4-Y",
+        pair="ex4", side="X",
         algebra=alg,
-        variables=(CurveVariable("x", "divisor", denominator=2,
+        variables=(CurveVariable("x", denominator=2,
                                  step=Fraction(1, 2),
                                  prefactor=_cls(alg, p="1"),
-                                 scalar_exponent=Fraction(1),
-                                 radius=Fraction(4)),),
+                                 scalar_exponent=Fraction(1)),),
         rows=(
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,),
-                     Fraction(1)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,),
-                     Fraction(1)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,),
-                     Fraction(1)),
+            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
+            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
+            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
             GammaRow(_cls(alg, p="1"), (1,)),
             GammaRow(_cls(alg, p="2"), (2,)),
         ),
@@ -992,10 +957,6 @@ def builtin(name: str) -> Geometry:
 
 
 def pairs() -> dict[str, tuple[str, str]]:
-    """Map pair id -> (X-side name, Y-side name)."""
-    return {
-        "ex1": ("ex1-X", "ex1-Y"),
-        "ex2": ("ex2-X", "ex2-Y"),
-        "ex3": ("ex3-X", "ex3-Y"),
-        "ex4": ("ex4-X", "ex4-Y"),
-    }
+    """Map pair id -> (X-side name, Y-side name), read off BUILTIN_NAMES."""
+    ids = dict.fromkeys(name.rsplit("-", 1)[0] for name in BUILTIN_NAMES)
+    return {p: (f"{p}-X", f"{p}-Y") for p in ids}

@@ -261,21 +261,6 @@ def gamma_ratio_defining_product(d: Element, v: Fraction) -> AlgebraZ:
     return out
 
 
-def modification_factor(geom: Geometry, index: tuple[int, ...]) -> RatAZ:
-    """Product of the gamma ratios of the λ-carrying (fiber) rows.
-
-    Meaningful for geometries presented by a bundle or quotient-point
-    structure, where these rows are exactly the fiber directions.
-    """
-    alg = geom.algebra
-    out = RatAZ(AlgebraZ(alg, {0: alg.one()}))
-    for j, row in enumerate(geom.rows):
-        if row.weight != 0:
-            out = out * gamma_ratio(geom.row_element(j),
-                                    geom.shifted_index(j, index))
-    return out
-
-
 class IFunction:
     """Truncated series: coefficients per index, prefactors symbolic."""
 

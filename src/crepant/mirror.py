@@ -203,7 +203,7 @@ def extract_mirror(ifn: IFunction) -> MirrorData:
     # sector-insertion variables: target class from the unit lattice vector
     tw_info = {}
     for i, var in enumerate(geom.variables):
-        if i in div_info or var.kind != "sector-insertion":
+        if i in div_info:
             continue
         e_i = tuple(1 if j == i else 0 for j in range(nvars))
         label = geom.sector_label_index(e_i)

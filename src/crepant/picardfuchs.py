@@ -217,11 +217,11 @@ def pf_system(geom: Geometry | str) -> tuple[PFOperator, ...]:
         geom = builtin(geom)
     nv = len(geom.variables)
     forms = []
-    for row in geom.rows:
+    for j, row in enumerate(geom.rows):
         r = tuple(Fraction(c, v.denominator) / v.step
                   for c, v in zip(row.charge, geom.variables))
-        lam = row.weight + sum(c * v.scalar_exponent
-                               for c, v in zip(r, geom.variables))
+        lam = geom.weight(j) + sum(c * v.scalar_exponent
+                                   for c, v in zip(r, geom.variables))
         forms.append(LinForm(r, lam))
     ops = []
     for s in _box_shifts(geom):

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crepant.algebra import (
-    AlgebraError,
     AlgebraZ,
-    exp_nilpotent,
     nonequivariant_limit,
 )
 from crepant.geometry import builtin
@@ -78,35 +76,6 @@ def test_product_lambda_enters_with_degree():
     # twisted squares pick up λ^3 factors
     t = C3Z3.from_label("1_2/3")
     assert t * t == el(C3Z3, **{"1_1/3": "λ^3/27"})
-
-
-def test_exp_nilpotent_divisor():
-    p = KP2.from_label("p")
-    e = exp_nilpotent(p)
-    assert e.coefficient(0) == KP2.one()
-    assert e.coefficient(-1) == p
-    assert e.coefficient(-2) == el(KP2, **{"p^2": "1/2"})
-    assert e.support() == [-2, -1, 0]
-
-
-def test_exp_nilpotent_inverse_property():
-    for alg, label in [(KP2, "p"), (KF3, "p1"), (OP12, "p")]:
-        a = alg.from_label(label)
-        prod = exp_nilpotent(a) * exp_nilpotent(-a)
-        assert prod == AlgebraZ(alg, {0: alg.one()})
-
-
-def test_exp_nilpotent_rejects_non_nilpotent():
-    # p2 restricts nontrivially to the point fixed locus: p2^3 = -λ p2^2,
-    # so its exponential never terminates
-    p2 = KF3.from_label("p2")
-    with pytest.raises(AlgebraError, match="not nilpotent"):
-        exp_nilpotent(p2)
-
-
-def test_exp_nilpotent_rejects_twisted_unit():
-    with pytest.raises(AlgebraError):
-        exp_nilpotent(C3Z3.from_label("1_1/3"))
 
 
 def test_nonequivariant_limit_scalar_and_element():

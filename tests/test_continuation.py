@@ -16,7 +16,7 @@ from crepant.algebra import Algebra
 from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, _affine, _exp_jet,
                                   _frac_mp, _gamma_polygamma, _GammaDerivs,
-                                  _Kernel, _lattice_map, _RGammaDerivs,
+                                  _contour, _Kernel, _RGammaDerivs,
                                   _SineRatio, _lstsq, _numeric_algebra,
                                   _rataz_numeric, _spectrum, _to_mp,
                                   continued_ifunction, default_lambda,
@@ -181,7 +181,7 @@ def test_mb_matches_inside_series_ex4():
         geom = builtin("ex4-Y")
         na = _numeric_algebra(geom.algebra, lam, 15)
         fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=15)
-        kern = _Kernel(geom, fr, q)
+        kern = _Kernel(geom, fr, 0, q)
         total = fr.zero()
         for d in range(60):
             term = kern.right_residue(d)
@@ -199,7 +199,7 @@ def _kernel_at(ex, q, digits):
     lam = mp.mpc("0.7", "0.31")
     na = _numeric_algebra(geom.algebra, lam, digits)
     fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=digits)
-    return _Kernel(geom, fr, mp.mpf(q))
+    return _Kernel(geom, fr, 0, mp.mpf(q))
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -311,20 +311,39 @@ def test_mb_evaluation_count(ex, q):
     # evaluations, not from fewer samples
     res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
                                  digits=15, tol="1e-12")
-    assert (res.evaluations, res.height, res.corrections) == (
-        761, 12, {"ex1": 1, "ex4": 2}[ex])
+    assert (res.evaluations, res.height, res.corrections, res.wall) == (
+        761, 12, {"ex1": 1, "ex4": 2}[ex],
+        {"ex1": Fraction(1, 27), "ex4": Fraction(1, 4)}[ex])
 
 
 def test_mb_without_a_radius_is_refused():
-    # ex3-Y has no variable with a radius, so no contour direction
+    # ex3's contour variable y1 has sector_map entry -1/3, so its indices
+    # fall into 3 residue classes, and the integral sums only one
     with pytest.raises(ContinuationError,
-                       match="ex3-Y: no single-contour representation"):
+                       match="^ex3-Y: the contour variable y1 splits into 3 "
+                             "residue classes"):
         mellin_barnes_integral("ex3", "0.02")
 
 
+@pytest.mark.parametrize("ex, wall", [
+    ("ex1", Fraction(1, 27)), ("ex2", Fraction(1, 27)),
+    ("ex4", Fraction(1, 4))])
+def test_mb_wall_from_the_kernel_rates(ex, wall):
+    # prod_j |c_j|^(c_j) over the rates along the contour variable:
+    # (1, 1, 1, -3) on ex1-Y, (1, 1, 0, -3, 1) along ex2-Y's y2 and
+    # (1, 1, 1, -2, -1) on ex4-Y
+    g_y = builtin(ex + "-Y")
+    _, c = _contour(g_y, builtin(ex + "-X"))
+    lam = mp.mpc("0.7", "0.31")
+    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), "numeric", lam=lam,
+               z=mp.mpf(1), digits=15)
+    assert _Kernel(g_y, fr, c).wall == wall
+
+
 def test_mb_ex2_runs_along_y2_into_the_known_defect():
-    # y2 carries ex2-Y's radius; its dressing exp(p2 log q / z) needs p2
-    # nilpotent, which it is not at numeric lambda (an open defect)
+    # the lattice map makes y2 ex2's contour variable; its dressing
+    # exp(p2 log q / z) needs p2 nilpotent, which it is not at numeric
+    # lambda (an open defect)
     with pytest.raises(ContinuationError,
                        match="exponential of a non-nilpotent element"):
         mellin_barnes_integral("ex2", "0.02", digits=15)
@@ -510,13 +529,8 @@ def test_continued_series_keeps_no_rounding_noise(mode, truncation):
 def test_lattice_map_of_each_pair(ex, d):
     # the Y index of each X index, and the contour variable: the one Y
     # variable whose row has a negative entry (y2 for ex2, y1 for ex3)
-    g_y = builtin(ex + "-Y")
-    got = _lattice_map(g_y, builtin(ex + "-X"))
-    assert got == d
-    contour = [i for i, row in enumerate(got) if min(row) < 0]
-    assert contour == ([1] if ex == "ex2" else [0])
-    radius = [i for i, v in enumerate(g_y.variables) if v.radius is not None]
-    assert radius == ([] if ex == "ex3" else contour)
+    assert _contour(builtin(ex + "-Y"), builtin(ex + "-X")) == (
+        d, 1 if ex == "ex2" else 0)
 
 
 def test_x_side_without_a_lattice_map_is_refused(monkeypatch):
@@ -822,9 +836,17 @@ def _bad(call, kwargs, match):
     _bad(continued_ifunction, {"truncation": 2, "lam": "abc"},
          "continued_ifunction: lam must be a finite number, not 'abc'"),
     _bad(solve_umatrix, {"digits": "15"},
-         "continued_ifunction: digits must be an integer >= 10, not '15'"),
+         "solve_umatrix: digits must be an integer >= 10, not '15'"),
     _bad(solve_umatrix, {"digits": 0},
-         "continued_ifunction: digits must be an integer >= 10, not 0"),
+         "solve_umatrix: digits must be an integer >= 10, not 0"),
+    _bad(solve_umatrix, {"truncation": "3"},
+         "solve_umatrix: truncation must be a nonnegative integer, not '3'"),
+    _bad(solve_umatrix, {"truncation": -1},
+         "solve_umatrix: truncation must be a nonnegative integer, not -1"),
+    _bad(solve_umatrix, {"mode": "bogus"},
+         "solve_umatrix: unknown mode 'bogus'"),
+    _bad(solve_umatrix, {"lam": 0.5},
+         "solve_umatrix: nonequivariant mode fixes lambda = 0"),
     _bad(mellin_barnes_integral, {"q": 0},
          "mellin_barnes_integral: q must be nonzero"),
     _bad(mellin_barnes_integral, {"q": None},

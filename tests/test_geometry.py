@@ -31,7 +31,9 @@ def test_all_builtins_validate():
         g = builtin(name)
         g.validate()
         assert g.name == name
-        assert builtin(g.partner).partner == name
+        # the partner is the other side of the same pair
+        other = builtin(f"{g.pair}-{'Y' if g.side == 'X' else 'X'}")
+        assert other.pair == g.pair and other.side != g.side
 
 
 def test_unknown_builtin():
@@ -40,8 +42,15 @@ def test_unknown_builtin():
 
 
 def test_pairs_cover_builtins():
-    flat = [n for xy in pairs().values() for n in xy]
-    assert sorted(flat) == sorted(BUILTIN_NAMES)
+    assert pairs() == {
+        "ex1": ("ex1-X", "ex1-Y"),
+        "ex2": ("ex2-X", "ex2-Y"),
+        "ex3": ("ex3-X", "ex3-Y"),
+        "ex4": ("ex4-X", "ex4-Y"),
+    }
+    for ex, (x, y) in pairs().items():
+        assert (builtin(x).pair, builtin(x).side) == (ex, "X")
+        assert (builtin(y).pair, builtin(y).side) == (ex, "Y")
 
 
 def test_enumerate_degrees_one_variable():
@@ -66,8 +75,7 @@ def test_enumerate_degrees_fractional_indices():
 @given(st.integers(1, 3), st.integers(0, 6))
 def test_enumerate_degrees_graded_lex_increasing(nvar, bound):
     vs = tuple(
-        CurveVariable(f"t{i}", "sector-insertion", factorial=True)
-        for i in range(nvar))
+        CurveVariable(f"t{i}") for i in range(nvar))
     out = enumerate_degrees(DegreeLattice(vs, bound))
     keyed = [(sum(v), v) for v in out]
     assert keyed == sorted(keyed)
@@ -97,16 +105,6 @@ def test_shifted_index_and_sector():
 def test_pi_star_record():
     assert builtin("ex2-X").pi_star == (("p", "p1", Fraction(1, 3)),)
     assert builtin("ex4-X").pi_star == ()
-
-
-def test_radius_hints():
-    assert builtin("ex1-Y").variables[0].radius == Fraction(1, 27)
-    assert builtin("ex1-X").variables[0].radius == Fraction(3)
-    assert builtin("ex4-Y").variables[0].radius == Fraction(1, 4)
-    assert builtin("ex4-X").variables[0].radius == Fraction(4)
-    # ex2-Y continues along y2 only
-    assert [v.radius for v in builtin("ex2-Y").variables] == [
-        None, Fraction(1, 27)]
 
 
 def test_scalar_exponents():
@@ -154,7 +152,7 @@ def test_loader_reports_parse_location(tmp_path):
 def _rebuild(g, **kwargs):
     base = dict(
         name=g.name, description=g.description, pair=g.pair, side=g.side,
-        partner=g.partner, algebra=g.algebra, variables=g.variables,
+        algebra=g.algebra, variables=g.variables,
         rows=g.rows, sector_map=g.sector_map, pi_star=g.pi_star,
         metadata=g.metadata)
     base.update(kwargs)
@@ -175,7 +173,7 @@ def test_class_perturbation_fails_class_sum():
     rows = list(g.rows)
     vec = list(rows[0].klass)
     vec[g.algebra.labels.index("p")] = parse_lambda_rat("2")
-    rows[0] = GammaRow(tuple(vec), rows[0].charge, rows[0].weight)
+    rows[0] = GammaRow(tuple(vec), rows[0].charge)
     bad = _rebuild(g, rows=tuple(rows))
     with pytest.raises(GeometryError):
         bad.validate()
@@ -186,7 +184,7 @@ def test_charge_column_sum_check():
     rows = list(g.rows)
     rows[3] = replace(rows[3], charge=(2,))
     bad = _rebuild(g, rows=tuple(rows))
-    with pytest.raises(GeometryError, match="Calabi-Yau|factorial"):
+    with pytest.raises(GeometryError, match="Calabi-Yau"):
         bad.validate()
 
 
@@ -213,22 +211,102 @@ def GeometryError_or_algebra_error():
 
 
 def test_divisor_variables_carry_prefactors():
+    # a variable carries no prefactor (a sector insertion) exactly when a
+    # bare factorial row, zero class and charge denominator * e_i, exists
     for name in BUILTIN_NAMES:
-        for v in builtin(name).variables:
-            if v.kind == "divisor":
-                assert v.prefactor is not None
-            else:
-                assert v.prefactor is None and v.factorial
+        g = builtin(name)
+        for i, v in enumerate(g.variables):
+            bare = tuple(v.denominator if k == i else 0
+                         for k in range(len(g.variables)))
+            has = any(row.charge == bare and all(c.is_zero for c in row.klass)
+                      for row in g.rows)
+            assert (v.prefactor is None) == has, (name, v.symbol)
 
 
 def test_weights_match_classes():
-    # weight recorded on each row equals the λ-multiple of its unit part
-    for name in BUILTIN_NAMES:
+    # Geometry.weight reads the lambda-multiple off each row's unit part
+    for name, weights in [
+        ("ex4-Y", (0, 0, 0, 2, 1)),
+        ("ex1-X", (Fraction(1, 3),) * 3 + (0,)),
+        ("ex3-X", (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5), 0, 0)),
+    ]:
         g = builtin(name)
-        for j, row in enumerate(g.rows):
-            unit_coeff = row.klass[g.algebra.unit]
-            mono = unit_coeff.as_monomial()
-            if row.weight == 0:
-                assert unit_coeff.is_zero
-            else:
-                assert mono == (row.weight, 1)
+        assert tuple(g.weight(j) for j in range(len(g.rows))) == weights
+
+
+@pytest.mark.parametrize("level, key", [
+    ("variable", "kind"), ("variable", "factorial"), ("variable", "radius"),
+    ("row", "weight"), ("config", "partner"), ("algebra", "involution"),
+])
+def test_loader_refuses_a_derived_field(level, key):
+    # these are derived from the other fields, so a config may not set them
+    d = config_to_dict(builtin("ex1-X"))
+    target = {"config": d, "algebra": d["algebra"],
+              "variable": d["variables"][0], "row": d["rows"][0]}[level]
+    target[key] = None
+    with pytest.raises(GeometryError,
+                       match=rf"unknown fields \['{key}'\]"):
+        config_from_dict(d)
+
+
+_DELETE = object()
+
+
+def _malformed(path, value, match):
+    """A copy of ex1-Y's config whose entry at path (keys and indices)
+    becomes value, or is deleted for _DELETE, and the error it must raise."""
+    what = "-del" if value is _DELETE else f"={value!r}"
+    return pytest.param(path, value, match,
+                        id=".".join(map(str, path)) + what)
+
+
+@pytest.mark.parametrize("path, value, match", [
+    _malformed(("variables", 0, "denominator"), None,
+               "variable y: denominator must be an integer, not None"),
+    _malformed(("variables", 0, "denominator"), "x",
+               "variable y: denominator must be an integer, not 'x'"),
+    _malformed(("variables",), 5, "config: variables must be a list"),
+    _malformed(("variables", 0), "y",
+               r"config: variables\[0\] must be an object"),
+    _malformed(("variables", 0, "step"), 0.5,
+               "variable y: step must be a rational"),
+    _malformed(("variables", 0, "prefactor"), "p",
+               "variable y: prefactor must be a list"),
+    _malformed(("rows", 0, "charge"), ["x"],
+               r"config: rows\[0\]: charge\[0\] must be an integer, "
+               "not 'x'"),
+    _malformed(("rows", 0, "klass", 1), 1,
+               r"config: rows\[0\]: klass\[1\] must be a λ-rational"),
+    _malformed(("rows",), {}, "config: rows must be a list"),
+    _malformed(("algebra", "unit"), "a", "algebra: unit must be an integer"),
+    _malformed(("algebra", "unit"), 7,
+               "algebra: unit must index one of the 3 labels, not 7"),
+    _malformed(("algebra", "gram", 0, 1), "x",
+               r"algebra: gram\[0\]\[1\] must be a λ-rational"),
+    _malformed(("algebra", "degrees", 2), _DELETE,
+               "algebra: degrees must be a list of 3"),
+    _malformed(("algebra", "sectors", 2), _DELETE,
+               "algebra: sectors must be a list of 3"),
+    _malformed(("algebra", "table", 1, 1), ["0"],
+               r"algebra: table\[1\]\[1\] must be a list of 3"),
+    _malformed(("algebra", "labels", 0), 1,
+               r"algebra: labels\[0\] must be a string"),
+    _malformed(("algebra",), [], "algebra must be an object"),
+    _malformed(("pi_star",), [{"source": "p", "r": "1"}],
+               r"config: pi_star\[0\]: missing fields \['image'\]"),
+    _malformed(("sector_map", 0), None,
+               r"config: sector_map\[0\] must be a rational"),
+    _malformed(("name",), 3, "config: name must be a string"),
+    _malformed(("metadata",), [], "config: metadata must be a map of strings"),
+])
+def test_malformed_config_names_the_field(path, value, match):
+    d = config_to_dict(builtin("ex1-Y"))
+    target = d
+    for k in path[:-1]:
+        target = target[k]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    with pytest.raises(GeometryError, match="^" + match):
+        config_from_dict(d)

@@ -16,7 +16,6 @@ from crepant.ifunction import (
     expand_prefactor,
     gamma_ratio,
     gamma_ratio_defining_product,
-    modification_factor,
 )
 
 EX1Y = builtin("ex1-Y")
@@ -110,17 +109,6 @@ def test_gamma_ratio_fractional_empty_window():
     d = EX1X.row_element(0)
     g = gamma_ratio(d, Fraction(-1, 3))
     assert g.num == AlgebraZ(alg, {0: alg.one()})
-
-
-def test_modification_factor_examples():
-    alg = EX1X.algebra
-    one = AlgebraZ(alg, {0: alg.one()})
-    lam3 = EX1X.row_element(0)  # (λ/3)·unit
-    m3 = modification_factor(EX1X, (3,))
-    assert m3.num == AlgebraZ(alg, {0: lam3 * lam3 * lam3})
-    assert modification_factor(EX1X, (2,)).num == one
-    y = EX1Y.algebra
-    assert modification_factor(EX1Y, (0,)).num == AlgebraZ(y, {0: y.one()})
 
 
 def test_build_ex1y_degree_one():

@@ -1,6 +1,7 @@
 """Checks on the sources themselves."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crepant"
@@ -44,3 +45,50 @@ def test_every_private_top_level_name_has_a_reference():
               if name.startswith("_") and not name.startswith("__")
               and not any(name in r for j, r in enumerate(reads) if j != i)]
     assert not unused
+
+
+def _schema_keys(doc: str) -> dict:
+    """{path: keys} of the config schema in a docstring, path the keys
+    leading to each object; a list of objects shares its object's path."""
+    block = doc[doc.index("Config file schema"):doc.index("where rat is")]
+    block = re.sub(r"#.*", "", block)
+    keys: dict = {}
+    stack: list = []
+    last = None
+    for m in re.finditer(r'"(\w+)"\s*:|[{}]', block):
+        if m.group(0) == "{":
+            stack.append(last)
+            keys.setdefault(tuple(stack[1:]), set())
+        elif m.group(0) == "}":
+            stack.pop()
+        else:
+            last = m.group(1)
+            keys.setdefault(tuple(stack[1:]), set()).add(last)
+    return keys
+
+
+def _emitted_keys(d: dict, path=(), out=None) -> dict:
+    """The same map for a dict config_to_dict emits; metadata is a free
+    string map, not a schema level."""
+    out = {} if out is None else out
+    out.setdefault(path, set()).update(d)
+    for k, v in d.items():
+        for item in v if isinstance(v, list) else [v]:
+            if isinstance(item, dict) and k != "metadata":
+                _emitted_keys(item, path + (k,), out)
+    return out
+
+
+def test_config_schema_in_the_docstring_matches_config_to_dict():
+    # every level (top, algebra, variable, row, pi_star entry) lists the
+    # keys the serializer writes, no more and no fewer
+    from crepant import BUILTIN_NAMES, builtin, config_to_dict, geometry
+    doc = _schema_keys(geometry.__doc__)
+    assert doc.pop(("metadata",)) == set()
+    emitted: dict = {}
+    for name in BUILTIN_NAMES:
+        _emitted_keys(config_to_dict(builtin(name)), out=emitted)
+    assert doc == emitted
+    assert {p: len(k) for p, k in doc.items()} == {
+        (): 10, ("algebra",): 7, ("variables",): 5, ("rows",): 2,
+        ("pi_star",): 3}
