@@ -82,6 +82,15 @@ tanh-sinh when poles sit a few tenths from the line.  The kernel builds its
 s-independent algebra once: head times exp(P log q / z), and each row's
 spectrum, so that on the contour a row costs one jet per root of its
 class part.  exp(P log q / z) is refused unless P is nilpotent.
+
+Caches.  Three module dicts keep work that recurs across calls:
+_NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
+_SPECTRA the _Spectrum of each class, keyed (id(numeric algebra), digits,
+precision, the class's terms); _XSIDE_CACHE the X side's exact prefactor
+expansion, keyed (id(geometry), truncation), which serves both modes and
+every lambda, z and precision.  _NA_CACHE and _XSIDE_CACHE store the
+keyed object too and rebuild when it is not the one asked for, so a
+recycled id cannot return another object's entry.
 """
 
 from __future__ import annotations
@@ -230,15 +239,6 @@ class NumericAlgebra:
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def sector_index(self, f: Fraction) -> int:
-        if f == 0:
-            return self.unit
-        hits = [i for i, s in enumerate(self.algebra.sectors) if s == f]
-        if len(hits) != 1:
-            raise ContinuationError(
-                f"{self.algebra.name}: no unique class in sector {f}")
-        return hits[0]
-
 
 _NA_CACHE: dict = {}
 
@@ -351,6 +351,71 @@ def negate_z(x: NilExpansion) -> NilExpansion:
 # evaluation of analytic functions on algebra-valued arguments
 
 
+def _lu_decomp(a: list) -> tuple:
+    """(lu, perm) of the square matrix a, a list of rows, as mp.LU_decomp
+    factors an mp.matrix of the same entries, bit for bit: the same
+    tolerance absmin(mnorm(a, 1) * eps), the same reciprocal-row-sum pivot
+    rule and the same operations in the same order, with every exact zero
+    stored as mp.zero, as mp.matrix stores it (an mpc(0, 0) would change
+    the type and rounding of later divisions).  a is not changed.  Where
+    mp.LU_decomp finds no usable pivot this raises ContinuationError.
+    """
+    n = len(a)
+    zero, absmin = mp.zero, mp.absmin
+    a = [[v if v else zero for v in row] for row in a]
+    singular = ContinuationError(
+        "rank-deficient normal equations (no usable pivot)")
+    tol = absmin(max(mp.fsum((row[j] for row in a), absolute=1)
+                     for j in range(n)) * mp.eps)
+    perm = []
+    for j in range(n - 1):
+        biggest, pivot = 0, None
+        for k in range(j, n):
+            s = mp.fsum([absmin(v) for v in a[k][j:]])
+            if absmin(s) <= tol:
+                raise singular
+            current = 1 / s * absmin(a[k][j])
+            if current > biggest:
+                biggest, pivot = current, k
+        if pivot is None:
+            raise singular
+        perm.append(pivot)
+        a[j], a[pivot] = a[pivot], a[j]
+        top = a[j]
+        if absmin(top[j]) <= tol:
+            raise singular
+        for row in a[j + 1:]:
+            f = row[j] / top[j]
+            row[j] = f = f if f else zero
+            for k in range(j + 1, n):
+                v = row[k] - f * top[k]
+                row[k] = v if v else zero
+    if absmin(a[n - 1][n - 1]) <= tol:
+        raise singular
+    return a, perm
+
+
+def _lu_solve(lu: list, perm: list, b: list) -> list:
+    """x with lu x = b permuted by perm: mp.L_solve then mp.U_solve on
+    lists, bit for bit, exact zeros stored as mp.zero."""
+    zero = mp.zero
+    x = [v if v else zero for v in b]
+    for k, p in enumerate(perm):
+        x[k], x[p] = x[p], x[k]
+    n = len(x)
+    for i in range(1, n):
+        for j in range(i):
+            v = x[i] - lu[i][j] * x[j]
+            x[i] = v if v else zero
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            v = x[i] - lu[i][j] * x[j]
+            x[i] = v if v else zero
+        v = x[i] / lu[i][i]
+        x[i] = v if v else zero
+    return x
+
+
 def _lstsq(cols, bs, rows: int, p=2):
     """Least-squares solutions of A x = b for several right-hand sides.
 
@@ -359,14 +424,14 @@ def _lstsq(cols, bs, rows: int, p=2):
     equations.  Returns (xs, residuals): per b, the solution list and
     mp.norm(A x - b, p).
 
-    One pivoted LU of the normal equations, at 10 extra bits as in
-    mp.lu_solve, serves every b; they square the condition number, which
-    the working precision absorbs for these small exact systems.  Each
-    entry of A^H A and A^H b is one mp.fdot over the rows its two columns
-    share: fdot rounds once, so the zero products of the dense product
-    change no value, and the entry is made complex where the dense product
-    is (mpmath divides by an mpc with zero imaginary part differently from
-    an mpf).  Solutions and residuals are those of the dense
+    One pivoted LU of the normal equations, on lists (_lu_decomp), at 10
+    extra bits as in mp.lu_solve, serves every b; they square the
+    condition number, which the working precision absorbs for these small
+    exact systems.  Each entry of A^H A and A^H b is one mp.fdot over the
+    rows its two columns share: fdot rounds once, so the zero products of
+    the dense product change no value, and the entry is made complex where
+    the dense product is (mpmath divides by an mpc with zero imaginary part
+    differently from an mpf).  Solutions and residuals are those of the dense
     mp.lu_solve(A.H * A, A.H * b) and mp.norm(A * x - b, p), bit for bit.
     """
     # an exact zero, even a complex one, is no entry, as in a dense matrix
@@ -381,26 +446,18 @@ def _lstsq(cols, bs, rows: int, p=2):
             return mp.make_mpc((s._mpf_, fzero))
         return s
 
-    gram = mp.matrix(n, n)
-    for i in range(n):
-        for j, cj in enumerate(cols):
-            gram[i, j] = typed(mp.fdot((ci, cj[r]) for r, ci in conj[i]
-                                       if r in cj), cplx[i] or cplx[j])
+    gram = [[typed(mp.fdot((ci, cj[r]) for r, ci in conj[i] if r in cj),
+                   cplx[i] or cplx[j]) for j, cj in enumerate(cols)]
+            for i in range(n)]
     rhs = []
     for b in bs:
         bc = any(type(v) is mp.mpc for v in b.values())
-        rhs.append(mp.matrix([typed(mp.fdot((ci, b[r]) for r, ci in conj[i]
-                                            if r in b), cplx[i] or bc)
-                              for i in range(n)]))
+        rhs.append([typed(mp.fdot((ci, b[r]) for r, ci in conj[i]
+                                  if r in b), cplx[i] or bc)
+                    for i in range(n)])
     with mp.extraprec(10):
-        try:
-            lu, perm = mp.LU_decomp(gram)
-        except (ZeroDivisionError, TypeError):
-            # LU_decomp raises ZeroDivisionError on a numerically singular
-            # matrix, and TypeError (in swap_row) on a column with no pivot
-            raise ContinuationError(
-                "rank-deficient normal equations (no usable pivot)") from None
-        xs = [list(mp.U_solve(lu, mp.L_solve(lu, v, perm))) for v in rhs]
+        lu, perm = _lu_decomp(gram)
+        xs = [_lu_solve(lu, perm, v) for v in rhs]
     by_row: dict = {}
     for j, c in enumerate(cols):
         for r, v in c.items():
@@ -778,8 +835,11 @@ class _SineRatio:
         with mp.extraprec(lost):
 
             def sin_series(a):
-                return [(mp.pi * a) ** i * mp.sinpi(a * x + mp.mpf(i) / 2)
-                        / factorial(i) for i in range(size)]
+                # d^i/dx^i sin(pi a x) cycles through sin, cos, -sin, -cos
+                s, c = mp.sinpi(a * x), mp.cospi(a * x)
+                cycle = (s, c, -s, -c)
+                return [(mp.pi * a) ** i * cycle[i % 4] / factorial(i)
+                        for i in range(size)]
 
             num = reduce(_series_mul, [sin_series(a) for a in self.rates])
             den = sin_series(1)
@@ -1184,6 +1244,22 @@ def _rataz_symbolic(co: RatAZ, na: NumericAlgebra,
     return NilExpansion(na, out)
 
 
+_XSIDE_CACHE: dict = {}
+
+
+def _xside_expansion(g_x: Geometry, truncation: int) -> dict:
+    """The X side's exact prefactor expansion, built once per geometry and
+    truncation: it depends on no mode, lambda, z or precision.  Callers
+    read it and must not change it."""
+    key = (id(g_x), truncation)
+    cached = _XSIDE_CACHE.get(key)
+    if cached is None or cached[0] is not g_x:
+        pre = expand_prefactor(build_ifunction(g_x, truncation),
+                               log_order=_LOG_ORDER)
+        cached = _XSIDE_CACHE[key] = (g_x, pre)
+    return cached[1]
+
+
 def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
                 lam=None, z=None, digits: int = DEFAULT_DIGITS,
                 zmin: Optional[int] = None):
@@ -1198,8 +1274,7 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
     lam, z = _parameters(f"{ex}: xside_terms", mode, lam, z, digits,
                          truncation)
     g_x = builtin(ex + "-X")
-    ifn = build_ifunction(g_x, truncation)
-    pre = expand_prefactor(ifn, log_order=_LOG_ORDER)
+    pre = _xside_expansion(g_x, truncation)
     with mp.workdps(digits + 10):
         na = _numeric_algebra(g_x.algebra, lam, digits)
         terms = {}
@@ -1449,7 +1524,7 @@ class _Kernel:
                                       fr.sinpi(arg) if c < 0 else None))
             else:
                 gammas += [fr.rgamma(_affine(1, (1, arg)))] * mult
-        sector = fr.na.sector_index(geom.sector_of(base))
+        sector = geom.sector_label_index(base)
         if sector != alg.unit:
             gammas.append(NilExpansion.basis(fr.na, alg.labels[sector]))
         odd = sum(-r.c * r.mult for r in self.rows if r.c < 0)

@@ -58,7 +58,7 @@ from .lambda_rat import (
     format_lambda_rat,
     parse_lambda_rat,
 )
-from .algebra import Algebra, AlgebraError, Element
+from .algebra import Algebra, Element
 
 
 class GeometryError(ValueError):

@@ -11,11 +11,11 @@ one-point invariants with k ψ-insertions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Algebra, AlgebraZ, Element
+from .algebra import Element
 from .geometry import Geometry, enumerate_degrees
 from .ifunction import IFunction
 from .lambda_rat import LambdaRat, format_lambda_rat

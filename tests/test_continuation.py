@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import crepant.continuation as continuation
-from crepant import LambdaRat, build_ifunction, builtin
+from crepant import LambdaRat, build_ifunction, builtin, expand_prefactor
 from crepant.algebra import Algebra
 from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, _affine, _exp_jet,
                                   _frac_mp, _gamma_polygamma, _GammaDerivs,
-                                  _contour, _Kernel, _RGammaDerivs,
-                                  _SineRatio, _lstsq, _numeric_algebra,
-                                  _rataz_numeric, _spectrum, _to_mp,
+                                  _contour, _Kernel, _lu_decomp, _lu_solve,
+                                  _RGammaDerivs, _SineRatio, _lstsq,
+                                  _numeric_algebra, _rataz_numeric,
+                                  _spectrum, _to_mp, _xside_expansion,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral, negate_z,
                                   solve_umatrix, xside_terms)
@@ -445,8 +446,9 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                 gw = fr.gamma(Arg(bw, 1, {"p": -5}))
                 gq = fr.gamma(_arg(1, 0, p=3))
                 val = ratio * gp * gp * gw * gq * rga * rga * rgb
-                val = val * NilExpansion.basis(fr.na, fr.na.labels[
-                    fr.na.sector_index(sig)])
+                sector = (fr.na.unit if sig == 0
+                          else fr.na.algebra.sectors.index(sig))
+                val = val * NilExpansion.basis(fr.na, fr.na.labels[sector])
                 scale = Fraction((-1) ** (mint % 2 + nh % 2),
                                  5 * factorial(e) * factorial(nh))
                 # overall -1: orientation of the closed contour, anchored so
@@ -758,6 +760,131 @@ def test_lstsq_zero_column_is_rank_deficient():
         cols = [{0: mp.mpf(1), 1: mp.mpf(2)}, {}]
         with pytest.raises(ContinuationError, match="rank-deficient"):
             _lstsq(cols, [{0: mp.mpf(1)}], 3)
+
+
+def _gaussian(spec):
+    kind, re, im = spec
+    if kind == "real":
+        return mp.mpf(re)
+    return mp.mpc(re, im if kind == "complex" else 0)
+
+
+# small Gaussian integers, so that elimination cancels exactly and leaves
+# exact zeros, complex ones among them
+_GAUSSIAN = st.tuples(st.sampled_from(["real", "complex", "complex0"]),
+                      st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _assert_lu_matches_mpmath(gram, b):
+    """_lu_decomp and _lu_solve equal mp.LU_decomp and mp.L_solve/U_solve
+    on the same entries: values, types and pivots, or both refuse."""
+    ctx = mp.mp  # LU_decomp, L_solve and U_solve live on the context
+    dense = mp.matrix(gram)
+    try:
+        want_lu, want_perm = ctx.LU_decomp(dense)
+    except (ZeroDivisionError, TypeError):
+        with pytest.raises(ContinuationError, match="no usable pivot"):
+            _lu_decomp(gram)
+        return None
+    lu, perm = _lu_decomp(gram)
+    n = len(gram)
+    want = [[want_lu[i, j] for j in range(n)] for i in range(n)]
+    assert perm == want_perm
+    assert lu == want
+    assert [[type(v) for v in row] for row in lu] == [
+        [type(v) for v in row] for row in want]
+    x = _lu_solve(lu, perm, b)
+    want_x = list(ctx.U_solve(want_lu, ctx.L_solve(want_lu, mp.matrix(b),
+                                                    want_perm)))
+    assert x == want_x
+    assert [type(v) for v in x] == [type(v) for v in want_x]
+    return lu
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_GAUSSIAN, min_size=n, max_size=n),
+             min_size=n, max_size=n + 2),
+    st.lists(_GAUSSIAN, min_size=n, max_size=n))))
+def test_lu_equals_mpmath_on_gram_matrices(system):
+    table, rhs = system
+    n = len(rhs)
+    with mp.workdps(30):
+        a = [[_gaussian(e) for e in row] for row in table]
+        gram = [[mp.fsum(mp.conj(row[i]) * row[j] for row in a)
+                 for j in range(n)] for i in range(n)]
+        _assert_lu_matches_mpmath(gram, [_gaussian(e) for e in rhs])
+
+
+_I = mp.mpc(0, 1)
+
+
+@pytest.mark.parametrize("gram, b", [
+    # elimination leaves -i - (-i)(1) = mpc(0, 0) in U at (1, 2)
+    ([[mp.mpc(1), _I, mp.mpc(1)], [-_I, mp.mpc(2), -_I],
+      [mp.mpc(1), _I, mp.mpc(3)]], [mp.mpc(1), _I, mp.mpc(0)]),
+    # the forward solve leaves mpc(2, 0) - 0.5 * 4 = mpc(0, 0) in x[1]; as
+    # an mpf zero it keeps x[2] real
+    ([[mp.mpf(4), mp.mpf(2), mp.mpf(1)], [mp.mpf(2), mp.mpf(5), mp.mpf(2)],
+      [mp.mpf(1), mp.mpf(2), mp.mpf(6)]],
+     [mp.mpf(4), mp.mpc(2, 0), mp.mpf(3)]),
+])
+def test_lu_stores_an_eliminated_complex_zero_as_mp_zero(gram, b):
+    # mp.matrix drops an exact mpc(0, 0), so mpmath goes on with mp.zero,
+    # an mpf, which changes the type of what is computed from it
+    with mp.workdps(30):
+        assert _assert_lu_matches_mpmath(gram, b) is not None
+
+
+def test_lu_of_a_singular_matrix_is_rank_deficient():
+    zero, one = mp.mpf(0), mp.mpf(1)
+    for gram in ([[one, one], [one, one]], [[zero, one], [zero, one]],
+                 [[zero]]):
+        with mp.workdps(30), pytest.raises(
+                ContinuationError,
+                match=r"rank-deficient normal equations \(no usable pivot\)"):
+            _lu_decomp(gram)
+
+
+def test_xside_expansion_is_built_once_per_geometry_and_truncation(
+        monkeypatch):
+    monkeypatch.setattr(continuation, "_XSIDE_CACHE", {})
+    calls = []
+    real = continuation.build_ifunction
+
+    def counted(geom, truncation):
+        calls.append((geom.name, truncation))
+        return real(geom, truncation)
+
+    monkeypatch.setattr(continuation, "build_ifunction", counted)
+    for lam in (default_lambda(), mp.mpc("0.4", "0.2")):
+        solve_umatrix("ex1", mode="equivariant-numeric", lam=lam, digits=30)
+    solve_umatrix("ex1", digits=30)
+    solve_umatrix("ex1", truncation=4, digits=30)
+    assert sorted(calls) == [("ex1-X", 4), ("ex1-X", 5)]
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_cached_xside_expansion_equals_a_fresh_one(ex):
+    g_x = builtin(ex + "-X")
+    trunc = g_x.algebra.dim + 2
+    fresh = expand_prefactor(build_ifunction(g_x, trunc),
+                             log_order=continuation._LOG_ORDER)
+    assert _xside_expansion(g_x, trunc) == fresh
+
+
+def test_xside_terms_repeat_after_the_solve(monkeypatch):
+    # the first call builds the expansion, the solve reads it from the
+    # cache, and a second call sees it unchanged
+    monkeypatch.setattr(continuation, "_XSIDE_CACHE", {})
+
+    def terms():
+        xt, _, _ = xside_terms("ex4", 5, mode="nonequivariant", digits=30)
+        return {k: v.terms for k, v in xt.items()}
+
+    first = terms()
+    solve_umatrix("ex4", digits=30)
+    assert terms() == first
 
 
 def _zero_x_side(monkeypatch, keep=lambda i: False):

@@ -1,7 +1,6 @@
 """Geometry configs: builtins, validation invariants, JSON round-trip."""
 
 import gc
-import json
 from dataclasses import replace
 from fractions import Fraction
 

@@ -92,3 +92,25 @@ def test_config_schema_in_the_docstring_matches_config_to_dict():
     assert {p: len(k) for p, k in doc.items()} == {
         (): 10, ("algebra",): 7, ("variables",): 5, ("rows",): 2,
         ("pi_star",): 3}
+
+
+def test_every_imported_name_is_read():
+    # an import nothing reads is dead; the package's __init__ imports only
+    # to re-export
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "__future__":
+                continue
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}: {name}" for a in n.names
+                           for name in [a.asname or a.name.split(".")[0]]
+                           if name not in loads]
+    assert paths
+    assert not unread
