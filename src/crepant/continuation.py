@@ -27,10 +27,9 @@ eigenvalues.  Either way it is exact and finite, which matters because the
 naive polygamma power series diverges on algebras whose degree-two classes
 are not nilpotent at numeric lambda.  A jet of Gamma or 1/Gamma of order
 >= 1 takes its value and every polygamma order from one fixed-point pass
-(_gamma_polygamma): in Python integers scaled by 2^wp, one recurrence shift
-and one Stirling tail serve Gamma and all orders at once, with guard bits
-for the smallest order; order-0 jets stay on mp.gamma and mp.rgamma.  A
-power Gamma^mult is the jet of exp(mult log Gamma).
+(_gamma_pass): in Python integers scaled by 2^wp, one recurrence shift
+and one Stirling tail serve log Gamma and all orders at once, with guard
+bits for the smallest order; order-0 jets stay on mp.gamma and mp.rgamma.
 
 The Mellin-Barnes kernel is derived from the Y side's gamma rows.  It
 sums one residue class of Y indices, d = base + N m e_c for m = 0, 1, ...,
@@ -78,10 +77,16 @@ sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
 
 The integral integrates each component of the kernel along the contour
 with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
-tanh-sinh when poles sit a few tenths from the line.  The kernel builds its
-s-independent algebra once: head times exp(P log q / z), and each row's
-spectrum, so that on the contour a row costs one jet per root of its
-class part.  exp(P log q / z) is refused unless P is nilpotent.
+tanh-sinh when poles sit a few tenths from the line.  On the contour row j
+is Gamma(x_j + a_j tau)^(e_j), x_j = |c_j| s + offset, e_j = mult for the
+Gamma rows and -mult for the 1/Gamma rows, tau one nilpotent class (other
+rows, and exp(P log q / z) with P not nilpotent, are refused).  With
+_gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
+    K(s) = pi/sin(pi s) e^l/D sum_k E_k hp tau^k,  D = prod_j P_j^(e_j),
+    l = s log q + sum_j e_j log Gamma(y_j),  E_0 = 1,  E_k = sum_{i<=k}
+    i n_i E_(k-i)/k,  n_k = sum_j e_j a_j^k psi^(k-1)(x_j)/k!,
+hp = head exp(P log q / z), and every hp tau^k != 0 is built once: an
+evaluation is one pass per row, scalar work and one exponential.
 
 Caches.  Three module dicts keep work that recurs across calls:
 _NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
@@ -99,17 +104,17 @@ import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import count, permutations, product
-from math import comb, factorial, prod
+from functools import reduce
+from itertools import chain, count, permutations, product
+from math import comb, factorial, isqrt, prod
 from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
 from mpmath.libmp import (bernfrac, from_int, from_man_exp,
                           fzero, mpc_div, mpc_exp, mpc_log, mpc_mul,
-                          mpc_reciprocal, mpf_add, round_nearest, to_fixed,
-                          to_int)
+                          mpc_reciprocal, mpf_add, round_floor, round_nearest,
+                          to_fixed, to_int)
 from mpmath.libmp.gammazeta import ln_sqrt2pi_fixed
 
 from .algebra import Algebra
@@ -263,14 +268,15 @@ class NilExpansion:
     terms maps (basis index, z exponent) to an mpmath number.  In numeric-z
     mode every exponent is 0; in symbolic-z mode exponents are integers and
     the object is a finite Laurent polynomial in z with algebra-element
-    coefficients.
+    coefficients.  terms is kept as given, not copied; the sums that can
+    cancel (+, * and _summed) drop their exact zeros.
     """
 
     __slots__ = ("na", "terms")
 
     def __init__(self, na: NumericAlgebra, terms=None):
         self.na = na
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+        self.terms = {} if terms is None else terms
 
     @classmethod
     def unit(cls, na, scale=1):
@@ -293,14 +299,7 @@ class NilExpansion:
     def __add__(self, other):
         if not isinstance(other, NilExpansion):
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return NilExpansion(self.na, out)
+        return _summed(self.na, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return NilExpansion(self.na, {k: -v for k, v in self.terms.items()})
@@ -328,7 +327,7 @@ class NilExpansion:
                     for k, s in table[(i, j)]:
                         key = (k, e1 + e2)
                         out[key] = out[key] + f * s if key in out else f * s
-            return NilExpansion(self.na, out)
+            return NilExpansion(self.na, {k: v for k, v in out.items() if v})
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -337,6 +336,14 @@ class NilExpansion:
         parts = [f"{self.na.labels[i]}*z^{ze}: {mp.nstr(v, 8)}"
                  for (i, ze), v in sorted(self.terms.items())]
         return "NilExpansion(" + ", ".join(parts) + ")"
+
+
+def _summed(na: NumericAlgebra, items) -> NilExpansion:
+    """The sum of the (key, value) items, without its exact zeros."""
+    out: dict = {}
+    for key, v in items:
+        out[key] = out[key] + v if key in out else v
+    return NilExpansion(na, {k: v for k, v in out.items() if v})
 
 
 def negate_z(x: NilExpansion) -> NilExpansion:
@@ -560,12 +567,8 @@ class _Spectrum:
                    / (nodes[owner[i + w]][0] - nodes[owner[i]][0])
                    for i in range(len(owner) - w)]
             coeffs.append(col[0])
-        terms: dict = {}
-        for b, c in zip(self.basis, coeffs):
-            for key, v in b:
-                cv = v * c
-                terms[key] = terms[key] + cv if key in terms else cv
-        return NilExpansion(self.na, terms)
+        return _summed(self.na, ((key, v * c) for b, c in
+                                 zip(self.basis, coeffs) for key, v in b))
 
 
 _SPECTRA: dict = {}
@@ -608,14 +611,18 @@ def _gamma_pole_at(x, tol) -> Optional[int]:
 _BERNOULLI: dict = {}
 
 
-def _gamma_polygamma(x, n: int):
-    """(Gamma(x), [psi^(m)(x) for m = 0..n-1]) from one fixed-point pass.
+def _gamma_pass(x, n: int):
+    """(log Gamma(y), P(x), wp, [psi^(m)(x) for m = 0..n-1]): log Gamma(y)
+    and P(x) as raw mpc at wp bits, Gamma(x) = exp(log Gamma(y))/P(x).
 
     The arithmetic is mpmath's own for mpc_gamma: Python integers scaled
-    by 2^wp.  One shift loop moves x to y = x + N with Re y >= 0.11 (prec
-    + 20) + 6, and accumulates P(x) = prod_k (x+k) and the power sums
-    S_m = sum_k (x+k)^-(m+1) of every order m, so that
-    Gamma(x) = Gamma(y)/P(x) and psi^(m)(x) = psi^(m)(y) - (-1)^m m! S_m.
+    by 2^wp.  One shift loop moves x to y = x + N and accumulates
+    P(x) = prod_k (x+k) and the power sums S_m = sum_k (x+k)^-(m+1) of every
+    order m, so that psi^(m)(x) = psi^(m)(y) - (-1)^m m! S_m.  As in
+    mpc_gamma, N is the least shift with Re y >= 0 and |y| >= M =
+    0.11 (prec + 20) + 6 (up to Re x's fractional part): with h = floor
+    |Im x|, N = max(0, ceil(sqrt(M^2 - h^2)) - trunc Re x, -floor Re x),
+    M - trunc Re x near the real axis and 0 far up the contour.
     One Stirling loop at y shares each term B_2k u^2k, u = 1/y, between
     log Gamma(y) = (y - 1/2) log y - y + log sqrt(2 pi)
                    + y sum_k B_2k/(2k (2k-1)) u^2k
@@ -624,7 +631,7 @@ def _gamma_polygamma(x, n: int):
     psi^(m)(y) = (-1)^(m+1) u^m [(m-1)! + m!/2 u
                                  + sum_k B_2k (2k+m-1)!/(2k)! u^2k].
     The tail is asymptotic, so it stops at its smallest term if that comes
-    before 2^-(prec+20); the shift makes the smallest term about
+    before 2^-(prec+20); |y| >= M makes the smallest term about
     e^(-2 pi |y|), below that.  u^2k is kept as a mantissa of about wp
     bits and a binary exponent, as in mpmath's complex_stirling_series,
     because B_2k grows faster than a fixed-point u^2k would keep its bits.
@@ -640,7 +647,9 @@ def _gamma_polygamma(x, n: int):
     prec = mp.prec
     real = isinstance(x, mp.mpf)
     a, b = (x._mpf_, fzero) if real else x._mpc_
-    shift = max(0, int(0.11 * (prec + 20)) + 6 - to_int(a))
+    least, im = int(0.11 * (prec + 20)) + 6, abs(to_int(b))
+    root = isqrt(least * least - im * im - 1) + 1 if im < least else 0
+    shift = max(0, root - to_int(a), -to_int(a, round_floor))
     ybits = (abs(to_int(a)) + shift + abs(to_int(b)) + 1).bit_length()
     wp = prec + 24 + max(n - 1, 1) * ybits
     one = 1 << wp
@@ -714,8 +723,7 @@ def _gamma_polygamma(x, n: int):
     den = (from_man_exp(pre, -wp), from_man_exp(pim, -wp))
     if near is not None:
         den = mpc_mul(den, near, wp)
-    gamma = mpc_div(mpc_exp((from_man_exp(gre, -wp), from_man_exp(gim, -wp)),
-                            wp), den, prec, round_nearest)
+    lgamma = (from_man_exp(gre, -wp), from_man_exp(gim, -wp))
     out = []
     if n:
         out.append((lyre - (ure >> 1) - ore[0] - sre[0],
@@ -731,47 +739,52 @@ def _gamma_polygamma(x, n: int):
         out.append((vre, vim) if m % 2 else (-vre, -vim))
         umre, umim = ((umre * ure - umim * uim) >> wp,
                       (umre * uim + umim * ure) >> wp)
-    if real:
-        return mp.make_mpf(gamma[0]), [
-            mp.make_mpf(from_man_exp(v, -wp, prec, round_nearest))
-            for v, _ in out]
-    return mp.make_mpc(gamma), [
-        mp.make_mpc((from_man_exp(vre, -wp, prec, round_nearest),
-                     from_man_exp(vim, -wp, prec, round_nearest)))
-        for vre, vim in out]
+    out = [(from_man_exp(vre, -wp, prec, round_nearest),
+            from_man_exp(vim, -wp, prec, round_nearest)) for vre, vim in out]
+    return lgamma, den, wp, [mp.make_mpf(v[0]) if real else mp.make_mpc(v)
+                             for v in out]
+
+
+def _gamma_polygamma(x, n: int):
+    """(Gamma(x), [psi^(m)(x) for m = 0..n-1]) from one _gamma_pass:
+    Gamma(x) = exp(log Gamma(y))/P(x), rounded once."""
+    x = _to_mp(x)
+    lgamma, den, wp, psis = _gamma_pass(x, n)
+    gamma = mpc_div(mpc_exp(lgamma, wp), den, mp.prec, round_nearest)
+    return (mp.make_mpf(gamma[0]) if isinstance(x, mp.mpf)
+            else mp.make_mpc(gamma)), psis
 
 
 class _GammaDerivs:
-    """f = Gamma^power, via the complete Bell polynomials of the
-    polygammas: Gamma^power = exp(power log Gamma)."""
+    """f = Gamma, its derivatives from the complete Bell polynomials of
+    the polygammas: Gamma = exp(log Gamma)."""
 
     def __init__(self, tol):
         self.tol = tol
 
-    def jet(self, x, jmax, power=1):
+    def jet(self, x, jmax):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is not None:
             raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
         if jmax == 0:
-            return [mp.gamma(x) ** power]
-        g, psis = _gamma_polygamma(x, jmax)
-        return _bell_jet(g ** power, [power * v for v in psis], jmax)
+            return [mp.gamma(x)]
+        return _bell_jet(*_gamma_polygamma(x, jmax), jmax)
 
 
 class _RGammaDerivs:
-    """f = 1/Gamma^power, entire; near the poles of Gamma the reflection
-    form 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies the jet."""
+    """f = 1/Gamma, entire; near the poles of Gamma the reflection form
+    1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies the jet."""
 
     def __init__(self, tol):
         self.tol = tol
 
-    def jet(self, x, jmax, power=1):
+    def jet(self, x, jmax):
         x = _to_mp(x)
         if _gamma_pole_at(x, self.tol) is None:
             if jmax == 0:
-                return [mp.rgamma(x) ** power]
+                return [mp.rgamma(x)]
             g, psis = _gamma_polygamma(x, jmax)
-            return _bell_jet(1 / g ** power, [-power * v for v in psis], jmax)
+            return _bell_jet(1 / g, [-v for v in psis], jmax)
         y = 1 - x
         gjet = (_bell_jet(*_gamma_polygamma(y, jmax), jmax) if jmax
                 else [mp.gamma(y)])
@@ -782,11 +795,7 @@ class _RGammaDerivs:
                 sin_d = mp.pi ** (j - k) * mp.sinpi(x + mp.mpf(j - k) / 2)
                 total += comb(j, k) * (-1) ** k * gjet[k] * sin_d / mp.pi
             out.append(total)
-        if power == 1:
-            return out
-        taylor = [v / factorial(j) for j, v in enumerate(out)]
-        return [v * factorial(j) for j, v in
-                enumerate(reduce(_series_mul, [taylor] * power))]
+        return out
 
 
 def _sinpi_jet(x, jmax):
@@ -1199,20 +1208,9 @@ def continued_ifunction(example, truncation: int,
 
 
 def _rataz_numeric(co: RatAZ, na: NumericAlgebra, lam, z) -> NilExpansion:
-    out: dict = {}
-    for e, elem in sorted(co.num.layers.items()):
-        zi = z ** e
-        for i, c in enumerate(elem.coeffs):
-            if c.is_zero:
-                continue
-            v = _to_mp(c.evaluate(lam)) * zi
-            key = (i, 0)
-            acc = out.get(key, 0) + v
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    val = NilExpansion(na, out)
+    val = _summed(na, (((i, 0), _to_mp(c.evaluate(lam)) * z ** e)
+                       for e, elem in sorted(co.num.layers.items())
+                       for i, c in enumerate(elem.coeffs) if not c.is_zero))
     for d, b in co.den:
         # 1/(D + b z) is 1/x at x + t: x the unit part of D plus b z, t the
         # rest of D
@@ -1483,7 +1481,6 @@ def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
 
 
 _Row = namedtuple("_Row", "c arg mult sin")
-_Factor = namedtuple("_Factor", "slope offset spectrum jet")
 
 
 class _Kernel:
@@ -1498,6 +1495,7 @@ class _Kernel:
     def __init__(self, geom: Geometry, fr: Frame, var: int, q=None,
                  base=None):
         self.fr = fr
+        self.name = geom.name
         alg = geom.algebra
         if q is not None:
             self.pre = _class_arg(alg, geom.variables[var].prefactor)
@@ -1543,20 +1541,33 @@ class _Kernel:
         c, self.kappa, _, _ = min(self.rows, key=lambda r: r.c)
         self.left_rate = -c
         if q is not None:
-            # the s-independent algebra of the contour: head times the
-            # dressing, and per row x(s) = slope s + offset, the spectrum of
-            # its tail t and the jet of Gamma^mult or 1/Gamma^mult
-            self.hp = self.head * self.pdress
+            # as in the module docstring: tau, every hp tau^k != 0, and per
+            # row (slope, offset, e_j, [e_j a_j^k/k! for k >= 1])
+            first = next((r.arg.div for r in self.rows if r.arg.div), ())
+            label, lead = first[0] if first else (None, 1)
+            tau = fr.tail(Arg(0, 0, {l: v / lead for l, v in first}))
+            spec = _spectrum(tau, fr.digits)
+            nu = spec.nodes[0][1]
+            powers = [self.head * self.pdress]
+            for _ in range(nu - 1):
+                powers.append(powers[-1] * tau)
+            self.powers = [tuple(v.terms.items()) for v in powers]
             self.contour = []
             for r in self.rows:
-                offset, tail = fr.scalar(r.arg), fr.tail(r.arg)
-                if r.c < 0:  # Gamma(|c| s - o - kappa/z)
-                    offset, tail, jet = -offset, tail.scale(-1), fr._gamma
-                else:  # 1/Gamma(1 + o + kappa/z + c s)
-                    offset, jet = 1 + offset, fr._rgamma
-                self.contour.append(_Factor(
-                    _frac_mp(abs(r.c)), offset, _spectrum(tail, fr.digits),
-                    partial(jet, power=r.mult)))
+                a = Fraction(dict(r.arg.div).get(label, 0))
+                if not spec.nilpotent or r.arg.div != Arg(
+                        0, 0, {l: a * v / lead for l, v in first}).div:
+                    raise ContinuationError(
+                        f"{geom.name}: the contour kernel along "
+                        f"{geom.variables[var].symbol} needs every row class "
+                        f"to be a multiple of one nilpotent class")
+                o = fr.scalar(r.arg)
+                # Gamma(|c| s - o - kappa/z) or 1/Gamma(1 + o + kappa/z + c s)
+                offset, a, e = ((-o, -a, r.mult) if r.c < 0
+                                else (1 + o, a, -r.mult))
+                self.contour.append((_frac_mp(abs(r.c)), offset, e, [
+                    _frac_mp(e * a ** k / factorial(k)) for k in range(1, nu)]
+                    if a else []))
 
     @property
     def wall(self) -> Fraction:
@@ -1574,22 +1585,39 @@ class _Kernel:
         return spec.apply(_exp_jet, 0).scale(
             mp.exp(fr.scalar(arg) * self.logq))
 
-    def _body(self, s) -> NilExpansion:
-        """The kernel without pi/sin(pi s) and q^s: per row, Gamma^mult or
-        1/Gamma^mult at x(s) + t from one jet per root of t."""
-        val = self.hp
-        for slope, offset, spec, jet in self.contour:
-            val = val * spec.apply(jet, slope * s + offset)
-        return val
+    def _body(self, s, factor) -> NilExpansion:
+        """factor q^s times the kernel without pi/sin(pi s): e^l/D times
+        sum_k E_k hp tau^k, as in the module docstring."""
+        fr = self.fr
+        ell, den = s * self.logq, 1
+        n = [0] * len(self.powers)
+        for j, (slope, offset, e, weights) in enumerate(self.contour):
+            x = slope * s + offset
+            if e > 0 and _gamma_pole_at(x, fr.tol) is not None:
+                raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
+            if e < 0 and mp.isint(x) and mp.re(x) <= 0:
+                raise ContinuationError(
+                    f"{self.name}: 1/Gamma of contour row {j} is zero at "
+                    f"s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
+            lgamma, p, _, psis = _gamma_pass(x, len(weights))
+            ell += e * mp.make_mpc(lgamma)
+            den *= mp.make_mpc(p) ** e
+            for k, w in enumerate(weights, 1):
+                n[k] += w * psis[k - 1]
+        series = [factor * mp.exp(ell) / den]  # E_k times e^l/D and factor
+        for k in range(1, len(n)):
+            series.append(mp.fsum(i * n[i] * series[k - i]
+                                  for i in range(1, k + 1)) / k)
+        return _summed(fr.na, ((key, c * v) for c, power in
+                               zip(series, self.powers) for key, v in power))
 
     def __call__(self, s) -> NilExpansion:
         s = mp.mpc(s)
-        return self._body(s).scale(mp.pi / mp.sinpi(s)
-                                   * mp.exp(s * self.logq))
+        return self._body(s, mp.pi / mp.sinpi(s))
 
     def right_residue(self, d: int) -> NilExpansion:
         """Residue at s = d: (-1)^d times the kernel without pi/sin(pi s)."""
-        return self._body(mp.mpf(d)).scale((-1) ** d * mp.exp(d * self.logq))
+        return self._body(mp.mpf(d), (-1) ** d)
 
     def left_pole(self, n: int) -> Arg:
         """s_n = (kappa_p/z - n)/|c_p|, as an argument."""
@@ -1672,13 +1700,10 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     breakpoints, all components sharing one cache of kernel samples; the
     error budget is the quadrature's own estimate plus the tail beyond the
     height, and a budget above tol (default 1e-30) raises
-    ContinuationError.  The kernel builds its s-independent algebra once
-    (the head with the dressing exp(P log q / z), and the spectrum of each
-    row's class part with its Newton basis), so an evaluation costs, per row
-    and root, one fixed-point pass for Gamma^mult or 1/Gamma^mult and its
-    polygammas (_gamma_polygamma, with guard bits for the top order), then
-    a few scaled adds and one product per row.  evaluations counts the
-    kernel evaluations, the height probes included.
+    ContinuationError.  An evaluation costs one fixed-point pass per row
+    (_gamma_pass), scalar work and one exponential, as in the module
+    docstring.  evaluations counts the kernel evaluations, the height
+    probes included.
     """
     ex = _example(example)
     where = f"{ex}: mellin_barnes_integral"
@@ -1710,8 +1735,9 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                         real=True)
 
         # poles near the line are a precondition failure, not a warning;
-        # only poles within 1 of the line are checked, and the residues of
-        # left poles right of it and right poles left of it are transferred
+        # only poles and integers within 1 of the line are checked, and the
+        # residues of left poles right of it and right poles left of it are
+        # transferred
         lefts = []
         for n in count():
             val = mp.re(fr.scalar(kern.left_pole(n)))
@@ -1724,12 +1750,12 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 raise ContinuationError("left pole family does not descend")
             if val >= sigma:
                 lefts.append(n)
-        rights = range(max(0, int(mp.ceil(sigma + 1))))
-        for d in rights:
+        for d in range(int(mp.floor(sigma)), int(mp.ceil(sigma)) + 1):
             if abs(d - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
-                    f"right pole {d} sits within 0.05 of the contour")
-        rights = [d for d in rights if d < sigma]
+                    f"{'right pole' if d >= 0 else 'pole of pi/sin(pi s) at'}"
+                    f" {d} sits within 0.05 of the contour")
+        rights = range(max(0, int(mp.ceil(sigma))))
 
         evaluations = 0
 
@@ -1798,7 +1824,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 f"{mp.nstr(quad_err / (2 * mp.pi), 5)} + tail "
                 f"{mp.nstr(tail, 5)}) exceeds the tolerance "
                 f"{mp.nstr(tol, 5)}")
-        vhat = NilExpansion(na, vhat_terms)
+        vhat = NilExpansion(na, {c: v for c, v in vhat_terms.items() if v})
 
         # transfer residues of poles caught on the wrong side of the line:
         # right poles left of the line enter with a plus, continued-family
