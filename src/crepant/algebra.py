@@ -211,6 +211,9 @@ class Element:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -296,6 +299,9 @@ class AlgebraZ:
     @property
     def is_zero(self):
         return not self.layers
+
+    def __bool__(self):
+        return bool(self.layers)
 
     def support(self):
         return sorted(self.layers)

@@ -16,8 +16,8 @@ decimal digits (default 64).  Two parameter modes exist everywhere:
                          series terminates, so results are exact to the
                          working precision.
 
-Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin, 1/x and
-exp alike), goes through one evaluator, _Spectrum: the Newton form of the
+Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin and exp
+alike), goes through one evaluator, _Spectrum: the Newton form of the
 Hermite interpolation of f on the spectrum of t (the roots of its minimal
 polynomial, found numerically).  Its Newton basis depends on t alone and
 is built once, so an evaluation costs one jet(x, jmax) = [f(x), ...,
@@ -105,7 +105,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, count, permutations, product
+from itertools import chain, count, permutations
 from math import comb, factorial, isqrt, prod
 from operator import add, mul
 from typing import Callable, Optional
@@ -120,7 +120,8 @@ from mpmath.libmp.gammazeta import ln_sqrt2pi_fixed
 from .algebra import Algebra
 from .geometry import (Geometry, _solve_exact, builtin, enumerate_degrees,
                        pairs)
-from .ifunction import RatAZ, build_ifunction, expand_prefactor
+from .ifunction import (IFunctionError, RatAZ, build_ifunction,
+                        exp_log_terms, expand_prefactor)
 
 
 class ContinuationError(ValueError):
@@ -863,11 +864,6 @@ class _SineRatio:
         return [+v for v in out]
 
 
-def _recip_jet(x, jmax):
-    return [(-1) ** j * mp.mpf(factorial(j)) / x ** (j + 1)
-            for j in range(jmax + 1)]
-
-
 # ---------------------------------------------------------------------------
 # parameter frames
 
@@ -1015,7 +1011,6 @@ class ContinuedSeries:
     digits: int
     truncation: int
     scalar_exponents: tuple
-    steps: tuple
     terms: dict
     na: NumericAlgebra
 
@@ -1093,24 +1088,16 @@ def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
                 else _class_arg(g_y.algebra, v.prefactor).div)
             for v in g_y.variables]
     qs = [_affine(0, (logq * col[c], sigma), *zip(col, pres)) for col in inv]
-    tails = [fr.tail(Arg(0, 0, q.div)) for q in qs]
-    dress = {}
-    for e in product(range(_LOG_ORDER + 1), repeat=ny):
-        if 0 < sum(e) <= _LOG_ORDER:
-            val = fr.const(Fraction(1, prod(map(factorial, e))))
-            for t, k in zip(tails, e):
-                val = reduce(mul, [t] * k, val)
-            if not val.is_zero:
-                dress[e] = val
-    # logs[k]: (log q)^k as exact coefficients of the powers of log x
-    logs = [{(0,) * ny: Fraction(1)}]
-    for _ in range(_LOG_ORDER):
-        nxt: Counter = Counter()
-        for e, v in logs[-1].items():
-            for k, col in enumerate(inv):
-                if col[c]:
-                    nxt[e[:k] + (e[k] + 1,) + e[k + 1:]] += v * logq * col[c]
-        logs.append(nxt)
+    dress = {e: v for e, v in exp_log_terms(
+        [fr.tail(Arg(0, 0, q.div)) for q in qs], _LOG_ORDER).items()
+        if not v.is_zero}
+    # logs[k]: (log q)^k = k! h_e (log x)^e over |e| = k, as exact
+    # coefficients, with log q = sum_k logq A^-1_ck log x_k
+    h = exp_log_terms([logq * col[c] if col[c] else None for col in inv],
+                      _LOG_ORDER)
+    logs = [{(0,) * ny: Fraction(1)}] + [
+        {e: factorial(k) * v for e, v in h.items() if sum(e) == k}
+        for k in range(1, _LOG_ORDER + 1)]
 
     out: dict = {}
     for nx_ in enumerate_degrees(g_x.lattice(bound)):
@@ -1199,7 +1186,6 @@ def continued_ifunction(example, truncation: int,
         z=None if mode == "nonequivariant" else mp.nstr(z, digits),
         digits=digits, truncation=truncation,
         scalar_exponents=scalar_exponents,
-        steps=tuple(v.step for v in g_x.variables),
         terms=terms, na=na)
 
 
@@ -1207,39 +1193,23 @@ def continued_ifunction(example, truncation: int,
 # partner-side series evaluated in the matching frame
 
 
-def _rataz_numeric(co: RatAZ, na: NumericAlgebra, lam, z) -> NilExpansion:
-    val = _summed(na, (((i, 0), _to_mp(c.evaluate(lam)) * z ** e)
-                       for e, elem in sorted(co.num.layers.items())
-                       for i, c in enumerate(elem.coeffs) if not c.is_zero))
-    for d, b in co.den:
-        # 1/(D + b z) is 1/x at x + t: x the unit part of D plus b z, t the
-        # rest of D
-        tail = {(i, 0): _to_mp(c.evaluate(lam))
-                for i, c in enumerate(d.coeffs) if not c.is_zero}
-        x = tail.pop((na.unit, 0), 0) + _frac_mp(b) * z
-        if abs(x) < mp.mpf(10) ** (6 - na.digits):
-            raise ContinuationError("reciprocal of a value with no scalar part")
-        val = val * _spectrum(NilExpansion(na, tail), na.digits).apply(
-            _recip_jet, x)
-    return val
-
-
-def _rataz_symbolic(co: RatAZ, na: NumericAlgebra,
-                    zmin: Optional[int] = None) -> NilExpansion:
-    lim = co.nonequivariant_limit()
-    if zmin is None:
-        # at lambda = 0 every denominator class is nilpotent, so the z-adic
-        # expansion terminates; this floor is below the last nonzero layer
-        if lim.num.is_zero:
-            return NilExpansion(na)
-        zmin = min(lim.num.support()) - len(lim.den) * (na.dim + 1)
-    az = lim.expand(zmin)
-    out: dict = {}
-    for e, elem in az.layers.items():
-        for i, c in enumerate(elem.coeffs):
-            if not c.is_zero:
-                out[(i, e)] = _frac_mp(c.nonequivariant_limit())
-    return NilExpansion(na, out)
+def _coefficient_value(co: RatAZ, na: NumericAlgebra, name: str, lam,
+                       z) -> NilExpansion:
+    """An exact coefficient of geometry name at lam and z, or with lam None
+    its lambda = 0 limit as a Laurent polynomial in z.  A z-denominator is
+    refused; no X side has one at any truncation."""
+    try:
+        az = co.as_algebra_z()
+    except IFunctionError as exc:
+        raise ContinuationError(f"{name}: {exc}") from None
+    if lam is None:
+        return NilExpansion(na, {(i, e): _frac_mp(v)
+                                 for e, elem in az.layers.items()
+                                 for i, c in enumerate(elem.coeffs)
+                                 if (v := c.nonequivariant_limit())})
+    return _summed(na, (((i, 0), _to_mp(c.evaluate(lam)) * z ** e)
+                        for e, elem in sorted(az.layers.items())
+                        for i, c in enumerate(elem.coeffs) if not c.is_zero))
 
 
 _XSIDE_CACHE: dict = {}
@@ -1259,14 +1229,13 @@ def _xside_expansion(g_x: Geometry, truncation: int) -> dict:
 
 
 def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
-                lam=None, z=None, digits: int = DEFAULT_DIGITS,
-                zmin: Optional[int] = None):
+                lam=None, z=None, digits: int = DEFAULT_DIGITS):
     """Coefficients of the partner (X-side) series at negated z.
 
     Returns (terms, numeric algebra, scalar exponents); the term keys match
     continued_ifunction's and the overall leading z factor is included.
     In nonequivariant mode the coefficients are exact finite Laurent
-    polynomials in z (zmin = None expands far enough to prove termination).
+    polynomials in z.
     """
     ex = _example(example)
     lam, z = _parameters(f"{ex}: xside_terms", mode, lam, z, digits,
@@ -1278,9 +1247,10 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
         terms = {}
         for key in sorted(pre):
             if mode == "equivariant-numeric":
-                val = _rataz_numeric(pre[key], na, lam, -z).scale(-z)
+                val = _coefficient_value(pre[key], na, g_x.name, lam,
+                                         -z).scale(-z)
             else:
-                base = _rataz_symbolic(pre[key], na, zmin)
+                base = _coefficient_value(pre[key], na, g_x.name, None, None)
                 val = negate_z(base).zshift(1).scale(-1)  # times -z
             if not val.is_zero:
                 terms[key] = val
@@ -1350,9 +1320,14 @@ class UMatrix:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# the Laurent window -_KWIN..._KWIN of each entry of a nonequivariant U;
+# bench/workloads.py's SOLVE_KWIN counts that solve's rows with it
+_KWIN = 4
+
+
 def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
                      na_y: NumericAlgebra, mode: str,
-                     digits: int = DEFAULT_DIGITS, kwin: int = 4):
+                     digits: int = DEFAULT_DIGITS):
     """Solve U * (X coefficients) = (Y coefficients) over all monomial keys.
 
     Returns (entries, worst residual).  The system is over-determined; the
@@ -1376,7 +1351,7 @@ def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
             # sides are exact finite Laurent data, so every layer is a valid
             # equation (including the ones that force stray layers to
             # vanish), and coefficients below drop are zeros of the solution
-            ks = tuple(range(-kwin, kwin + 1))
+            ks = tuple(range(-_KWIN, _KWIN + 1))
             eqs = []
             for key in keys:
                 layers = set(yterms[key].support()) if key in yterms else set()
@@ -1466,7 +1441,6 @@ class MBResult:
     height: object
     wall: Fraction
     corrections: int
-    endpoint_magnitude: object
     evaluations: int  # kernel evaluations, the height probes included
 
 
@@ -1613,7 +1587,11 @@ class _Kernel:
 
     def __call__(self, s) -> NilExpansion:
         s = mp.mpc(s)
-        return self._body(s, mp.pi / mp.sinpi(s))
+        sine = mp.sinpi(s)
+        if not sine:
+            raise ContinuationError(f"{self.name}: s = {int(mp.re(s))} is a "
+                                    f"pole of pi/sin(pi s)")
+        return self._body(s, mp.pi / sine)
 
     def right_residue(self, d: int) -> NilExpansion:
         """Residue at s = d: (-1)^d times the kernel without pi/sin(pi s)."""
@@ -1685,8 +1663,7 @@ class _Kernel:
 
 
 def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
-                           digits: int = DEFAULT_DIGITS, tol=None,
-                           height=None) -> MBResult:
+                           digits: int = DEFAULT_DIGITS, tol=None) -> MBResult:
     """Contour integral of the continuation kernel along a vertical line.
 
     The contour variable and the wall are derived as in the module
@@ -1765,8 +1742,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             return kern(sigma + 1j * t)
 
         # height from the observed exponential decay of the integrand
-        t_cur = _number(where, "height", 12 if height is None else height,
-                        real=True)
+        t_cur = mp.mpf(12)
         while True:
             top = evaluate(t_cur).maxabs()
             prev = evaluate(t_cur - 1).maxabs()
@@ -1776,7 +1752,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 break
             rate = mp.log(prev / top) if prev > top else mp.mpf("0.1")
             tail = top / rate if rate > 0 else top * 100
-            if tail < tol or height is not None or t_cur >= 220:
+            if tail < tol or t_cur >= 220:
                 break
             t_cur += 10
         if tail > tol:
@@ -1838,4 +1814,4 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         return MBResult(example=ex, value=total, error=budget, side=side,
                         sigma=sigma, height=t_cur, wall=wall,
                         corrections=len(lefts) + len(rights),
-                        endpoint_magnitude=top, evaluations=evaluations)
+                        evaluations=evaluations)

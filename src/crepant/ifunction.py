@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .algebra import Algebra, AlgebraZ, Element
 from .geometry import Geometry, enumerate_degrees
@@ -312,6 +312,26 @@ def build_ifunction(geom: Geometry, bound: int) -> IFunction:
     return out
 
 
+def exp_log_terms(classes, order: int) -> dict:
+    """{e: Π_k C_k^(e_k)/e_k!} for 0 < |e| <= order: the coefficients of
+    exp(Σ_k C_k L_k) at the monomials L^e of formal logs L_k.
+
+    A class C_k is an Element, a NilExpansion or a Fraction, or None for no
+    class (then e_k = 0).  Each term multiplies 1/Π e_k! by C_0 e_0 times,
+    then by C_1 e_1 times, and so on; terms that vanish are kept.
+    """
+    out = {}
+    for e in product(range(order + 1), repeat=len(classes)):
+        if 0 < sum(e) <= order and all(
+                k == 0 or c is not None for c, k in zip(classes, e)):
+            val = Fraction(1, prod(map(factorial, e)))
+            for c, k in zip(classes, e):
+                for _ in range(k):
+                    val = val * c
+            out[e] = val
+    return out
+
+
 def expand_prefactor(ifn: IFunction, log_order: int
                      ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], RatAZ]:
     """Coefficients of x^n (log x)^c after expanding the divisor prefactors.
@@ -323,31 +343,10 @@ def expand_prefactor(ifn: IFunction, log_order: int
     geom = ifn.geometry
     alg = geom.algebra
     nvar = len(geom.variables)
-    prefs = ifn.prefactor_classes()
-    powers: list[list[Element]] = []
-    for i in range(nvar):
-        col = [alg.one()]
-        if prefs[i] is not None:
-            while len(col) <= log_order:
-                nxt = col[-1] * prefs[i]
-                if nxt.is_zero:
-                    break
-                col.append(nxt)
-        powers.append(col)
-
+    terms = {(0,) * nvar: alg.one()}
+    terms.update(exp_log_terms(ifn.prefactor_classes(), log_order))
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], RatAZ] = {}
-    # a loop, not a self-recursive closure: that closure is a reference
-    # cycle which keeps ifn and out alive until the cyclic collector runs
-    for c in product(*(range(min(log_order, len(col) - 1) + 1)
-                       for col in powers)):
-        if sum(c) > log_order:
-            continue
-        acc = alg.one()
-        scale = 1
-        for i, ci in enumerate(c):
-            acc = acc * powers[i][ci]
-            scale *= factorial(ci)
-        term = acc * Fraction(1, scale)
+    for c, term in terms.items():
         shift = -sum(c)
         for n, coeff in ifn.coeffs.items():
             val = coeff * AlgebraZ(alg, {shift: term})

@@ -6,6 +6,11 @@ twisted directions give additive coordinates, and the λ·unit component is a
 scalar series g removed by multiplying with exp(-λg/z).  Inverting the maps
 and substituting produces the J-function, whose z^{-2-k} layers carry the
 one-point invariants with k ψ-insertions.
+
+Every q-series here is an MSeries, one truncated series type whose
+coefficients are exact: Fraction for the mirror maps and their inverses,
+AlgebraZ for the I-series that j_function substitutes, Element for the
+exponent E and the z-layers of exp(-E/z).
 """
 
 from __future__ import annotations
@@ -26,10 +31,13 @@ class MirrorError(ValueError):
 
 
 class MSeries:
-    """Truncated multivariate power series with Fraction coefficients.
+    """Truncated multivariate power series with exact coefficients.
 
     Keys are lattice exponent tuples; terms of total degree > bound are
-    dropped by every operation.
+    dropped by every operation.  A coefficient is a Fraction (ints are
+    coerced), a LambdaRat, an Element or an AlgebraZ, and is dropped where
+    its truth value says it is zero.  A factor of * that is not an MSeries
+    is a scalar.
     """
 
     __slots__ = ("nvars", "bound", "coeffs")
@@ -40,7 +48,8 @@ class MSeries:
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                if isinstance(v, int):
+                    v = Fraction(v)
                 if v and sum(k) <= bound:
                     self.coeffs[tuple(k)] = v
 
@@ -53,10 +62,10 @@ class MSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, Fraction(0))
 
-    def coefficient(self, key) -> Fraction:
+    def coefficient(self, key):
         return self.coeffs.get(tuple(key), Fraction(0))
 
     def __eq__(self, other):
@@ -66,11 +75,7 @@ class MSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            out[k] = out[k] + v if k in out else v
         return MSeries(self.nvars, min(self.bound, other.bound), out)
 
     def __neg__(self):
@@ -81,7 +86,7 @@ class MSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MSeries):
             return MSeries(self.nvars, self.bound,
                            {k: v * other for k, v in self.coeffs.items()})
         bound = min(self.bound, other.bound)
@@ -92,7 +97,8 @@ class MSeries:
                 if d1 + sum(k2) > bound:
                     continue
                 k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                v = v1 * v2
+                out[k] = out[k] + v if k in out else v
         return MSeries(self.nvars, bound, out)
 
     __rmul__ = __mul__
@@ -110,7 +116,11 @@ class MSeries:
         return out
 
     def substitute(self, values: list["MSeries"]) -> "MSeries":
-        """Evaluate at x_i = values[i] (series in the target variables)."""
+        """Evaluate at x_i = values[i] (series in the target variables).
+
+        Each values^n is built once, as values^(n - e_i) * values[i] with i
+        the last nonzero index of n, and scaled by the coefficient of x^n.
+        """
         if len(values) != self.nvars:
             raise MirrorError("substitution arity mismatch")
         if not self.coeffs:
@@ -118,23 +128,21 @@ class MSeries:
             return MSeries(nv, self.bound)
         nv = values[0].nvars
         bound = min([self.bound] + [v.bound for v in values])
-        out = MSeries(nv, bound)
-        cache: dict[tuple[int, int], MSeries] = {}
-
-        def power(i, e):
-            if e == 0:
-                return MSeries(nv, bound, {(0,) * nv: 1})
-            if (i, e) not in cache:
-                cache[(i, e)] = power(i, e - 1) * values[i]
-            return cache[(i, e)]
-
-        for k, c in self.coeffs.items():
-            term = MSeries(nv, bound, {(0,) * nv: c})
-            for i, e in enumerate(k):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        powers = {(0,) * self.nvars: MSeries(nv, bound, {(0,) * nv: 1})}
+        out = {}
+        for n, c in self.coeffs.items():
+            chain = []
+            while n not in powers:
+                i = max(j for j, e in enumerate(n) if e)
+                chain.append((n, i))
+                n = n[:i] + (n[i] - 1,) + n[i + 1:]
+            for m, i in reversed(chain):
+                powers[m] = powers[n] * values[i]
+                n = m
+            for k, v in powers[n].coeffs.items():
+                v = v * c
+                out[k] = out[k] + v if k in out else v
+        return MSeries(nv, bound, out)
 
     def __repr__(self):
         items = sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -212,9 +220,9 @@ def extract_mirror(ifn: IFunction) -> MirrorData:
                               f"{var.symbol} has degree {alg.degrees[label]}")
         tw_info[i] = label
 
-    corr = {i: MSeries(nvars, bound) for i in div_info}
-    tau = {i: MSeries(nvars, bound) for i in tw_info}
-    g = MSeries(nvars, bound)
+    corr = {i: {} for i in div_info}
+    tau = {i: {} for i in tw_info}
+    g = {}
     label_to_div = {label: i for i, (_, label, _) in div_info.items()}
     label_to_tw = {label: i for i, label in tw_info.items()}
 
@@ -231,7 +239,6 @@ def extract_mirror(ifn: IFunction) -> MirrorData:
         layer = ex.coefficient(-1)
         if layer.is_zero:
             continue
-        single = MSeries(nvars, bound, {n: 1})
         for j, coeff in enumerate(layer.coeffs):
             if coeff.is_zero:
                 continue
@@ -241,29 +248,29 @@ def extract_mirror(ifn: IFunction) -> MirrorData:
                 if power != 1:
                     raise MirrorError(f"{geom.name}: z^0 unit component at "
                                       f"{n} is not linear in λ")
-                g = g + single * value
+                g[n] = value
             elif alg.degrees[j] != 2 or power != 0:
                 raise MirrorError(f"{geom.name}: z^0 layer at {n} meets "
                                   f"class '{alg.labels[j]}' of degree "
                                   f"{alg.degrees[j]}")
             elif j in label_to_div:
-                i = label_to_div[j]
-                corr[i] = corr[i] + single * value
+                corr[label_to_div[j]][n] = value
             elif j in label_to_tw:
-                i = label_to_tw[j]
-                tau[i] = tau[i] + single * value
+                tau[label_to_tw[j]][n] = value
             else:
                 raise MirrorError(f"{geom.name}: degree-2 class "
                                   f"'{alg.labels[j]}' has no direction")
 
-    divisor = tuple(DivisorDirection(i, label, mono, corr[i])
+    divisor = tuple(DivisorDirection(i, label, mono,
+                                     MSeries(nvars, bound, corr[i]))
                     for i, (_, label, mono) in sorted(div_info.items()))
-    twisted = tuple(TwistedDirection(i, label, tau[i])
+    twisted = tuple(TwistedDirection(i, label, MSeries(nvars, bound, tau[i]))
                     for i, label in sorted(tw_info.items()))
     for d in divisor:
         if d.correction.constant_term():
             raise MirrorError("correction series has a constant term")
-    return MirrorData(geom, bound, divisor, twisted, g)
+    return MirrorData(geom, bound, divisor, twisted,
+                      MSeries(nvars, bound, g))
 
 
 @dataclass(frozen=True)
@@ -345,98 +352,42 @@ def j_function(ifn: IFunction, data: MirrorData | None = None,
         inverse = invert_mirror(data)
 
     subs = list(inverse.series)
-    # Σ_n c_n · x(q)^n, z-layers down to zmin
-    power_cache: dict[tuple[int, ...], MSeries] = {}
-
-    def mono(n):
-        if n not in power_cache:
-            out = MSeries(nvars, bound, {(0,) * nvars: 1})
-            for i, e in enumerate(n):
-                for _ in range(e):
-                    out = out * subs[i]
-            power_cache[n] = out
-        return power_cache[n]
-
-    layers: dict[int, dict[tuple[int, ...], Element]] = {}
-
-    def add(zexp, key, elem):
-        if elem.is_zero:
-            return
-        slot = layers.setdefault(zexp, {})
-        cur = slot.get(key)
-        new = elem if cur is None else cur + elem
-        if new.is_zero:
-            slot.pop(key, None)
-        else:
-            slot[key] = new
-
-    for n, c in ifn.coeffs.items():
-        ex = c.expand(zmin - 1)
-        xn = mono(n)
-        for zexp, elem in ex.layers.items():
-            for key, scale in xn.coeffs.items():
-                add(zexp, key, elem * LambdaRat(scale))
+    zero = (0,) * nvars
+    # Σ_n c_n · x(q)^n with c_n expanded down to z^(zmin - 1), by z-layer
+    slots: dict[int, dict[tuple[int, ...], Element]] = {}
+    series = MSeries(nvars, bound, {n: c.expand(zmin - 1)
+                                    for n, c in ifn.coeffs.items()})
+    for key, az in series.substitute(subs).coeffs.items():
+        for zexp, elem in az.layers.items():
+            slots.setdefault(zexp, {})[key] = elem
+    base = {zexp: MSeries(nvars, bound, slot) for zexp, slot in slots.items()}
 
     # exponent E = Σ_i P_i·s_i(x(q)) + λ·g(x(q)); multiply by exp(-E/z)
-    e_series: dict[tuple[int, ...], Element] = {}
-
-    def eadd(key, elem):
-        if elem.is_zero:
-            return
-        cur = e_series.get(key)
-        new = elem if cur is None else cur + elem
-        if new.is_zero:
-            e_series.pop(key, None)
-        else:
-            e_series[key] = new
-
+    e_series = data.gseries.substitute(subs) * (alg.one() * LambdaRat.gen())
     for d in data.divisor:
-        cls = alg.basis(d.label) * LambdaRat(d.monomial)
-        for key, v in (d.correction * (Fraction(1) / d.monomial)) \
-                .substitute(subs).coeffs.items():
-            eadd(key, cls * LambdaRat(v))
-    lam_unit = alg.one() * LambdaRat.gen()
-    for key, v in data.gseries.substitute(subs).coeffs.items():
-        eadd(key, lam_unit * LambdaRat(v))
-
-    if any(sum(k) == 0 for k in e_series):
+        e_series = e_series + (d.correction * (Fraction(1) / d.monomial)) \
+            .substitute(subs) * (alg.basis(d.label) * LambdaRat(d.monomial))
+    if e_series.constant_term():
         raise MirrorError("exponent series has a constant term")
 
-    # exp(-E/z) = Σ (-E)^k/(k! z^k); E starts at total degree 1
-    base = dict(layers)
-    layers = {}
-    ek: dict[tuple[int, ...], Element] = {(0,) * nvars: alg.one()}
-    for k in range(0, bound + 1):
-        if k:
-            nxt: dict[tuple[int, ...], Element] = {}
-            for k1, e1 in ek.items():
-                for k2, e2 in e_series.items():
-                    if sum(k1) + sum(k2) > bound:
-                        continue
-                    kk = tuple(a + b for a, b in zip(k1, k2))
-                    prod = e1 * e2
-                    cur = nxt.get(kk)
-                    new = prod if cur is None else cur + prod
-                    nxt[kk] = new
-            ek = {a: b for a, b in nxt.items() if not b.is_zero}
-            if not ek:
-                break
-        scale = LambdaRat(Fraction((-1) ** k, factorial(k)))
-        for zexp, slot in base.items():
-            if zexp - k < zmin - 1:
-                continue
-            for key, elem in slot.items():
-                for kk, ee in ek.items():
-                    if sum(key) + sum(kk) > bound:
-                        continue
-                    add(zexp - k,
-                        tuple(a + b for a, b in zip(key, kk)),
-                        elem * ee * scale)
+    # exp(-E/z) = Σ (-E)^k/(k! z^k); E starts at total degree 1, and a
+    # z-layer takes the k-th term only while it stays at or above zmin - 1
+    out = dict(base)
+    power = MSeries(nvars, bound, {zero: alg.one()})
+    for k in range(1, bound + 1):
+        power = power * e_series * Fraction(-1, k)
+        if power.is_zero:
+            break
+        for zexp, s in base.items():
+            if zexp - k + 1 >= zmin:
+                term = s * power
+                if not term.is_zero:
+                    out[zexp - k] = out[zexp - k] + term \
+                        if zexp - k in out else term
 
     # overall factor z: shift layers up by one and validate the shape
-    layers = {zexp + 1: slot for zexp, slot in layers.items()
+    layers = {zexp + 1: s.coeffs for zexp, s in out.items()
               if zexp + 1 >= zmin}
-    zero = (0,) * nvars
     top = layers.get(1, {})
     if set(top) != {zero} or top[zero] != alg.one():
         raise MirrorError(f"{geom.name}: J leading z layer is not z·unit")

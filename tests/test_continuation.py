@@ -14,11 +14,12 @@ import crepant.continuation as continuation
 from crepant import LambdaRat, build_ifunction, builtin, expand_prefactor
 from crepant.algebra import Algebra
 from crepant.continuation import (Arg, ContinuationError, Frame,
-                                  NilExpansion, _affine, _exp_jet,
+                                  NilExpansion, _affine,
+                                  _coefficient_value, _exp_jet,
                                   _frac_mp, _gamma_polygamma, _GammaDerivs,
                                   _contour, _Kernel, _lu_decomp, _lu_solve,
                                   _RGammaDerivs, _SineRatio, _lstsq,
-                                  _numeric_algebra, _rataz_numeric,
+                                  _numeric_algebra,
                                   _spectrum, _to_mp, _xside_expansion,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral, negate_z,
@@ -220,10 +221,21 @@ def test_kernel_residues_are_the_inside_terms(ex, q):
         fr = kern.fr
         ifn = build_ifunction(builtin(ex + "-Y"), 2)
         for d in range(3):
-            co = _rataz_numeric(ifn.coefficient((d,)), fr.na, fr.lam, fr.z)
+            co = _coefficient_value(ifn.coefficient((d,)), fr.na,
+                                    ex + "-Y", fr.lam, fr.z)
             want = (co.scale(fr.z) * kern.pdress).scale(mp.mpf(q) ** d)
             got = kern.right_residue(d)
             assert (got - want).maxabs() <= mp.mpf("1e-26"), d
+
+
+def test_coefficient_with_a_z_denominator_is_refused():
+    # ex2-Y's point fixed locus leaves z-denominators, which no X side has
+    ifn = build_ifunction(builtin("ex2-Y"), 1)
+    co = next(c for c in ifn.coeffs.values() if c.den)
+    na = _numeric_algebra(ifn.geometry.algebra, None, 30)
+    for lam, z in ((None, None), (default_lambda(), mp.mpf(1))):
+        with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
+            _coefficient_value(co, na, "ex2-Y", lam, z)
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -275,6 +287,11 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(ex, q):
             assert set(got.terms) == set(want.terms)
             bound = mp.mpf(10) ** (5 - digits) * want.maxabs()
             assert (got - want).maxabs() <= bound, s
+        # an integer s is a pole of pi/sin(pi s), refused before any row
+        for s in (-1, 2):
+            with pytest.raises(ContinuationError, match=rf"{ex}-Y: s = {s} "
+                                                        r"is a pole of pi/sin"):
+                kern(s)
 
 
 def _closed_jet(f, x, k):

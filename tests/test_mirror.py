@@ -231,6 +231,26 @@ def test_j_layers_shape_every_geometry():
             assert alg.degrees[lab] == 2
 
 
+def _nonempty(layers):
+    return {e: slot for e, slot in layers.items() if slot}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_j_function_truncations_agree(name):
+    # J at a lower bound is J at a higher bound cut to total degree <= the
+    # lower bound, and J at zmin -2 is J at zmin -4 on the layers >= -2
+    low, high = 3, 5
+    ifn, data, inverse = pipeline(name, high)
+    J = j_function(ifn, data, inverse, zmin=-4)
+    cut = {e: {n: el for n, el in slot.items() if sum(n) <= low}
+           for e, slot in J.layers.items()}
+    assert _nonempty(j_function(*pipeline(name, low)).layers) \
+        == _nonempty(cut)
+    shallow = j_function(ifn, data, inverse, zmin=-2)
+    assert _nonempty(shallow.layers) \
+        == _nonempty({e: s for e, s in J.layers.items() if e >= -2})
+
+
 def test_j_function_rejects_shallow_truncation():
     ifn, data, inverse = pipeline("ex1-Y", 4)
     J = j_function(ifn, data, inverse, zmin=-2)
