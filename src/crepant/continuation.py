@@ -111,6 +111,7 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import (bernfrac, from_int, from_man_exp,
                           fzero, mpc_div, mpc_exp, mpc_log, mpc_mul,
                           mpc_reciprocal, mpf_add, round_floor, round_nearest,
@@ -1662,6 +1663,10 @@ class _Kernel:
                 for k in range(size)]
 
 
+# one rule for every integral, so its node cache persists between calls
+_GAUSS_LEGENDRE = GaussLegendre(mp)
+
+
 def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                            digits: int = DEFAULT_DIGITS, tol=None) -> MBResult:
     """Contour integral of the continuation kernel along a vertical line.
@@ -1673,14 +1678,17 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     the wrong side of the line are transferred explicitly, so the line
     itself never needs to separate the two interlaced pole families.
 
-    Each component is integrated by Gauss-Legendre quadrature over the same
-    breakpoints, all components sharing one cache of kernel samples; the
-    error budget is the quadrature's own estimate plus the tail beyond the
-    height, and a budget above tol (default 1e-30) raises
-    ContinuationError.  An evaluation costs one fixed-point pass per row
-    (_gamma_pass), scalar work and one exponential, as in the module
-    docstring.  evaluations counts the kernel evaluations, the height
-    probes included.
+    The line is cut at fixed breakpoints and each interval is integrated
+    by mpmath's Gauss-Legendre rule at degrees 1, 2, ...: every node costs
+    one kernel evaluation, which serves all components at once.  An
+    interval stops at the first degree whose error estimate, summed over
+    the components, fits its share of what the tail beyond the height
+    leaves of tol (default 1e-30); one that never fits raises
+    ContinuationError naming it.  The error budget, quadrature estimate
+    plus tail, is thus at most tol.  An evaluation costs one fixed-point
+    pass per row (_gamma_pass), scalar work and one exponential, as in the
+    module docstring.  evaluations counts the kernel evaluations, the
+    height probes included.
     """
     ex = _example(example)
     where = f"{ex}: mellin_barnes_integral"
@@ -1759,47 +1767,51 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             raise ContinuationError(
                 f"tail estimate {mp.nstr(tail, 5)} exceeds the tolerance")
 
-        cache: dict = {}
-
-        def sample(t):
-            key = str(t)
-            if key not in cache:
-                cache[key] = evaluate(t)
-            return cache[key]
-
         # for real parameters the integrand obeys the Schwarz reflection
         # kern(conj s) = conj kern(s) componentwise, so the lower half of
         # the line is the conjugate of the upper half
         symmetric = (mp.im(lam) == 0 and mp.im(z) == 0 and mp.im(q) == 0
                      and mp.re(q) > 0)
-        # prime the cache so the component set is known
-        probe = sample(mp.mpf(0))
-        comps = set(probe.terms) | set(sample(t_cur / 3).terms)
-        if not symmetric:
-            comps |= set(sample(-t_cur / 3).terms)
-        comps = sorted(comps)
         if symmetric:
             nodes = [0, t_cur / 4, t_cur]
         else:
             nodes = [-t_cur, -t_cur / 4, 0, t_cur / 4, t_cur]
+        # each interval gets an equal share of half the room the tail leaves
+        # (a reflected one counts twice), so quad_err / 2 pi + tail <= tol
+        share = (tol - tail) * mp.pi / (len(nodes) - 1) / (1 + symmetric)
+        prec, eps = mp.prec, mp.eps / 8
+        max_degree = _GAUSS_LEGENDRE.guess_degree(prec)
         vhat_terms = {}
         quad_err = mp.mpf(0)
-        for comp in comps:
-            val, err = mp.quad(
-                lambda t, c=comp: sample(t).terms.get(c, mp.mpf(0)),
-                nodes, method="gauss-legendre", error=True)
-            if symmetric:
-                val = val + mp.conj(val)
-                err = 2 * err
-            vhat_terms[comp] = val / (2 * mp.pi)  # (1/2<pi>i) ds, ds = i dt
-            quad_err += abs(err)
+        for a, b in zip(nodes, nodes[1:]):
+            # degrees 1, 2, ... as in mp.quad, one kernel evaluation per
+            # node for every component, until the summed estimate fits
+            sums = []
+            for degree in range(1, max_degree + 1):
+                acc: dict = {}
+                with mp.extraprec(20):
+                    for t, w in _GAUSS_LEGENDRE.get_nodes(a, b, degree, prec):
+                        for comp, v in evaluate(t).terms.items():
+                            acc[comp] = acc.get(comp, 0) + w * v
+                sums.append(acc)
+                err = mp.inf if degree == 1 else mp.fsum(
+                    _GAUSS_LEGENDRE.estimate_error(
+                        [r.get(comp, 0) for r in sums], prec, eps)
+                    for comp in set().union(*sums))
+                if err <= share:
+                    break
+            else:
+                raise ContinuationError(
+                    f"{where}: the quadrature over t in [{mp.nstr(a, 5)}, "
+                    f"{mp.nstr(b, 5)}] reached degree {max_degree} with error "
+                    f"{mp.nstr(err, 5)}, above its share {mp.nstr(share, 5)} "
+                    f"of the tolerance {mp.nstr(tol, 5)}")
+            for comp, v in acc.items():
+                v = v + mp.conj(v) if symmetric else v
+                # (1/2<pi>i) ds with ds = i dt
+                vhat_terms[comp] = vhat_terms.get(comp, 0) + v / (2 * mp.pi)
+            quad_err += err * (1 + symmetric)
         budget = quad_err / (2 * mp.pi) + tail
-        if budget > tol:
-            raise ContinuationError(
-                f"error budget {mp.nstr(budget, 5)} (quadrature "
-                f"{mp.nstr(quad_err / (2 * mp.pi), 5)} + tail "
-                f"{mp.nstr(tail, 5)}) exceeds the tolerance "
-                f"{mp.nstr(tol, 5)}")
         vhat = NilExpansion(na, {c: v for c, v in vhat_terms.items() if v})
 
         # transfer residues of poles caught on the wrong side of the line:

@@ -385,9 +385,10 @@ def j_function(ifn: IFunction, data: MirrorData | None = None,
                     out[zexp - k] = out[zexp - k] + term \
                         if zexp - k in out else term
 
-    # overall factor z: shift layers up by one and validate the shape
+    # overall factor z: shift layers up by one, drop the layers left
+    # without entries, and validate the shape
     layers = {zexp + 1: s.coeffs for zexp, s in out.items()
-              if zexp + 1 >= zmin}
+              if zexp + 1 >= zmin and not s.is_zero}
     top = layers.get(1, {})
     if set(top) != {zero} or top[zero] != alg.one():
         raise MirrorError(f"{geom.name}: J leading z layer is not z·unit")

@@ -254,7 +254,7 @@ def test_j_function_truncations_agree(name):
 def test_j_function_rejects_shallow_truncation():
     ifn, data, inverse = pipeline("ex1-Y", 4)
     J = j_function(ifn, data, inverse, zmin=-2)
-    assert set(J.layers) == {1, 0, -1, -2}
+    assert set(J.layers) == {1, -1, -2}
 
 
 # ---------------------------------------------------------------------------
