@@ -88,14 +88,22 @@ _gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
 hp = head exp(P log q / z), and every hp tau^k != 0 is built once: an
 evaluation is one pass per row, scalar work and one exponential.
 
-Caches.  Three module dicts keep work that recurs across calls:
+Caches.  Five module dicts keep work that recurs across calls:
 _NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
 _SPECTRA the _Spectrum of each class, keyed (id(numeric algebra), digits,
 precision, the class's terms); _XSIDE_CACHE the X side's exact prefactor
 expansion, keyed (id(geometry), truncation), which serves both modes and
-every lambda, z and precision.  _NA_CACHE and _XSIDE_CACHE store the
-keyed object too and rebuild when it is not the one asked for, so a
-recycled id cannot return another object's entry.
+every lambda, z and precision; _CONTOUR_CACHE the lattice map and the
+contour variable of each pair, keyed (id(Y side), id(X side));
+_BERNOULLI the scaled Bernoulli numbers of _gamma_pass, keyed by its
+working precision.  _NA_CACHE, _XSIDE_CACHE and _CONTOUR_CACHE store the
+keyed objects too and rebuild when they are not the ones asked for, so a
+recycled id cannot return another object's entry.  Within one call, the
+Frame's memo keeps what repeats across the kernels and poles of one
+continued series: the head Gammas, keyed by their argument; the sine
+ratios R_k, keyed (sorted rates, pole order, s_n less the floor of its
+rational part); and the 1/Gamma jets at an exact pole -m, keyed (m,
+order).  The memo lives and dies with its Frame, which no cache keeps.
 """
 
 from __future__ import annotations
@@ -104,9 +112,9 @@ import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, count, permutations
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, floor, isqrt, prod
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -433,15 +441,21 @@ def _lstsq(cols, bs, rows: int, p=2):
     equations.  Returns (xs, residuals): per b, the solution list and
     mp.norm(A x - b, p).
 
-    One pivoted LU of the normal equations, on lists (_lu_decomp), at 10
-    extra bits as in mp.lu_solve, serves every b; they square the
+    The normal equations A^H A x = A^H b are block-diagonal: two columns
+    share a block when they have a nonzero in a common row (a union-find
+    over the rows), and no Gram entry couples two blocks.  Each block, its
+    columns in ascending order, is one pivoted LU on lists (_lu_decomp) at
+    10 extra bits, which serves every b; the normal equations square the
     condition number, which the working precision absorbs for these small
-    exact systems.  Each entry of A^H A and A^H b is one mp.fdot over the
-    rows its two columns share: fdot rounds once, so the zero products of
-    the dense product change no value, and the entry is made complex where
-    the dense product is (mpmath divides by an mpc with zero imaginary part
-    differently from an mpf).  Solutions and residuals are those of the dense
-    mp.lu_solve(A.H * A, A.H * b) and mp.norm(A * x - b, p), bit for bit.
+    exact systems.  Each entry of a block's A^H A and A^H b is one mp.fdot
+    over the rows its two columns share: fdot rounds once, so the zero
+    products of the dense product change no value, and the entry is made
+    complex where the dense product is (mpmath divides by an mpc with zero
+    imaginary part differently from an mpf).  So each block's solution is
+    mp.lu_solve(A_B.H * A_B, A_B.H * b) bit for bit, A_B the block's
+    columns, and a system of one block is solved as the dense normal
+    equations are; a rank-deficient block raises ContinuationError.  The
+    residual is mp.norm(A * x - b, p) of the assembled x, bit for bit.
     """
     # an exact zero, even a complex one, is no entry, as in a dense matrix
     cols = [{r: v for r, v in c.items() if v} for c in cols]
@@ -449,28 +463,44 @@ def _lstsq(cols, bs, rows: int, p=2):
     n = len(cols)
     conj = [sorted((r, mp.conj(v)) for r, v in c.items()) for c in cols]
     cplx = [any(type(v) is mp.mpc for v in c.values()) for c in cols]
+    bcplx = [any(type(v) is mp.mpc for v in b.values()) for b in bs]
+    by_row: dict = {}
+    for j, c in enumerate(cols):
+        for r, v in c.items():
+            by_row.setdefault(r, []).append((j, v))
+    root = list(range(n))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    for entries in by_row.values():
+        first = find(entries[0][0])
+        for j, _ in entries[1:]:
+            root[find(j)] = first
+    blocks: dict = {}
+    for j in range(n):
+        blocks.setdefault(find(j), []).append(j)
 
     def typed(s, complex_):
         if complex_ and type(s) is not mp.mpc:
             return mp.make_mpc((s._mpf_, fzero))
         return s
 
-    gram = [[typed(mp.fdot((ci, cj[r]) for r, ci in conj[i] if r in cj),
-                   cplx[i] or cplx[j]) for j, cj in enumerate(cols)]
-            for i in range(n)]
-    rhs = []
-    for b in bs:
-        bc = any(type(v) is mp.mpc for v in b.values())
-        rhs.append([typed(mp.fdot((ci, b[r]) for r, ci in conj[i]
-                                  if r in b), cplx[i] or bc)
-                    for i in range(n)])
-    with mp.extraprec(10):
-        lu, perm = _lu_decomp(gram)
-        xs = [_lu_solve(lu, perm, v) for v in rhs]
-    by_row: dict = {}
-    for j, c in enumerate(cols):
-        for r, v in c.items():
-            by_row.setdefault(r, []).append((j, v))
+    xs = [[None] * n for _ in bs]
+    for block in blocks.values():
+        gram = [[typed(mp.fdot((ci, cols[j][r]) for r, ci in conj[i]
+                               if r in cols[j]), cplx[i] or cplx[j])
+                 for j in block] for i in block]
+        rhs = [[typed(mp.fdot((ci, b[r]) for r, ci in conj[i] if r in b),
+                      cplx[i] or bc) for i in block]
+               for b, bc in zip(bs, bcplx)]
+        with mp.extraprec(10):
+            lu, perm = _lu_decomp(gram)
+            for x, v in zip(xs, rhs):
+                for j, xj in zip(block, _lu_solve(lu, perm, v)):
+                    x[j] = xj
     # A x + (-b), with -b rounded to the working precision, as the dense
     # a * x - b computes it
     zero = mp.zero
@@ -915,7 +945,8 @@ class Frame:
         self.tol = mp.mpf(10) ** (-(digits - 6))
         self._gamma = _GammaDerivs(self.tol).jet
         self._rgamma = _RGammaDerivs(self.tol).jet
-        self._heads: dict = {}
+        # values that repeat across the kernels and poles of one call
+        self._memo: dict = {}
 
     # -- scalars and tails ---------------------------------------------------
 
@@ -971,12 +1002,34 @@ class Frame:
         return _spectrum(self.tail(arg), self.digits).apply(
             jet, self.scalar(arg))
 
+    def _memoized(self, key, make: Callable):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def gamma(self, arg: Arg) -> NilExpansion:
         # the kernels of one continued series share their heads
-        key = (arg.a0, arg.alam, arg.div)
-        if key not in self._heads:
-            self._heads[key] = self._apply(self._gamma, arg)
-        return self._heads[key]
+        return self._memoized(("gamma", arg.a0, arg.alam, arg.div),
+                              lambda: self._apply(self._gamma, arg))
+
+    def rgamma_pole(self, m: int, jmax: int) -> list:
+        """The jet of 1/Gamma to order jmax at its zero -m; it depends on
+        (m, jmax) alone."""
+        return self._memoized(("rgamma", m, jmax),
+                              lambda: self._rgamma(-m, jmax))
+
+    def sine_ratio(self, rates: list, size: int, sn: Arg) -> list:
+        """[R_0, ..., R_(size-1)] at sn, R_k = _SineRatio(rates, k): the
+        values at sn - m, m the floor of sn's rational part, times
+        (-1)^(m (sum rates + 1)), which is exact for integer rates."""
+        m = floor(sn.a0)
+        reduced = _affine(-m, (1, sn))
+        ratio = self._memoized(
+            ("sine", tuple(sorted(rates)), size, reduced.a0, reduced.alam,
+             reduced.div),
+            lambda: [self._apply(_SineRatio(rates, k).jet, reduced)
+                     for k in range(size)])
+        return [-v for v in ratio] if m * (sum(rates) + 1) % 2 else ratio
 
     def rgamma(self, arg: Arg) -> NilExpansion:
         if self.mode == "symbolic" and self.exact_pole(arg) is not None:
@@ -1046,15 +1099,23 @@ def _lattice_map(g_y: Geometry, g_x: Geometry) -> list:
             for i in range(ny)]
 
 
+_CONTOUR_CACHE: dict = {}
+
+
 def _contour(g_y: Geometry, g_x: Geometry) -> tuple[list, int]:
     """(D, c): the lattice map and the contour variable y_c, the one Y
-    variable whose row of D has a negative entry."""
-    d = _lattice_map(g_y, g_x)
-    neg = [i for i, row in enumerate(d) if min(row) < 0]
-    if len(neg) != 1:
-        raise ContinuationError(
-            f"{g_y.pair}: no single contour variable in the lattice map {d}")
-    return d, neg[0]
+    variable whose row of D has a negative entry.  Built once per pair of
+    geometry objects; callers read it and must not change it."""
+    key = (id(g_y), id(g_x))
+    cached = _CONTOUR_CACHE.get(key)
+    if cached is None or cached[0] is not g_y or cached[1] is not g_x:
+        d = _lattice_map(g_y, g_x)
+        neg = [i for i, row in enumerate(d) if min(row) < 0]
+        if len(neg) != 1:
+            raise ContinuationError(f"{g_y.pair}: no single contour variable "
+                                    f"in the lattice map {d}")
+        cached = _CONTOUR_CACHE[key] = (g_y, g_x, (d, neg[0]))
+    return cached[2]
 
 
 def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
@@ -1113,7 +1174,12 @@ def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
             n = kern.kappa.a0 - kern.left_rate * (dy[c] - a) / split
             if n.denominator != 1 or n < 0:
                 continue
-            for k, r in enumerate(kern.left_residue(int(n))[:len(logs)]):
+            try:
+                residue = kern.left_residue(int(n))
+            except ContinuationError as exc:
+                raise ContinuationError(f"{g_y.name}: X index {nx_}, pole "
+                                        f"n = {n}: {exc}") from None
+            for k, r in enumerate(residue[:len(logs)]):
                 for e1, coef in logs[k].items():
                     val = r.scale(-coef)
                     terms = [(e1, val)] + [
@@ -1482,7 +1548,8 @@ class _Kernel:
                           geom.shifted_index(j, base))
                          for j, row in enumerate(geom.rows))
         self.rows = []
-        gammas = []
+        # (f, argument, multiplicity) of each head factor but the sines
+        self._heads = []
         zexp = 1
         for (klass, c, o), mult in groups.items():
             if not (c or o):
@@ -1490,16 +1557,18 @@ class _Kernel:
             # the head Gamma(b + kappa/z), with b in (0, 1] and b = o mod 1
             b = 1 - (-o) % 1
             zexp += (b - 1) * mult
-            gammas += [fr.gamma(_class_arg(alg, klass, b))] * mult
+            self._heads.append((fr.gamma, _class_arg(alg, klass, b), mult))
             arg = _class_arg(alg, klass, o)
             if c:
                 self.rows.append(_Row(c, arg, mult,
                                       fr.sinpi(arg) if c < 0 else None))
             else:
-                gammas += [fr.rgamma(_affine(1, (1, arg)))] * mult
+                self._heads.append((fr.rgamma, _affine(1, (1, arg)), mult))
         sector = geom.sector_label_index(base)
         if sector != alg.unit:
-            gammas.append(NilExpansion.basis(fr.na, alg.labels[sector]))
+            self._heads.append((partial(NilExpansion.basis, fr.na),
+                                alg.labels[sector], 1))
+        self._zexp = int(zexp)
         odd = sum(-r.c * r.mult for r in self.rows if r.c < 0)
         if any(r.c.denominator != 1 for r in self.rows) or odd % 2 != 1:
             raise ContinuationError(
@@ -1508,11 +1577,8 @@ class _Kernel:
                 f"whose negative ones sum to an odd number")
         # the Gamma(|c| s - o - kappa/z) factors first, then the 1/Gamma ones
         self.rows.sort(key=lambda r: r.c > 0)
-        self.gammas = fr.zpow(reduce(mul, gammas), int(zexp))
         sines = [r.sin for r in self.rows if r.c < 0 for _ in range(r.mult)]
         self.nsines = len(sines)
-        self.head = (self.gammas * reduce(mul, sines)).scale(
-            (-1 / mp.pi) ** self.nsines)
         c, self.kappa, _, _ = min(self.rows, key=lambda r: r.c)
         self.left_rate = -c
         if q is not None:
@@ -1523,6 +1589,8 @@ class _Kernel:
             tau = fr.tail(Arg(0, 0, {l: v / lead for l, v in first}))
             spec = _spectrum(tau, fr.digits)
             nu = spec.nodes[0][1]
+            self.head = (self.gammas * reduce(mul, sines)).scale(
+                (-1 / mp.pi) ** self.nsines)
             powers = [self.head * self.pdress]
             for _ in range(nu - 1):
                 powers.append(powers[-1] * tau)
@@ -1543,6 +1611,15 @@ class _Kernel:
                 self.contour.append((_frac_mp(abs(r.c)), offset, e, [
                     _frac_mp(e * a ** k / factorial(k)) for k in range(1, nu)]
                     if a else []))
+
+    @cached_property
+    def gammas(self) -> NilExpansion:
+        """The head without its sines, evaluated on first use: a kernel
+        made for its rates alone evaluates no Gamma."""
+        factors = []
+        for f, arg, mult in self._heads:
+            factors += [f(arg)] * mult
+        return self.fr.zpow(reduce(mul, factors), self._zexp)
 
     @property
     def wall(self) -> Fraction:
@@ -1650,14 +1727,14 @@ class _Kernel:
             else:
                 # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
                 jet = [v * w for v, w in
-                       zip(fr._rgamma(-m, size), scale)][1:]
+                       zip(fr.rgamma_pole(m, size), scale)][1:]
                 if r.c < 0:
                     jet = _series_recip(jet)
                     # its head sine (-1)^m sin(pi |c| s_n) moves into R
                     rates += [abs(r.c)] * r.mult
                     const = const.scale((-1) ** (m * r.mult))
             scalars = reduce(_series_mul, [jet] * r.mult, scalars)
-        ratio = [fr._apply(_SineRatio(rates, k).jet, sn) for k in range(size)]
+        ratio = fr.sine_ratio(rates, size, sn)
         series = _series_mul(_series_mul(series, scalars), ratio)
         return [(const * series[size - 1 - k]).scale(mp.mpf(1) / factorial(k))
                 for k in range(size)]
@@ -1749,17 +1826,26 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             evaluations += 1
             return kern(sigma + 1j * t)
 
-        # height from the observed exponential decay of the integrand
+        # for real parameters the integrand obeys the Schwarz reflection
+        # kern(conj s) = conj kern(s) componentwise, so the lower half of
+        # the line is the conjugate of the upper half
+        symmetric = (mp.im(lam) == 0 and mp.im(z) == 0 and mp.im(q) == 0
+                     and mp.re(q) > 0)
+
+        def half_tail(t, step):
+            # the tail beyond t on t's half of the line, from the decay
+            # observed between t - step and t
+            top, prev = evaluate(t).maxabs(), evaluate(t - step).maxabs()
+            if top == 0:
+                return top
+            return top / (mp.log(prev / top) if prev > top else mp.mpf("0.1"))
+
+        # the height: both halves of the line are cut at t_cur, so the tail
+        # is the sum of the two halves' tails
         t_cur = mp.mpf(12)
         while True:
-            top = evaluate(t_cur).maxabs()
-            prev = evaluate(t_cur - 1).maxabs()
-            if top == 0:
-                rate = mp.mpf(1)
-                tail = mp.mpf(0)
-                break
-            rate = mp.log(prev / top) if prev > top else mp.mpf("0.1")
-            tail = top / rate if rate > 0 else top * 100
+            tail = half_tail(t_cur, 1)
+            tail += tail if symmetric else half_tail(-t_cur, -1)
             if tail < tol or t_cur >= 220:
                 break
             t_cur += 10
@@ -1767,11 +1853,6 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             raise ContinuationError(
                 f"tail estimate {mp.nstr(tail, 5)} exceeds the tolerance")
 
-        # for real parameters the integrand obeys the Schwarz reflection
-        # kern(conj s) = conj kern(s) componentwise, so the lower half of
-        # the line is the conjugate of the upper half
-        symmetric = (mp.im(lam) == 0 and mp.im(z) == 0 and mp.im(q) == 0
-                     and mp.re(q) > 0)
         if symmetric:
             nodes = [0, t_cur / 4, t_cur]
         else:

@@ -3,6 +3,7 @@ and the MB integral."""
 
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -333,14 +334,90 @@ def test_spectrum_apply_closed_forms(square, f, shift):
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
 def test_mb_evaluation_count(ex, q):
     # the seed-0 benchmark points take these many kernel evaluations, the
-    # height probes included; each interval stops at the first degree whose
-    # error estimate fits tol, so the count follows the stopping rule, and
-    # test_mb_matches_a_high_precision_run guards the value it buys
+    # height probes at both ends of the line included; each interval stops
+    # at the first degree whose error estimate fits tol, so the count
+    # follows the stopping rule, and test_mb_matches_a_high_precision_run
+    # guards the value it buys
     res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
                                  digits=15, tol="1e-12")
     assert (res.evaluations, res.height, res.corrections, res.wall) == (
-        {"ex1": 374, "ex4": 566}[ex], 12, {"ex1": 1, "ex4": 2}[ex],
+        {"ex1": 376, "ex4": 568}[ex], 12, {"ex1": 1, "ex4": 2}[ex],
         {"ex1": Fraction(1, 27), "ex4": Fraction(1, 4)}[ex])
+
+
+def test_mb_budget_counts_the_lower_tail(monkeypatch):
+    # off the reflection path the line is cut at -height too; with the
+    # lower half made to decay e^(2|t|) slower, its tail needs a greater
+    # height and dominates the budget, which must still include it
+    real = _Kernel.__call__
+    seen = {}
+
+    def slower_below(self, s):
+        v = real(self, s)
+        t = mp.im(mp.mpc(s))
+        if t < 0:
+            v = v.scale(mp.exp(-2 * t))
+        seen[t] = v.maxabs()
+        return v
+
+    monkeypatch.setattr(_Kernel, "__call__", slower_below)
+    res = mellin_barnes_integral("ex1", "0.06", digits=15, tol="1e-12")
+    top, prev = seen[-res.height], seen[1 - res.height]
+    lower = top / mp.log(prev / top)
+    assert res.height > 12
+    assert res.error / 2 < lower <= res.error <= mp.mpf("1e-12")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(-4, 4),
+       st.sampled_from(["integer", "complex"]))
+def test_sine_ratio_shifts_by_a_sign(rates, k, m, kind):
+    # R_k(x + m) = (-1)^(m (sum rates + 1)) R_k(x) for integer rates, at an
+    # integer x (the branch of symbolic mode) and at a complex one
+    assume(k < len(rates) or kind == "complex")
+    with mp.workdps(30):
+        x = mp.mpf(2) if kind == "integer" else mp.mpc("0.3", "0.7")
+        ratio = _SineRatio(rates, k)
+        got, want = ratio.jet(x + m, 2), ratio.jet(x, 2)
+        sign = (-1) ** (m * (sum(rates) + 1))
+        for u, v in zip(got, want):
+            assert abs(u - sign * v) <= mp.mpf(10) ** -25 * max(1, abs(v))
+
+
+def test_continued_series_jet_counts(monkeypatch):
+    # one pass of the benchmark's 8 continued series at seed 0: the sine
+    # ratios come from their values at the reduced pole and the 1/Gamma
+    # jets at exact poles from one per (pole, order), once per call
+    calls = Counter()
+
+    def counting(name, real):
+        def f(*args):
+            calls[name] += 1
+            return real(*args)
+        return f
+
+    monkeypatch.setattr(_SineRatio, "jet",
+                        counting("sine", _SineRatio.jet))
+    monkeypatch.setattr(continuation, "_gamma_polygamma",
+                        counting("gamma", continuation._gamma_polygamma))
+    lam = mp.mpc("0.7", "0.31")
+    for ex in ("ex1", "ex2", "ex3", "ex4"):
+        trunc = builtin(ex + "-X").algebra.dim + 2
+        continued_ifunction(ex, trunc, mode="nonequivariant", digits=30)
+        continued_ifunction(ex, trunc, lam=lam, digits=30)
+    assert calls == {"sine": 51, "gamma": 248}
+
+
+@pytest.mark.parametrize("lam, why", [
+    (3, "argument -1.0 is too close to the integer -1"),
+    (0, "argument 0.0 is too close to the integer 0"),
+])
+def test_left_residue_error_names_geometry_index_and_pole(lam, why):
+    with pytest.raises(ContinuationError) as info:
+        solve_umatrix("ex1", mode="equivariant-numeric", lam=lam, digits=30)
+    assert str(info.value) == (f"ex1-Y: X index (0,), pole n = 0: parameter "
+                               f"sample resonates: {why}")
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -656,6 +733,24 @@ def test_lattice_map_of_each_pair(ex, d):
         d, 1 if ex == "ex2" else 0)
 
 
+def test_lattice_map_is_built_once_per_pair(monkeypatch):
+    monkeypatch.setattr(continuation, "_CONTOUR_CACHE", {})
+    calls = []
+    real = continuation._lattice_map
+
+    def counted(g_y, g_x):
+        calls.append((g_y.name, g_x.name))
+        return real(g_y, g_x)
+
+    monkeypatch.setattr(continuation, "_lattice_map", counted)
+    for lam in (default_lambda(), mp.mpc("0.4", "0.2")):
+        solve_umatrix("ex1", mode="equivariant-numeric", lam=lam, digits=30)
+    solve_umatrix("ex1", digits=30)
+    solve_umatrix("ex4", truncation=4, digits=30)
+    mellin_barnes_integral("ex1", "0.06", digits=15, tol="1e-8")
+    assert calls == [("ex1-Y", "ex1-X"), ("ex4-Y", "ex4-X")]
+
+
 def test_x_side_without_a_lattice_map_is_refused(monkeypatch):
     # no T takes ex1-Y's charges (1, 1, 1, -3) to (-2, -1, -1, 3)
     real = continuation.builtin
@@ -846,34 +941,100 @@ _SYSTEMS = st.integers(1, 5).flatmap(lambda n: st.tuples(
         min_size=rows, max_size=rows))))
 
 
+def _column_blocks(cols):
+    """The columns of A grouped into connected blocks: two columns are
+    joined when both have a nonzero in some row."""
+    rows = [{r for r, v in c.items() if v} for c in cols]
+    left, blocks = set(range(len(cols))), []
+    while left:
+        block, todo = set(), [min(left)]
+        while todo:
+            j = todo.pop()
+            if j not in block:
+                block.add(j)
+                todo += [k for k in left if rows[j] & rows[k]]
+        left -= block
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _dense(cols, rows):
+    a = mp.matrix(rows, len(cols))
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            a[r, j] = v
+    return a
+
+
 @settings(max_examples=60, deadline=None)
 @given(_SYSTEMS, st.sampled_from([2, mp.inf]))
 def test_lstsq_equals_dense_normal_equations(system, p):
+    # the normal equations are block-diagonal, and each block's solution is
+    # mp.lu_solve on that block's dense normal equations, in values and in
+    # types; a singular block makes the whole solve rank-deficient
     n, table = system
     rows = len(table)
     sparse = [{r: _value(table[r][c]) for r in range(rows)
                if table[r][c] is not None} for c in range(n + 2)]
     cols, bs = sparse[:n], sparse[n:]
     with mp.workdps(30):
-        a = mp.matrix(rows, n)
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                a[r, j] = v
         dense_bs = [mp.matrix([b.get(r, 0) for r in range(rows)])
                     for b in bs]
+        want = [[None] * n for _ in bs]
         try:
-            want = [mp.lu_solve(a.H * a, a.H * b) for b in dense_bs]
+            for block in _column_blocks(cols):
+                a = _dense([cols[j] for j in block], rows)
+                for w, b in zip(want, dense_bs):
+                    for j, v in zip(block, mp.lu_solve(a.H * a, a.H * b)):
+                        w[j] = v
         except (ZeroDivisionError, TypeError):
-            # a singular Gram matrix: mpmath raises TypeError when a whole
+            # a singular Gram block: mpmath raises TypeError when a whole
             # column has no pivot left
             with pytest.raises(ContinuationError, match="rank-deficient"):
                 _lstsq(cols, bs, rows, p)
             return
         xs, residuals = _lstsq(cols, bs, rows, p)
+        a = _dense(cols, rows)
         for x, res, w, b in zip(xs, residuals, want, dense_bs):
-            assert x == list(w)
+            assert x == w
             assert [type(v) for v in x] == [type(v) for v in w]
-            assert res == mp.norm(a * w - b, p)
+            assert res == mp.norm(a * mp.matrix(x) - b, p)
+
+
+def test_lstsq_factors_each_block_once(monkeypatch):
+    # columns {0, 3}, {1} and {2, 4, 5} share no row: three factorizations,
+    # of sizes 2, 1 and 3, and the exact solution of the square system
+    sizes = []
+    real = continuation._lu_decomp
+
+    def counted(gram):
+        sizes.append(len(gram))
+        return real(gram)
+
+    monkeypatch.setattr(continuation, "_lu_decomp", counted)
+    with mp.workdps(30):
+        one = mp.mpf(1)
+        cols = [{0: one, 1: one}, {2: 2 * one}, {3: one, 4: one},
+                {0: one, 1: -one}, {4: one, 5: one}, {3: one, 5: 3 * one}]
+        want = [mp.mpf(k) for k in (1, -2, 3, 4, -5, 6)]
+        b = {}
+        for j, c in enumerate(cols):
+            for r, v in c.items():
+                b[r] = b.get(r, 0) + v * want[j]
+        (x,), (res,) = _lstsq(cols, [b], 6)
+    assert sizes == [2, 1, 3]
+    assert max(abs(u - v) for u, v in zip(x, want)) <= mp.mpf(10) ** -28
+    assert res <= mp.mpf(10) ** -28
+
+
+def test_lstsq_rank_deficient_block_is_refused():
+    # column 1 is 1.5 times column 0, so their Gram block is singular
+    # although the block of column 2 is not
+    with mp.workdps(30):
+        cols = [{0: mp.mpf(2), 1: mp.mpf(4)}, {0: mp.mpf(3), 1: mp.mpf(6)},
+                {2: mp.mpf(1)}]
+        with pytest.raises(ContinuationError, match="rank-deficient"):
+            _lstsq(cols, [{0: mp.mpf(1), 2: mp.mpf(1)}], 3)
 
 
 def test_lstsq_zero_column_is_rank_deficient():

@@ -114,3 +114,21 @@ def test_every_imported_name_is_read():
                            if name not in loads]
     assert paths
     assert not unread
+
+
+def test_every_continuation_cache_is_documented():
+    # a module-level dict in continuation.py outlives every call, so the
+    # "Caches." paragraph of the module docstring must name it
+    tree = ast.parse((SRC / "continuation.py").read_text(encoding="utf-8"))
+    doc = ast.get_docstring(tree)
+    start = doc.index("Caches.")
+    end = doc.find("\n\n", start)
+    paragraph = doc[start:] if end < 0 else doc[start:end]
+    caches = [t.id for stmt in tree.body
+              if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+              and isinstance(stmt.value, ast.Dict) and not stmt.value.keys
+              for t in (stmt.targets if isinstance(stmt, ast.Assign)
+                        else [stmt.target])
+              if isinstance(t, ast.Name)]
+    assert "_CONTOUR_CACHE" in caches
+    assert [name for name in caches if name not in paragraph] == []
