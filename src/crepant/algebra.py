@@ -4,13 +4,21 @@ An Algebra packages basis labels, cohomological degrees, inertia-sector
 labels, structure constants, a distinguished unit, and the pairing matrix.
 Elements are coefficient vectors over LambdaRat.  AlgebraZ holds finite
 Laurent polynomials in z with Element coefficients; deg z = 2.
+
+Algebra.minimal_factors gives the spectrum of multiplication by a
+degree-two class exactly: the squarefree factors of its minimal polynomial
+over Q.  At lambda != 0 the grading makes multiplication by a degree-two
+class lambda times a conjugate of its rational matrix at lambda = 1, so
+that matrix's factors serve every lambda sample.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
-from .lambda_rat import LambdaRat, RAT_ONE, RAT_ZERO, format_lambda_rat
+from .lambda_rat import (LambdaPoly, LambdaRat, RAT_ONE, RAT_ZERO,
+                         _poly_divmod, _poly_gcd, format_lambda_rat)
 
 
 class AlgebraError(ValueError):
@@ -18,7 +26,11 @@ class AlgebraError(ValueError):
 
 
 class Algebra:
-    """Basis-indexed multiplication table and pairing; validated on demand."""
+    """Basis-indexed multiplication table and pairing; validated on demand.
+
+    basis, one and zero return Elements built once and shared: Elements
+    are immutable, so no caller can change another's.
+    """
 
     def __init__(self, name, labels, degrees, sectors, unit, table, gram):
         self.name = name
@@ -32,6 +44,12 @@ class Algebra:
         self.gram = tuple(tuple(row) for row in gram)
         self._dual = None
         self._gram_inv = None
+        # (class, lambda = 0) -> minimal_factors of the class
+        self._minimal: dict = {}
+        zero = (RAT_ZERO,) * self.dim
+        self._zero = Element(self, zero)
+        self._basis = tuple(Element(self, zero[:i] + (RAT_ONE,) + zero[i + 1:])
+                            for i in range(self.dim))
 
     # -- construction helpers ----------------------------------------------
 
@@ -43,13 +61,13 @@ class Algebra:
         return Element(self, coeffs)
 
     def basis(self, i: int) -> "Element":
-        return self.element([1 if j == i else 0 for j in range(self.dim)])
+        return self._basis[i]
 
     def zero(self) -> "Element":
-        return self.element([0] * self.dim)
+        return self._zero
 
     def one(self) -> "Element":
-        return self.basis(self.unit)
+        return self._basis[self.unit]
 
     def from_label(self, label: str) -> "Element":
         return self.basis(self.labels.index(label))
@@ -82,6 +100,62 @@ class Algebra:
                 self.element([inv[g][b] for g in range(self.dim)])
                 for b in range(self.dim))
         return self._dual
+
+    # -- spectra ---------------------------------------------------------------
+
+    def minimal_factors(self, klass, at_zero: bool) -> tuple:
+        """((factor, multiplicity), ...) of the class sum c_l D_l, given as
+        (label, c) pairs of degree-two labels: the squarefree factors over Q
+        of the minimal polynomial of multiplication by the class, each
+        monic, as a LambdaPoly in the eigenvalue.  The factor x, when
+        present, stands alone.
+
+        at_zero takes the structure constants at lambda = 0.  Otherwise
+        they are taken at lambda = 1, and each must be the lambda-monomial
+        the grading asks for, so that the eigenvalues at a sample lambda
+        are lambda times the roots.  Cached per (class, at_zero).
+        """
+        klass = tuple(sorted((str(l), Fraction(c)) for l, c in klass if c))
+        key = (klass, bool(at_zero))
+        if key not in self._minimal:
+            self._minimal[key] = _squarefree(
+                _minimal_polynomial(self._class_matrix(klass, at_zero)))
+        return self._minimal[key]
+
+    def _class_matrix(self, klass, at_zero: bool) -> list:
+        """Rows of multiplication by the class at lambda = 0 or 1."""
+        n = self.dim
+        name = " + ".join(f"{c}*{l}" for l, c in klass) or "0"
+        where = f"{self.name}: class {name}"
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for label, c in klass:
+            if label not in self.labels:
+                raise AlgebraError(f"{where}: no label {label!r}")
+            i = self.labels.index(label)
+            if self.degrees[i] != 2:
+                raise AlgebraError(f"{where}: label {label} has degree "
+                                   f"{self.degrees[i]}, not 2")
+            for j in range(n):
+                for k, v in enumerate(self.table[i][j]):
+                    if v.is_zero:
+                        continue
+                    if at_zero:
+                        try:
+                            v = v.nonequivariant_limit()
+                        except ValueError as exc:
+                            raise AlgebraError(f"{where}: {exc}") from None
+                    else:
+                        mono = v.as_monomial()
+                        if mono is None or 2 * mono[1] != \
+                                2 + self.degrees[j] - self.degrees[k]:
+                            raise AlgebraError(
+                                f"{where}: structure constant "
+                                f"{format_lambda_rat(v)} at ({label}, "
+                                f"{self.labels[j]}) is not the "
+                                f"lambda-monomial the grading asks for")
+                        v = mono[0]
+                    m[k][j] += c * v
+        return m
 
     # -- validation ----------------------------------------------------------
 
@@ -196,6 +270,81 @@ def _invert(gram, name):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv)
+
+
+def _solve_exact(cols: list[list[Fraction]],
+                 target: list[Fraction]) -> Optional[list[Fraction]]:
+    """Solve sum_i x_i * cols[i] == target exactly; None if inconsistent."""
+    m = len(target)
+    n = len(cols)
+    a = [[cols[i][r] for i in range(n)] + [target[r]] for r in range(m)]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        p = next((k for k in range(r, m) if a[k][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for k in range(m):
+            if k != r and a[k][c] != 0:
+                f = a[k][c]
+                a[k] = [x - f * y if y else x for x, y in zip(a[k], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for k in range(r, m):
+        if a[k][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for row_i, c in enumerate(piv_cols):
+        x[c] = a[row_i][n]
+    return x
+
+
+def _minimal_polynomial(m: list) -> LambdaPoly:
+    """The monic minimal polynomial of the square matrix m: the first exact
+    linear dependence of m^k on I, m, ..., m^(k-1)."""
+    n = len(m)
+    power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    powers = []
+    while True:
+        powers.append([x for row in power for x in row])
+        power = [[sum(a * b for a, b in zip(row, col) if a and b)
+                  for col in zip(*m)] for row in power]
+        x = _solve_exact(powers, [v for row in power for v in row])
+        if x is not None:
+            return LambdaPoly({len(powers): 1,
+                               **{i: -v for i, v in enumerate(x)}})
+
+
+def _derivative(p: LambdaPoly) -> LambdaPoly:
+    return LambdaPoly({e - 1: e * c for e, c in p.coeffs.items() if e})
+
+
+def _squarefree(f: LambdaPoly) -> tuple:
+    """Yun's squarefree factorization of the monic f: ((a_i, i), ...) with
+    f = prod a_i^i, each a_i squarefree and monic; the factor x of f is
+    split off its a_i."""
+    out = []
+    df = _derivative(f)
+    g = _poly_gcd(f, df)
+    b, c = _poly_divmod(f, g)[0], _poly_divmod(df, g)[0]
+    d = c - _derivative(b)
+    mult = 1
+    while b.degree() > 0:
+        a = _poly_gcd(b, d)
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        d = c - _derivative(b)
+        if a.degree() > 0 and not a.coeff(0):
+            out.append((LambdaPoly.gen(), mult))
+            a = _poly_divmod(a, LambdaPoly.gen())[0]
+        if a.degree() > 0:
+            out.append((a, mult))
+        mult += 1
+    return tuple(out)
 
 
 class Element:

@@ -18,12 +18,17 @@ decimal digits (default 64).  Two parameter modes exist everywhere:
 
 Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin and exp
 alike), goes through one evaluator, _Spectrum: the Newton form of the
-Hermite interpolation of f on the spectrum of t (the roots of its minimal
-polynomial, found numerically).  Its Newton basis depends on t alone and
-is built once, so an evaluation costs one jet(x, jmax) = [f(x), ...,
-f^(jmax)(x)] per root and a few scaled adds.  For nilpotent t this is the
-Taylor jet; for semisimple directions it evaluates f at the shifted
-eigenvalues.  Either way it is exact and finite, which matters because the
+Hermite interpolation of f on the spectrum of t.  t is a rational divisor
+class times a number (1/z, log q/z, ...), and the grading makes its
+eigenvalues lambda times that number times the roots of the class's
+minimal polynomial at lambda = 1 (at lambda = 0 itself, the roots there).
+The algebra factors that polynomial exactly (Algebra.minimal_factors), so
+multiplicities and zero roots are exact, and only its squarefree factors
+of degree >= 2 have their roots found numerically.  The Newton basis
+depends on t alone and is built once, so an evaluation costs one
+jet(x, jmax) = [f(x), ..., f^(jmax)(x)] per root and a few scaled adds.
+For nilpotent t this is the Taylor jet; for semisimple directions it
+evaluates f at the shifted eigenvalues.  Either way it is exact and finite, which matters because the
 naive polygamma power series diverges on algebras whose degree-two classes
 are not nilpotent at numeric lambda.  A jet of Gamma or 1/Gamma of order
 >= 1 takes its value and every polygamma order from one fixed-point pass
@@ -90,13 +95,13 @@ evaluation is one pass per row, scalar work and one exponential.
 
 Caches.  Five module dicts keep work that recurs across calls:
 _NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
-_SPECTRA the _Spectrum of each class, keyed (id(numeric algebra), digits,
-precision, the class's terms); _XSIDE_CACHE the X side's exact prefactor
-expansion, keyed (id(geometry), truncation), which serves both modes and
-every lambda, z and precision; _CONTOUR_CACHE the lattice map and the
-contour variable of each pair, keyed (id(Y side), id(X side));
-_BERNOULLI the scaled Bernoulli numbers of _gamma_pass, keyed by its
-working precision.  _NA_CACHE, _XSIDE_CACHE and _CONTOUR_CACHE store the
+_SPECTRA the _Spectrum of each class, keyed (id(numeric algebra),
+precision, the exact class, its numeric factor, its z exponent);
+_XSIDE_CACHE the X side's exact prefactor expansion, keyed (id(geometry),
+truncation), which serves both modes and every lambda, z and precision;
+_CONTOUR_CACHE the lattice map and the contour variable of each pair,
+keyed (id(Y side), id(X side)); _BERNOULLI the scaled Bernoulli numbers
+of _gamma_pass, keyed by its working precision.  _NA_CACHE, _XSIDE_CACHE and _CONTOUR_CACHE store the
 keyed objects too and rebuild when they are not the ones asked for, so a
 recycled id cannot return another object's entry.  Within one call, the
 Frame's memo keeps what repeats across the kernels and poles of one
@@ -104,6 +109,8 @@ continued series: the head Gammas, keyed by their argument; the sine
 ratios R_k, keyed (sorted rates, pole order, s_n less the floor of its
 rational part); and the 1/Gamma jets at an exact pole -m, keyed (m,
 order).  The memo lives and dies with its Frame, which no cache keeps.
+Each Algebra keeps its classes' exact minimal_factors, keyed (class,
+lambda = 0), which serve every lambda sample, z and precision.
 """
 
 from __future__ import annotations
@@ -126,9 +133,8 @@ from mpmath.libmp import (bernfrac, from_int, from_man_exp,
                           to_fixed, to_int)
 from mpmath.libmp.gammazeta import ln_sqrt2pi_fixed
 
-from .algebra import Algebra
-from .geometry import (Geometry, _solve_exact, builtin, enumerate_degrees,
-                       pairs)
+from .algebra import Algebra, _solve_exact
+from .geometry import Geometry, builtin, enumerate_degrees, pairs
 from .ifunction import (IFunctionError, RatAZ, build_ifunction,
                         exp_log_terms, expand_prefactor)
 
@@ -188,7 +194,7 @@ def _parameters(where: str, mode: str, lam, z, digits, truncation=0):
     nonequivariant mode; a bad parameter raises ContinuationError."""
     def bad(msg):
         return ContinuationError(f"{where}: {msg}")
-    # below 10 the tolerance 10^-(digits - 6) of poles and nilpotency is none
+    # below 10 the tolerance 10^-(digits - 6) of poles is none
     if type(digits) is not int or digits < 10:
         raise bad(f"digits must be an integer >= 10, not {digits!r}")
     if type(truncation) is not int or truncation < 0:
@@ -511,74 +517,45 @@ def _lstsq(cols, bs, rows: int, p=2):
     return xs, residuals
 
 
-def _eigennodes_raw(t: NilExpansion, digits: int):
-    """[(eigenvalue, multiplicity)] of t's minimal polynomial: nilpotency
-    is detected first, else the minimal monic dependence among the powers of
-    t is solved for and its roots are clustered."""
-    na = t.na
-    cap = na.dim + 1
-    powers = [NilExpansion.unit(na)]
-    scale = max(mp.mpf(1), t.maxabs())
-    tol = mp.mpf(10) ** (-(digits - 6))
-    cur = powers[0]
-    for k in range(1, cap + 1):
-        cur = cur * t
-        if cur.maxabs() <= tol * scale ** k:
-            return [(mp.mpf(0), k)]
-        powers.append(cur)
-    keys = sorted({key for p in powers for key in p.terms})
-    rows = len(keys)
-    cols = [{r: p.terms[key] for r, key in enumerate(keys) if key in p.terms}
-            for p in powers]
-    for m in range(1, cap + 1):
-        try:
-            (x,), (resid,) = _lstsq(cols[:m], [cols[m]], rows)
-        except ContinuationError:
-            continue
-        if resid <= tol * scale ** m * max(1, rows):
-            coeffs = [mp.mpc(1)] + [-x[m - 1 - j] for j in range(m)]
-            try:
-                # multiple roots slow Durand-Kerner down to linear rate,
-                # so give it room; the companion matrix is the fallback
-                roots = mp.polyroots(coeffs, maxsteps=2000,
-                                     extraprec=2 * digits + 40)
-            except mp.NoConvergence:
-                comp = mp.matrix(m, m)
-                for r in range(1, m):
-                    comp[r, r - 1] = mp.mpf(1)
-                for r in range(m):
-                    comp[r, m - 1] = -coeffs[m - r]
-                roots, _ = mp.eig(comp)
-            roots = sorted(roots, key=lambda r: (mp.re(r), mp.im(r)))
-            nodes: list = []
-            ctol = mp.mpf(10) ** (-digits // 3) * scale
-            for r in roots:
-                if nodes and abs(r - nodes[-1][0]) < ctol:
-                    mu, mult = nodes[-1]
-                    nodes[-1] = ((mu * mult + r) / (mult + 1), mult + 1)
-                else:
-                    nodes.append((r, 1))
-            return nodes
-    raise ContinuationError("no minimal polynomial found for the argument")
-
-
 class _Spectrum:
-    """f(s + t) for a class t, as in the module docstring: in Newton form
+    """f(s + t) for t = factor * klass, klass (label, c) pairs of a class,
+    as in the module docstring: in Newton form
 
         f(s + t) = sum_j f[s + mu_0, ..., s + mu_j] prod_{i<j} (t - mu_i),
 
     mu_0, mu_1, ... the roots of the minimal polynomial of t, each repeated
-    by its multiplicity; nilpotent means one root 0 (the zero class has
-    the root 0 of multiplicity 1).
+    by its multiplicity.  They are the roots of the class's exact factors
+    (Algebra.minimal_factors) times lambda and factor, or times factor alone
+    at lambda = 0: the factor x gives exactly mp.zero, a linear factor its
+    rational root, and only a factor of degree >= 2 goes to mp.polyroots,
+    its roots simple.  zexp = -1 puts t over a symbolic z (lambda = 0),
+    where the class must be nilpotent.
     """
 
     __slots__ = ("na", "nodes", "owner", "basis", "nilpotent")
 
-    def __init__(self, t: NilExpansion, digits: int):
-        na = self.na = t.na
-        nodes = self.nodes = ([(mp.mpf(0), 1)] if t.is_zero
-                              else _eigennodes_raw(t, digits))
-        self.nilpotent = len(nodes) == 1 and nodes[0][0] == 0
+    def __init__(self, na: NumericAlgebra, klass, factor, zexp: int = 0):
+        self.na = na
+        at_zero = na.lam is None or na.lam == 0
+        scale = factor if at_zero else na.lam * factor
+        nodes = self.nodes = []
+        for poly, mult in na.algebra.minimal_factors(klass, at_zero):
+            deg = poly.degree()
+            if deg == 1:
+                root = -poly.coeff(0)
+                nodes.append((_frac_mp(root) * scale if root else mp.zero,
+                              mult))
+            else:
+                nodes += [(r * scale, mult) for r in mp.polyroots(
+                    [_frac_mp(poly.coeff(e)) for e in range(deg, -1, -1)])]
+        self.nilpotent = len(nodes) == 1 and not nodes[0][0]
+        if zexp and not self.nilpotent:
+            name = " + ".join(f"{c}*{l}" for l, c in klass)
+            raise ContinuationError(
+                f"{na.algebra.name}: the class {name} is not nilpotent at "
+                f"lambda = 0, so it has no spectrum over a symbolic z")
+        t = NilExpansion(na, {(na.label_index(l), zexp): _frac_mp(c) * factor
+                              for l, c in klass})
         # the root of each position of the Newton sequence, and its basis
         self.owner = [k for k, (_, m) in enumerate(nodes) for _ in range(m)]
         basis = [NilExpansion.unit(na)]
@@ -606,13 +583,12 @@ class _Spectrum:
 _SPECTRA: dict = {}
 
 
-def _spectrum(t: NilExpansion, digits: int) -> _Spectrum:
-    """_Spectrum(t, digits), memoized on the exact terms of t and the
+def _spectrum(na: NumericAlgebra, klass, factor, zexp: int = 0) -> _Spectrum:
+    """_Spectrum(na, klass, factor, zexp), memoized on the arguments and the
     working precision: the same few tails recur thousands of times."""
-    key = (id(t.na), digits, mp.prec,
-           tuple(sorted((k, repr(v)) for k, v in t.terms.items())))
+    key = (id(na), mp.prec, klass, factor, zexp)
     if key not in _SPECTRA:
-        _SPECTRA[key] = _Spectrum(t, digits)
+        _SPECTRA[key] = _Spectrum(na, klass, factor, zexp)
     return _SPECTRA[key]
 
 
@@ -998,9 +974,14 @@ class Frame:
 
     # -- special functions -----------------------------------------------------
 
+    def spectrum(self, div, scale=1) -> _Spectrum:
+        """The _Spectrum of scale times the tail of a divisor part div."""
+        if self.mode == "symbolic":
+            return _spectrum(self.na, div, _to_mp(scale), -1)
+        return _spectrum(self.na, div, scale / self.z)
+
     def _apply(self, jet, arg: Arg) -> NilExpansion:
-        return _spectrum(self.tail(arg), self.digits).apply(
-            jet, self.scalar(arg))
+        return self.spectrum(arg.div).apply(jet, self.scalar(arg))
 
     def _memoized(self, key, make: Callable):
         if key not in self._memo:
@@ -1586,14 +1567,14 @@ class _Kernel:
             # row (slope, offset, e_j, [e_j a_j^k/k! for k >= 1])
             first = next((r.arg.div for r in self.rows if r.arg.div), ())
             label, lead = first[0] if first else (None, 1)
-            tau = fr.tail(Arg(0, 0, {l: v / lead for l, v in first}))
-            spec = _spectrum(tau, fr.digits)
+            tau = Arg(0, 0, {l: v / lead for l, v in first})
+            spec = fr.spectrum(tau.div)
             nu = spec.nodes[0][1]
             self.head = (self.gammas * reduce(mul, sines)).scale(
                 (-1 / mp.pi) ** self.nsines)
             powers = [self.head * self.pdress]
             for _ in range(nu - 1):
-                powers.append(powers[-1] * tau)
+                powers.append(powers[-1] * fr.tail(tau))
             self.powers = [tuple(v.terms.items()) for v in powers]
             self.contour = []
             for r in self.rows:
@@ -1631,7 +1612,7 @@ class _Kernel:
         """q^arg = exp(scalar log q) exp(tail log q), for a kernel made with
         q.  The tail must be nilpotent."""
         fr = self.fr
-        spec = _spectrum(fr.tail(arg).scale(self.logq), fr.digits)
+        spec = fr.spectrum(arg.div, self.logq)
         if not spec.nilpotent:
             raise ContinuationError("exponential of a non-nilpotent element")
         return spec.apply(_exp_jet, 0).scale(
@@ -1646,7 +1627,9 @@ class _Kernel:
         for j, (slope, offset, e, weights) in enumerate(self.contour):
             x = slope * s + offset
             if e > 0 and _gamma_pole_at(x, fr.tol) is not None:
-                raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
+                raise ContinuationError(
+                    f"{self.name}: Gamma of contour row {j} has a pole at "
+                    f"s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
             if e < 0 and mp.isint(x) and mp.re(x) <= 0:
                 raise ContinuationError(
                     f"{self.name}: 1/Gamma of contour row {j} is zero at "
@@ -1712,12 +1695,12 @@ class _Kernel:
         for r, arg, m in factors:
             scale = [_frac_mp(abs(r.c) ** k) / factorial(k)
                      for k in range(size + 1)]
-            scal, tail = fr.scalar(arg), fr.tail(arg)
+            scal = fr.scalar(arg)
             fjet = fr._gamma if r.c < 0 else fr._rgamma
             if m is None and r.c < 0:
                 const = reduce(mul, [r.sin] * r.mult, const)
-            if m is None and not tail.is_zero:
-                spec = _spectrum(tail, fr.digits)
+            if m is None and arg.div:
+                spec = fr.spectrum(arg.div)
                 jet = [spec.apply(fjet, scal, k).scale(scale[k])
                        for k in range(size)]
                 series = reduce(_series_mul, [jet] * r.mult, series)
@@ -1788,7 +1771,17 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                                     f"off the branch cut")
         na = _numeric_algebra(g_y.algebra, lam, digits)
         fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
-        kern = _Kernel(g_y, fr, c, q)
+
+        def at(stage: str, run: Callable):
+            # the kernel's own errors, prefixed with the Y side and stage
+            try:
+                return run()
+            except ContinuationError as exc:
+                msg = str(exc).removeprefix(f"{g_y.name}: ")
+                raise ContinuationError(f"{g_y.name}: {stage}: {msg}") \
+                    from None
+
+        kern = at("kernel set-up", lambda: _Kernel(g_y, fr, c, q))
         wall, aq = kern.wall, abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")
@@ -1818,6 +1811,16 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                     f"{'right pole' if d >= 0 else 'pole of pi/sin(pi s) at'}"
                     f" {d} sits within 0.05 of the contour")
         rights = range(max(0, int(mp.ceil(sigma))))
+        # the residues of poles caught on the wrong side of the line, before
+        # the quadrature: right poles left of the line enter with a plus,
+        # continued-family poles right of the line with a minus
+        transferred = fr.zero()
+        for n in lefts:
+            transferred = transferred - at(f"left pole n = {n}",
+                                           partial(kern.left_value, n))
+        for d in rights:
+            transferred = transferred + at(f"right pole d = {d}",
+                                           partial(kern.right_residue, d))
 
         evaluations = 0
 
@@ -1895,16 +1898,9 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         budget = quad_err / (2 * mp.pi) + tail
         vhat = NilExpansion(na, {c: v for c, v in vhat_terms.items() if v})
 
-        # transfer residues of poles caught on the wrong side of the line:
-        # right poles left of the line enter with a plus, continued-family
-        # poles right of the line with a minus, and the left-closure value
-        # is the negative of the separated line integral.
-        total = -vhat
-        for n in lefts:
-            total = total - kern.left_value(n)
-        for d in rights:
-            total = total + kern.right_residue(d)
-        return MBResult(example=ex, value=total, error=budget, side=side,
-                        sigma=sigma, height=t_cur, wall=wall,
+        # the left-closure value is the negative of the separated line
+        # integral
+        return MBResult(example=ex, value=transferred - vhat, error=budget,
+                        side=side, sigma=sigma, height=t_cur, wall=wall,
                         corrections=len(lefts) + len(rights),
                         evaluations=evaluations)

@@ -58,7 +58,7 @@ from .lambda_rat import (
     format_lambda_rat,
     parse_lambda_rat,
 )
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _solve_exact
 
 
 class GeometryError(ValueError):
@@ -330,38 +330,6 @@ class Geometry:
                         f"{self.name}: row {j} charge on {v.symbol} disagrees "
                         "with its divisor class (cross-check)"
                     )
-
-
-def _solve_exact(cols: list[list[Fraction]],
-                 target: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve sum_i x_i * cols[i] == target exactly; None if inconsistent."""
-    m = len(target)
-    n = len(cols)
-    a = [[cols[i][r] for i in range(n)] + [target[r]] for r in range(m)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        p = next((k for k in range(r, m) if a[k][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        lead = a[r][c]
-        a[r] = [x / lead for x in a[r]]
-        for k in range(m):
-            if k != r and a[k][c] != 0:
-                f = a[k][c]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for k in range(r, m):
-        if a[k][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_i, c in enumerate(piv_cols):
-        x[c] = a[row_i][n]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crepant.algebra import (
+    Algebra,
+    AlgebraError,
     AlgebraZ,
     nonequivariant_limit,
 )
@@ -127,3 +129,87 @@ def test_pairing_bilinear(a, b):
     two_a = a * 2
     assert KF3.pairing(two_a, b) == KF3.pairing(a, b) * 2
     assert KF3.pairing(a + b, b) == KF3.pairing(a, b) + KF3.pairing(b, b)
+
+
+def test_basis_one_and_zero_are_shared():
+    for alg in ALL:
+        assert alg.basis(1) is alg.basis(1)
+        assert alg.one() is alg.basis(alg.unit)
+        assert alg.zero() is alg.zero() and alg.zero().is_zero
+        assert alg.basis(1) == alg.element([int(j == 1) for j in range(alg.dim)])
+
+
+# (geometry, class) -> the squarefree factors of the class's minimal
+# polynomial at lambda = 1, as {exponent: coefficient} with multiplicity;
+# at lambda = 0 every built-in class is nilpotent, x^k
+X = {1: 1}
+EXACT_FACTORS = {
+    ("ex1-X", "1_1/3"): ([({0: Fraction(-1, 27), 3: 1}, 1)], 3),
+    ("ex1-Y", "p"): ([(X, 3)], 3),
+    ("ex2-X", "p"): ([(X, 3)], 3),
+    ("ex2-X", "1_1/3"): ([(X, 4)], 3),
+    ("ex2-Y", "p1"): ([(X, 3)], 3),
+    ("ex2-Y", "p2"): ([({0: 1, 1: 1}, 1), (X, 2)], 3),
+    ("ex3-X", "1_1/5"): ([({0: Fraction(-27, 3125), 5: 1}, 1)], 2),
+    ("ex3-X", "1_2/5"): ([({0: Fraction(-3, 3125), 5: 1}, 1)], 3),
+    ("ex3-Y", "p"): ([(X, 3)], 3),
+    ("ex3-Y", "1_1/3"): ([(X, 4)], 3),
+    ("ex4-X", "p"): ([(X, 2)], 2),
+    ("ex4-Y", "p"): ([(X, 3)], 3),
+}
+
+
+def test_minimal_factors_of_every_degree_two_label():
+    seen = set()
+    for name in ("ex1-X", "ex1-Y", "ex2-X", "ex2-Y", "ex3-X", "ex3-Y",
+                 "ex4-X", "ex4-Y"):
+        alg = builtin(name).algebra
+        for label, deg in zip(alg.labels, alg.degrees):
+            if deg != 2:
+                continue
+            seen.add((name, label))
+            at_one, nil = EXACT_FACTORS[(name, label)]
+            got = alg.minimal_factors([(label, 1)], False)
+            assert [(p.coeffs, m) for p, m in got] == at_one, (name, label)
+            assert [(p.coeffs, m) for p, m in
+                    alg.minimal_factors([(label, 1)], True)] == [(X, nil)]
+    assert seen == set(EXACT_FACTORS)
+    # p1 + 2 p2 on K_F3: the roots -2 and 0, the latter of multiplicity 3
+    assert [(p.coeffs, m) for p, m in KF3.minimal_factors(
+        [("p1", 1), ("p2", 2)], False)] == [({0: 2, 1: 1}, 1), (X, 3)]
+    # the zero class has the one root 0
+    assert [(p.coeffs, m) for p, m in KF3.minimal_factors([], False)] \
+        == [(X, 1)]
+
+
+def test_minimal_factors_refuse_a_label_of_degree_other_than_two():
+    with pytest.raises(AlgebraError,
+                       match=r"^kf3: class 1\*1: label 1 has degree 0, not 2"):
+        KF3.minimal_factors([("1", 1)], False)
+    with pytest.raises(AlgebraError, match=r"^kf3: class 2\*p2 \+ 1\*q: no label 'q'"):
+        KF3.minimal_factors([("p2", 2), ("q", 1)], True)
+
+
+@pytest.mark.parametrize("square", ["2", "1+λ^2", "λ"])
+def test_minimal_factors_refuse_constants_off_the_grading(square):
+    # p*p = c 1 with deg p = 2 needs c = a λ^2; an unvalidated algebra with
+    # another c has no spectrum that scales with lambda, so lambda != 0 is
+    # refused, while lambda = 0 takes c at 0
+    one, zero, c = LambdaRat(1), LambdaRat(0), parse_lambda_rat(square)
+    alg = Algebra("toy", ("1", "p"), (0, 2), (0, 0), 0,
+                  (((one, zero), (zero, one)), ((zero, one), (c, zero))),
+                  ((one, zero), (zero, one)))
+    with pytest.raises(AlgebraError, match=r"^toy: class 1\*p: structure "
+                       r"constant .* at \(p, p\) is not the lambda-monomial"):
+        alg.minimal_factors([("p", 1)], False)
+    want = {"2": [({0: -2, 2: 1}, 1)], "1+λ^2": [({0: -1, 2: 1}, 1)],
+            "λ": [(X, 2)]}[square]
+    assert [(p.coeffs, m) for p, m in
+            alg.minimal_factors([("p", 1)], True)] == want
+
+
+def test_minimal_factors_are_cached_per_class():
+    alg = builtin("ex3-X").algebra
+    first = alg.minimal_factors([("1_1/5", 1)], False)
+    assert alg.minimal_factors([("1_1/5", Fraction(1))], False) is first
+    assert alg.minimal_factors([("1_1/5", 1)], True) is not first

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import crepant.continuation as continuation
 from crepant import LambdaRat, build_ifunction, builtin, expand_prefactor
-from crepant.algebra import Algebra
+from crepant.algebra import Algebra, AlgebraError
 from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, _affine,
                                   _coefficient_value, _exp_jet,
@@ -276,10 +276,10 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(ex, q):
                   mp.mpc("0.5", "-2.7"), mp.mpc("0.4", 6), mp.mpc("0.5", 11)):
             want = kern.head * kern.pdress
             for r in kern.rows:
-                c, scal, tail = _frac_mp(r.c), fr.scalar(r.arg), fr.tail(r.arg)
-                x, t = ((-c * s - scal, tail.scale(-1)) if c < 0
-                        else (1 + c * s + scal, tail))
-                f = _spectrum(t, digits).apply(
+                c, scal = _frac_mp(r.c), fr.scalar(r.arg)
+                x, sign = ((-c * s - scal, -1) if c < 0
+                           else (1 + c * s + scal, 1))
+                f = _spectrum(fr.na, r.arg.div, sign / fr.z).apply(
                     numerical_jet(mp.gamma if c < 0 else mp.rgamma), x)
                 for _ in range(r.mult):
                     want = want * f
@@ -314,7 +314,7 @@ def test_spectrum_apply_closed_forms(square, f, shift):
     with mp.workdps(30):
         s, c = mp.mpc("1.3", "0.4"), mp.mpf("0.5")
         jet = _exp_jet if f == "exp" else _GammaDerivs(mp.mpf(10) ** -14).jet
-        spec = _spectrum(NilExpansion(na, {(1, 0): c}), 20)
+        spec = _spectrum(na, (("p", 1),), c)
         got = spec.apply(jet, s, shift)
         if square == 0:
             want = {(0, 0): _closed_jet(f, s, shift),
@@ -329,6 +329,125 @@ def test_spectrum_apply_closed_forms(square, f, shift):
         assert set(got.terms) == set(want)
         for key, v in want.items():
             assert abs(got.terms[key] - v) <= mp.mpf(10) ** -25 * abs(v), key
+
+
+# (geometry, class) -> the roots at lambda = 1 with their multiplicities,
+# where they are rational; the classes of ex1-X and ex3-X have simple
+# irrational roots, those of x^3 = 1/27 and x^5 = 27/3125 or 3/3125
+RATIONAL_ROOTS = {
+    ("ex1-Y", "p"): {0: 3}, ("ex2-X", "p"): {0: 3},
+    ("ex2-X", "1_1/3"): {0: 4}, ("ex2-Y", "p1"): {0: 3},
+    ("ex2-Y", "p2"): {-1: 1, 0: 2}, ("ex2-Y", "p1+2p2"): {-2: 1, 0: 3},
+    ("ex3-Y", "p"): {0: 3}, ("ex3-Y", "1_1/3"): {0: 4},
+    ("ex4-X", "p"): {0: 2}, ("ex4-Y", "p"): {0: 3},
+}
+SIMPLE_ROOTS = {("ex1-X", "1_1/3"): (3, Fraction(1, 27)),
+                ("ex3-X", "1_1/5"): (5, Fraction(27, 3125)),
+                ("ex3-X", "1_2/5"): (5, Fraction(3, 3125))}
+
+
+def _degree_two_classes():
+    for name in ("ex1-X", "ex1-Y", "ex2-X", "ex2-Y", "ex3-X", "ex3-Y",
+                 "ex4-X", "ex4-Y"):
+        alg = builtin(name).algebra
+        for label, deg in zip(alg.labels, alg.degrees):
+            if deg == 2:
+                yield name, label, ((label, Fraction(1)),)
+    yield "ex2-Y", "p1+2p2", (("p1", Fraction(1)), ("p2", Fraction(2)))
+
+
+@pytest.mark.parametrize("name, label, klass", list(_degree_two_classes()))
+def test_exact_spectrum_matches_a_high_precision_eig(name, label, klass):
+    # the nodes are the exact roots times lambda and the factor 1/z; the
+    # eigenvalues of the numeric matrix of t at 110 digits lie within 1e-20
+    # of them, although a Jordan block of size 4 moves a root to about
+    # 10^(-110/4)
+    alg = builtin(name).algebra
+    with mp.workdps(110):
+        lam, z = mp.mpc("0.7", "0.31"), mp.mpf("0.9")
+        na = _numeric_algebra(alg, lam, 100)
+        spec = _spectrum(na, klass, 1 / z)
+        nodes = [mu for mu, _ in spec.nodes]
+        mults = [m for _, m in spec.nodes]
+        if (name, label) in RATIONAL_ROOTS:
+            want = RATIONAL_ROOTS[(name, label)]
+            assert len(nodes) == len(want)
+            for mu, m in spec.nodes:
+                root = mp.nint(mp.re(mu * z / lam))
+                assert want[int(root)] == m
+                if root == 0:
+                    assert mu is continuation.mp.zero
+                else:
+                    assert abs(mu - root * lam / z) < mp.mpf(10) ** -100
+        else:
+            deg, power = SIMPLE_ROOTS[(name, label)]
+            assert mults == [1] * deg
+            for mu in nodes:
+                assert abs((mu * z / lam) ** deg - _frac_mp(power)) \
+                    < mp.mpf(10) ** -90
+        assert spec.nilpotent == (nodes == [0])
+        t = mp.matrix(alg.dim, alg.dim)
+        for lbl, c in klass:
+            i = alg.labels.index(lbl)
+            for j in range(alg.dim):
+                for k, v in na.table[(i, j)]:
+                    t[k, j] += _frac_mp(c) * v / z
+        eig = mp.eig(t, left=False, right=False)
+        tol = mp.mpf(10) ** -20
+        assert all(min(abs(e - mu) for mu in nodes) < tol for e in eig)
+        assert all(min(abs(e - mu) for e in eig) < tol for mu in nodes)
+
+
+def test_exact_factors_are_built_once_across_lambda_samples(monkeypatch):
+    # the spectra of a numeric algebra are cached per sample, the exact
+    # factors under them once per class
+    monkeypatch.setattr(continuation, "_SPECTRA", {})
+    alg = builtin("ex2-Y").algebra
+    monkeypatch.setattr(alg, "_minimal", {})
+    calls = []
+    real = Algebra._class_matrix
+
+    def counted(self, klass, at_zero):
+        calls.append((self.name, klass, at_zero))
+        return real(self, klass, at_zero)
+
+    monkeypatch.setattr(Algebra, "_class_matrix", counted)
+    for lam in (default_lambda(), mp.mpc("0.4", "0.2")):
+        continued_ifunction("ex2", 1, lam=lam, digits=15)
+    assert (("kf3", (("p2", 1),), False)) in calls
+    assert all(n == 1 for n in Counter(calls).values())
+    assert {at_zero for _, _, at_zero in calls} == {False}
+
+
+def test_spectrum_refuses_classes_without_a_graded_spectrum():
+    # a degree-0 label, and lambda != 0 on an algebra whose p*p = 2 is not
+    # the lambda-monomial its grading asks for, raise before any eigenvalue
+    # is made; so does a non-nilpotent class over a symbolic z
+    na = _numeric_algebra(builtin("ex2-Y").algebra, default_lambda(), 20)
+    with pytest.raises(AlgebraError, match=r"^kf3: class 1\*1: label 1 "
+                                           r"has degree 0, not 2"):
+        _spectrum(na, (("1", Fraction(1)),), mp.mpf(1))
+    toy = _two_class_algebra(2)
+    with pytest.raises(AlgebraError, match=r"^config: class 1\*p: structure "
+                                           r"constant 2/1 at \(p, p\)"):
+        _spectrum(_numeric_algebra(toy, default_lambda(), 20),
+                  (("p", Fraction(1)),), mp.mpf(1))
+    with pytest.raises(ContinuationError, match=r"^config: the class 1\*p "
+                                                r"is not nilpotent"):
+        _spectrum(_numeric_algebra(toy, None, 20), (("p", Fraction(1)),),
+                  mp.mpf(1), -1)
+
+
+@pytest.mark.parametrize("lam, why", [
+    (0, "right pole d = 0: Gamma of contour row 0 has a pole at s = 0.0 "
+        "(argument 0.0)"),
+    (3, "left pole n = 0: parameter sample resonates: argument 1.0 is too "
+        "close to the integer 1"),
+])
+def test_mb_errors_name_the_side_and_the_pole(lam, why):
+    with pytest.raises(ContinuationError) as info:
+        mellin_barnes_integral("ex1", "0.06", lam=lam, digits=15)
+    assert str(info.value) == f"ex1-Y: {why}"
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])

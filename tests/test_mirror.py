@@ -326,6 +326,20 @@ def test_slice_invariants_ex2X():
         assert row.value == LambdaRat(want)
 
 
+def test_slice_invariants_c3z3_match_the_published_values():
+    # <1_1/3^n>_0,n of [C^3/Z_3] for n = 3, 6, 9, 12: 1/3, -1/27, 1/9,
+    # -1093/729 (Coates-Corti-Iritani-Tseng, "Computing genus-zero twisted
+    # Gromov-Witten invariants")
+    J = j_function(build_ifunction(builtin("ex1-X"), bound=12))
+    tab = slice_invariants_ex2(J, orders=12)
+    want = {"3": Fraction(1, 3), "6": Fraction(-1, 27), "9": Fraction(1, 9),
+            "12": Fraction(-1093, 729)}
+    assert {row.insertions: row.value for row in tab.rows} == {
+        n: LambdaRat(v) for n, v in want.items()}
+    assert all(row.nonequivariant == want[row.insertions]
+               and row.degree == 0 for row in tab.rows)
+
+
 def test_slice_requires_single_twisted_direction():
     ifn, data, inverse = pipeline("ex1-Y", 4)
     J = j_function(ifn, data, inverse)
