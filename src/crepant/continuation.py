@@ -120,7 +120,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, count, permutations
+from itertools import chain, count, permutations, product
 from math import comb, factorial, floor, isqrt, prod
 from operator import add, mul
 from typing import Callable, Optional
@@ -374,102 +374,24 @@ def negate_z(x: NilExpansion) -> NilExpansion:
 # evaluation of analytic functions on algebra-valued arguments
 
 
-def _lu_decomp(a: list) -> tuple:
-    """(lu, perm) of the square matrix a, a list of rows, as mp.LU_decomp
-    factors an mp.matrix of the same entries, bit for bit: the same
-    tolerance absmin(mnorm(a, 1) * eps), the same reciprocal-row-sum pivot
-    rule and the same operations in the same order, with every exact zero
-    stored as mp.zero, as mp.matrix stores it (an mpc(0, 0) would change
-    the type and rounding of later divisions).  a is not changed.  Where
-    mp.LU_decomp finds no usable pivot this raises ContinuationError.
-    """
-    n = len(a)
-    zero, absmin = mp.zero, mp.absmin
-    a = [[v if v else zero for v in row] for row in a]
-    singular = ContinuationError(
-        "rank-deficient normal equations (no usable pivot)")
-    tol = absmin(max(mp.fsum((row[j] for row in a), absolute=1)
-                     for j in range(n)) * mp.eps)
-    perm = []
-    for j in range(n - 1):
-        biggest, pivot = 0, None
-        for k in range(j, n):
-            s = mp.fsum([absmin(v) for v in a[k][j:]])
-            if absmin(s) <= tol:
-                raise singular
-            current = 1 / s * absmin(a[k][j])
-            if current > biggest:
-                biggest, pivot = current, k
-        if pivot is None:
-            raise singular
-        perm.append(pivot)
-        a[j], a[pivot] = a[pivot], a[j]
-        top = a[j]
-        if absmin(top[j]) <= tol:
-            raise singular
-        for row in a[j + 1:]:
-            f = row[j] / top[j]
-            row[j] = f = f if f else zero
-            for k in range(j + 1, n):
-                v = row[k] - f * top[k]
-                row[k] = v if v else zero
-    if absmin(a[n - 1][n - 1]) <= tol:
-        raise singular
-    return a, perm
-
-
-def _lu_solve(lu: list, perm: list, b: list) -> list:
-    """x with lu x = b permuted by perm: mp.L_solve then mp.U_solve on
-    lists, bit for bit, exact zeros stored as mp.zero."""
-    zero = mp.zero
-    x = [v if v else zero for v in b]
-    for k, p in enumerate(perm):
-        x[k], x[p] = x[p], x[k]
-    n = len(x)
-    for i in range(1, n):
-        for j in range(i):
-            v = x[i] - lu[i][j] * x[j]
-            x[i] = v if v else zero
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            v = x[i] - lu[i][j] * x[j]
-            x[i] = v if v else zero
-        v = x[i] / lu[i][i]
-        x[i] = v if v else zero
-    return x
-
-
-def _lstsq(cols, bs, rows: int, p=2):
+def _lstsq(cols, bs):
     """Least-squares solutions of A x = b for several right-hand sides.
 
-    cols[j] maps a row index to the nonzero entry of column j of A, each b
-    in bs maps a row index to its nonzero entries, and rows counts the
-    equations.  Returns (xs, residuals): per b, the solution list and
-    mp.norm(A x - b, p).
+    cols[j] maps a row index to the entries of column j of A, and each b in
+    bs maps a row index to its entries.  Returns (xs, residuals): per b, the
+    solution list and the infinity norm of A x - b (a row that no column
+    reaches contributes |b_r|).
 
-    The normal equations A^H A x = A^H b are block-diagonal: two columns
-    share a block when they have a nonzero in a common row (a union-find
-    over the rows), and no Gram entry couples two blocks.  Each block, its
-    columns in ascending order, is one pivoted LU on lists (_lu_decomp) at
-    10 extra bits, which serves every b; the normal equations square the
-    condition number, which the working precision absorbs for these small
-    exact systems.  Each entry of a block's A^H A and A^H b is one mp.fdot
-    over the rows its two columns share: fdot rounds once, so the zero
-    products of the dense product change no value, and the entry is made
-    complex where the dense product is (mpmath divides by an mpc with zero
-    imaginary part differently from an mpf).  So each block's solution is
-    mp.lu_solve(A_B.H * A_B, A_B.H * b) bit for bit, A_B the block's
-    columns, and a system of one block is solved as the dense normal
-    equations are; a rank-deficient block raises ContinuationError.  The
-    residual is mp.norm(A * x - b, p) of the assembled x, bit for bit.
+    The normal equations A^H A x = A^H b are block-diagonal: a union-find
+    over the rows joins two columns with an entry in a common row.  Each
+    entry of a block's Gram matrix G and of its A^H b is one mp.fdot,
+    rounded once at 10 extra bits, and G = L D L^H is factored once, without
+    pivoting, for every b.  The pivot d_j is exact up to about eps * (G_jj +
+    sum_k |L_jk|^2 G_kk); one at most 2^8 times that means that column j
+    lies in the span of the block's earlier columns, and the rank-deficient
+    block raises ContinuationError.
     """
-    # an exact zero, even a complex one, is no entry, as in a dense matrix
-    cols = [{r: v for r, v in c.items() if v} for c in cols]
-    bs = [{r: v for r, v in b.items() if v} for b in bs]
     n = len(cols)
-    conj = [sorted((r, mp.conj(v)) for r, v in c.items()) for c in cols]
-    cplx = [any(type(v) is mp.mpc for v in c.values()) for c in cols]
-    bcplx = [any(type(v) is mp.mpc for v in b.values()) for b in bs]
     by_row: dict = {}
     for j, c in enumerate(cols):
         for r, v in c.items():
@@ -482,37 +404,51 @@ def _lstsq(cols, bs, rows: int, p=2):
         return j
 
     for entries in by_row.values():
-        first = find(entries[0][0])
         for j, _ in entries[1:]:
-            root[find(j)] = first
+            root[find(j)] = find(entries[0][0])
     blocks: dict = {}
     for j in range(n):
         blocks.setdefault(find(j), []).append(j)
 
-    def typed(s, complex_):
-        if complex_ and type(s) is not mp.mpc:
-            return mp.make_mpc((s._mpf_, fzero))
-        return s
+    def dot(i, vec):  # (A^H vec)_i
+        return mp.fdot(((vec[r], v) for r, v in cols[i].items() if r in vec),
+                       conjugate=True)
 
     xs = [[None] * n for _ in bs]
-    for block in blocks.values():
-        gram = [[typed(mp.fdot((ci, cols[j][r]) for r, ci in conj[i]
-                               if r in cols[j]), cplx[i] or cplx[j])
-                 for j in block] for i in block]
-        rhs = [[typed(mp.fdot((ci, b[r]) for r, ci in conj[i] if r in b),
-                      cplx[i] or bc) for i in block]
-               for b, bc in zip(bs, bcplx)]
-        with mp.extraprec(10):
-            lu, perm = _lu_decomp(gram)
-            for x, v in zip(xs, rhs):
-                for j, xj in zip(block, _lu_solve(lu, perm, v)):
-                    x[j] = xj
-    # A x + (-b), with -b rounded to the working precision, as the dense
-    # a * x - b computes it
-    zero = mp.zero
+    with mp.extraprec(10):
+        tol = 2 ** 8 * mp.eps
+        for block in blocks.values():
+            # low[a]: row a of the unit lower triangular L left of its
+            # diagonal; d: the pivots; g: the diagonal of G
+            low, d, g = [], [], []
+            for i in block:
+                row = []
+                for j, lj, dj in zip(block, low, d):
+                    row.append((dot(i, cols[j]) - mp.fdot(
+                        (u * dk, mp.conj(w)) for u, w, dk in
+                        zip(row, lj, d))) / dj)
+                sq = [abs(u) ** 2 for u in row]
+                gii = dot(i, cols[i]).real
+                di = gii - mp.fdot(zip(sq, d))
+                if di <= tol * (gii + mp.fdot(zip(sq, g))):
+                    raise ContinuationError(
+                        f"rank-deficient normal equations (column {i} lies "
+                        f"in the span of the columns before it)")
+                low.append(row)
+                d.append(di)
+                g.append(gii)
+            for x, b in zip(xs, bs):
+                y = []
+                for i, row in zip(block, low):
+                    y.append(dot(i, b) - mp.fdot(zip(row, y)))
+                for a in reversed(range(len(block))):
+                    x[block[a]] = y[a] / d[a] - mp.fdot(
+                        (mp.conj(low[k][a]), x[block[k]])
+                        for k in range(a + 1, len(block)))
     residuals = [
-        mp.norm((mp.fdot((v, x[j]) for j, v in by_row.get(r, ()))
-                 + -b.get(r, zero) for r in range(rows)), p)
+        max((abs(mp.fdot((v, x[j]) for j, v in by_row.get(r, ()))
+                 - b.get(r, 0)) for r in by_row.keys() | b.keys()),
+            default=mp.zero)
         for x, b in zip(xs, bs)]
     return xs, residuals
 
@@ -1378,9 +1314,11 @@ def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
                      digits: int = DEFAULT_DIGITS):
     """Solve U * (X coefficients) = (Y coefficients) over all monomial keys.
 
-    Returns (entries, worst residual).  The system is over-determined; the
-    reported residual is the largest absolute defect over all equations.
-    Its columns are assembled sparse, straight from the X-side terms.
+    Returns (entries, worst residual).  The system is over-determined, and
+    its columns are assembled sparse, straight from the X-side terms; _lstsq
+    solves it with one L D L^H per block of the normal equations, refusing a
+    block with dependent columns as rank-deficient, and the worst residual
+    is the infinity norm of A x - b over all equations.
     """
     keys = sorted(set(xterms) | set(yterms))
     if not keys:
@@ -1409,8 +1347,7 @@ def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
                 eqs.extend((key, f) for f in sorted(layers))
             least = dim_x * len(ks)
             drop = mp.mpf(10) ** (-(digits // 2))
-        pos = {(j, k): c for c, (j, k) in
-               enumerate((j, k) for j in range(dim_x) for k in ks)}
+        pos = {jk: c for c, jk in enumerate(product(range(dim_x), ks))}
         shape = f"{mode} solve of {len(eqs)} equations x {len(pos)} unknowns"
         if len(eqs) < least:
             raise ContinuationError(f"truncation too small for the {shape}")
@@ -1427,16 +1364,15 @@ def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
                     if ze == f:
                         bs[i][r] = v
         try:
-            xs, residuals = _lstsq(cols, bs, len(eqs), p=mp.inf)
+            xs, residuals = _lstsq(cols, bs)
         except ContinuationError as exc:
             raise ContinuationError(f"{shape}: {exc}") from None
-        worst = max(residuals)
         entries = tuple(
             tuple(tuple((k, x[pos[(j, k)]]) for k in ks
                         if abs(x[pos[(j, k)]]) > drop)
                   for j in range(dim_x))
             for x in xs)
-        return entries, worst
+        return entries, max(residuals)
 
 
 def solve_umatrix(example, truncation: Optional[int] = None,
@@ -1461,7 +1397,8 @@ def solve_umatrix(example, truncation: Optional[int] = None,
                                  digits=digits)
     if scal != cs.scalar_exponents:
         raise ContinuationError(
-            "scalar prefactors of the two sides do not agree")
+            f"{ex}: solve_umatrix: scalar prefactors of the two sides do not "
+            f"agree")
     try:
         entries, residual = solve_connection(xt, cs.terms, na_x, cs.na, mode,
                                              digits=digits)
@@ -1784,7 +1721,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         kern = at("kernel set-up", lambda: _Kernel(g_y, fr, c, q))
         wall, aq = kern.wall, abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
-            raise ContinuationError("q sits on the convergence wall")
+            raise ContinuationError(f"{where}: q sits on the convergence wall")
         side = "inside" if aq < _frac_mp(wall) else "outside"
         sigma = _number(where, "sigma", "0.5" if sigma is None else sigma,
                         real=True)
@@ -1800,14 +1737,16 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 break
             if abs(val - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
-                    f"left pole {n} sits within 0.05 of the contour")
+                    f"{where}: left pole {n} sits within 0.05 of the contour")
             if n > 400:
-                raise ContinuationError("left pole family does not descend")
+                raise ContinuationError(
+                    f"{where}: left pole family does not descend")
             if val >= sigma:
                 lefts.append(n)
         for d in range(int(mp.floor(sigma)), int(mp.ceil(sigma)) + 1):
             if abs(d - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
+                    f"{where}: "
                     f"{'right pole' if d >= 0 else 'pole of pi/sin(pi s) at'}"
                     f" {d} sits within 0.05 of the contour")
         rights = range(max(0, int(mp.ceil(sigma))))
@@ -1854,7 +1793,8 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             t_cur += 10
         if tail > tol:
             raise ContinuationError(
-                f"tail estimate {mp.nstr(tail, 5)} exceeds the tolerance")
+                f"{where}: tail estimate {mp.nstr(tail, 5)} exceeds the "
+                f"tolerance")
 
         if symmetric:
             nodes = [0, t_cur / 4, t_cur]

@@ -18,7 +18,7 @@ from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, _affine,
                                   _coefficient_value, _exp_jet,
                                   _frac_mp, _gamma_polygamma, _GammaDerivs,
-                                  _contour, _Kernel, _lu_decomp, _lu_solve,
+                                  _contour, _Kernel,
                                   _RGammaDerivs, _SineRatio, _lstsq,
                                   _numeric_algebra,
                                   _spectrum, _to_mp, _xside_expansion,
@@ -622,6 +622,16 @@ def test_mb_line_on_an_integer_is_refused(sigma, match):
         mellin_barnes_integral("ex1", 0.06, sigma=sigma, digits=15)
 
 
+@pytest.mark.parametrize("q, kw", [
+    (mp.mpf(1) / 27, {}),
+    ("0.06", dict(sigma=1.02, digits=15, tol="1e-12"))],
+    ids=["on-the-wall", "right-pole-on-the-line"])
+def test_mb_refusals_name_the_example(q, kw):
+    with pytest.raises(ContinuationError,
+                       match=r"^ex1: mellin_barnes_integral: "):
+        mellin_barnes_integral("ex1", q, **kw)
+
+
 def test_mb_left_of_zero_matches_the_default_line():
     # at sigma = -1.3 five left poles lie right of the line and the 1/Gamma
     # rows have Re x = -0.3 on it; the value is the same
@@ -1030,8 +1040,8 @@ def test_scalar_prefactor_mismatch_is_refused(monkeypatch):
 
     monkeypatch.setattr(continuation, "builtin", patched)
     with pytest.raises(ContinuationError,
-                       match="scalar prefactors of the two sides do not "
-                             "agree"):
+                       match="^ex1: solve_umatrix: scalar prefactors of the "
+                             "two sides do not agree"):
         solve_umatrix("ex1", digits=30)
 
 
@@ -1052,12 +1062,17 @@ def _value(spec):
         return mp.mpc(re, mp.mpf(im) / 7 if kind == "complex" else 0)
 
 
-# (n, table): table[r][c] is the entry in row r of column c, None for zero;
-# columns 0..n-1 are A, the last two are right-hand sides
+# (n, table, multiple): table[r][c] is the entry in row r of column c, None
+# for zero; columns 0..n-1 are A, the last two are right-hand sides; a
+# multiple (src, dst, re, im) makes column dst the Gaussian integer re + i im
+# times column src
 _SYSTEMS = st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(n, n + 5).flatmap(lambda rows: st.lists(
         st.lists(_ENTRY, min_size=n + 2, max_size=n + 2),
-        min_size=rows, max_size=rows))))
+        min_size=rows, max_size=rows)),
+    st.one_of(st.none(), st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.integers(-2, 2), st.integers(-2, 2)))))
 
 
 def _column_blocks(cols):
@@ -1085,52 +1100,92 @@ def _dense(cols, rows):
     return a
 
 
+def _exact(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _exact_rank(cols, rows):
+    """The rank over Q(i) of the matrix with these columns, from the exact
+    binary values of its entries: a complex matrix M of rank k has the real
+    matrix [[Re M, -Im M], [Im M, Re M]] of rank 2k."""
+    n = len(cols)
+    m = []
+    for r in range(rows):
+        entries = [c.get(r, mp.mpf(0)) for c in cols]
+        m.append([_exact(v.real) for v in entries]
+                 + [-_exact(v.imag) for v in entries])
+        m.append([_exact(v.imag) for v in entries]
+                 + [_exact(v.real) for v in entries])
+    rank = 0
+    for j in range(2 * n):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [u - f * w for u, w in zip(m[i], m[rank])]
+        rank += 1
+    return rank // 2
+
+
 @settings(max_examples=60, deadline=None)
-@given(_SYSTEMS, st.sampled_from([2, mp.inf]))
-def test_lstsq_equals_dense_normal_equations(system, p):
+@given(_SYSTEMS)
+def test_lstsq_equals_dense_normal_equations(system):
     # the normal equations are block-diagonal, and each block's solution is
-    # mp.lu_solve on that block's dense normal equations, in values and in
-    # types; a singular block makes the whole solve rank-deficient
-    n, table = system
+    # a 60-digit mp.lu_solve of that block's dense normal equations; a block
+    # whose columns are exactly dependent makes the whole solve
+    # rank-deficient
+    n, table, multiple = system
     rows = len(table)
     sparse = [{r: _value(table[r][c]) for r in range(rows)
                if table[r][c] is not None} for c in range(n + 2)]
     cols, bs = sparse[:n], sparse[n:]
+    src, dst, re, im = multiple or (0, 0, 0, 0)
+    if src != dst and (re, im) != (0, 0):
+        # exact: the products of the inputs' 150-bit mantissas fit, at any
+        # exponent a float in [-4, 4] gives
+        with mp.workprec(2000):
+            cols[dst] = {r: mp.mpc(re, im) * v for r, v in cols[src].items()}
+    blocks = _column_blocks(cols)
+    if any(_exact_rank([cols[j] for j in block], rows) < len(block)
+           for block in blocks):
+        with mp.workdps(30), pytest.raises(
+                ContinuationError, match="rank-deficient normal equations"):
+            _lstsq(cols, bs)
+        return
+    want = [[None] * n for _ in bs]
+    with mp.workdps(60):
+        for block in blocks:
+            a = _dense([cols[j] for j in block], rows)
+            gram = a.H * a
+            # a regular block too ill-conditioned for 30 digits may be
+            # refused or solved: it tests neither
+            try:
+                cond = mp.cond(gram)
+            except ZeroDivisionError:  # singular at 60 digits
+                cond = mp.inf
+            assume(cond < 10 ** 12)
+            for w, b in zip(want, bs):
+                dense_b = mp.matrix([b.get(r, 0) for r in range(rows)])
+                for j, v in zip(block, mp.lu_solve(gram, a.H * dense_b)):
+                    w[j] = v
     with mp.workdps(30):
-        dense_bs = [mp.matrix([b.get(r, 0) for r in range(rows)])
-                    for b in bs]
-        want = [[None] * n for _ in bs]
-        try:
-            for block in _column_blocks(cols):
-                a = _dense([cols[j] for j in block], rows)
-                for w, b in zip(want, dense_bs):
-                    for j, v in zip(block, mp.lu_solve(a.H * a, a.H * b)):
-                        w[j] = v
-        except (ZeroDivisionError, TypeError):
-            # a singular Gram block: mpmath raises TypeError when a whole
-            # column has no pivot left
-            with pytest.raises(ContinuationError, match="rank-deficient"):
-                _lstsq(cols, bs, rows, p)
-            return
-        xs, residuals = _lstsq(cols, bs, rows, p)
+        xs, residuals = _lstsq(cols, bs)
         a = _dense(cols, rows)
-        for x, res, w, b in zip(xs, residuals, want, dense_bs):
-            assert x == w
-            assert [type(v) for v in x] == [type(v) for v in w]
-            assert res == mp.norm(a * mp.matrix(x) - b, p)
+        for x, res, w, b in zip(xs, residuals, want, bs):
+            for block in blocks:
+                got, ref = (mp.matrix([v[j] for j in block]) for v in (x, w))
+                assert mp.norm(got - ref) <= mp.mpf("1e-20") * mp.norm(ref)
+            dense_b = mp.matrix([b.get(r, 0) for r in range(rows)])
+            dense = mp.norm(a * mp.matrix(x) - dense_b, mp.inf)
+            assert abs(res - dense) <= mp.mpf("1e-25")
 
 
-def test_lstsq_factors_each_block_once(monkeypatch):
-    # columns {0, 3}, {1} and {2, 4, 5} share no row: three factorizations,
-    # of sizes 2, 1 and 3, and the exact solution of the square system
-    sizes = []
-    real = continuation._lu_decomp
-
-    def counted(gram):
-        sizes.append(len(gram))
-        return real(gram)
-
-    monkeypatch.setattr(continuation, "_lu_decomp", counted)
+def test_lstsq_factors_each_block_once():
+    # columns {0, 3}, {1} and {2, 4, 5} share no row: the exact solution of
+    # the square system comes out of three blocks of sizes 2, 1 and 3
     with mp.workdps(30):
         one = mp.mpf(1)
         cols = [{0: one, 1: one}, {2: 2 * one}, {3: one, 4: one},
@@ -1140,111 +1195,46 @@ def test_lstsq_factors_each_block_once(monkeypatch):
         for j, c in enumerate(cols):
             for r, v in c.items():
                 b[r] = b.get(r, 0) + v * want[j]
-        (x,), (res,) = _lstsq(cols, [b], 6)
-    assert sizes == [2, 1, 3]
+        (x,), (res,) = _lstsq(cols, [b])
     assert max(abs(u - v) for u, v in zip(x, want)) <= mp.mpf(10) ** -28
     assert res <= mp.mpf(10) ** -28
 
 
 def test_lstsq_rank_deficient_block_is_refused():
     # column 1 is 1.5 times column 0, so their Gram block is singular
-    # although the block of column 2 is not
+    # although the block of column 2 is not.  Then three columns in two rows
+    # with a small second pivot d_1 = G_11 a^2 / (1 + a^2): the last pivot,
+    # 0 exactly, is computed with an error of up to eps * G_22 / a^2, which
+    # a bound of 2^8 * eps * G_22 alone misses at a = 1/24 and 1/100
     with mp.workdps(30):
-        cols = [{0: mp.mpf(2), 1: mp.mpf(4)}, {0: mp.mpf(3), 1: mp.mpf(6)},
-                {2: mp.mpf(1)}]
-        with pytest.raises(ContinuationError, match="rank-deficient"):
-            _lstsq(cols, [{0: mp.mpf(1), 2: mp.mpf(1)}], 3)
+        one = mp.mpf(1)
+        systems = [[{0: 2 * one, 1: 4 * one}, {0: 3 * one, 1: 6 * one},
+                    {2: one}]]
+        systems += [[{0: one, 1: one / k}, {0: one / 3}, {1: one / 3}]
+                    for k in (24, 100)]
+        for cols in systems:
+            with pytest.raises(ContinuationError, match="rank-deficient"):
+                _lstsq(cols, [{0: one, 2: one}])
 
 
 def test_lstsq_zero_column_is_rank_deficient():
     with mp.workdps(30):
         cols = [{0: mp.mpf(1), 1: mp.mpf(2)}, {}]
         with pytest.raises(ContinuationError, match="rank-deficient"):
-            _lstsq(cols, [{0: mp.mpf(1)}], 3)
+            _lstsq(cols, [{0: mp.mpf(1)}])
 
 
-def _gaussian(spec):
-    kind, re, im = spec
-    if kind == "real":
-        return mp.mpf(re)
-    return mp.mpc(re, im if kind == "complex" else 0)
-
-
-# small Gaussian integers, so that elimination cancels exactly and leaves
-# exact zeros, complex ones among them
-_GAUSSIAN = st.tuples(st.sampled_from(["real", "complex", "complex0"]),
-                      st.integers(-2, 2), st.integers(-2, 2))
-
-
-def _assert_lu_matches_mpmath(gram, b):
-    """_lu_decomp and _lu_solve equal mp.LU_decomp and mp.L_solve/U_solve
-    on the same entries: values, types and pivots, or both refuse."""
-    ctx = mp.mp  # LU_decomp, L_solve and U_solve live on the context
-    dense = mp.matrix(gram)
-    try:
-        want_lu, want_perm = ctx.LU_decomp(dense)
-    except (ZeroDivisionError, TypeError):
-        with pytest.raises(ContinuationError, match="no usable pivot"):
-            _lu_decomp(gram)
-        return None
-    lu, perm = _lu_decomp(gram)
-    n = len(gram)
-    want = [[want_lu[i, j] for j in range(n)] for i in range(n)]
-    assert perm == want_perm
-    assert lu == want
-    assert [[type(v) for v in row] for row in lu] == [
-        [type(v) for v in row] for row in want]
-    x = _lu_solve(lu, perm, b)
-    want_x = list(ctx.U_solve(want_lu, ctx.L_solve(want_lu, mp.matrix(b),
-                                                    want_perm)))
-    assert x == want_x
-    assert [type(v) for v in x] == [type(v) for v in want_x]
-    return lu
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(_GAUSSIAN, min_size=n, max_size=n),
-             min_size=n, max_size=n + 2),
-    st.lists(_GAUSSIAN, min_size=n, max_size=n))))
-def test_lu_equals_mpmath_on_gram_matrices(system):
-    table, rhs = system
-    n = len(rhs)
-    with mp.workdps(30):
-        a = [[_gaussian(e) for e in row] for row in table]
-        gram = [[mp.fsum(mp.conj(row[i]) * row[j] for row in a)
-                 for j in range(n)] for i in range(n)]
-        _assert_lu_matches_mpmath(gram, [_gaussian(e) for e in rhs])
-
-
-_I = mp.mpc(0, 1)
-
-
-@pytest.mark.parametrize("gram, b", [
-    # elimination leaves -i - (-i)(1) = mpc(0, 0) in U at (1, 2)
-    ([[mp.mpc(1), _I, mp.mpc(1)], [-_I, mp.mpc(2), -_I],
-      [mp.mpc(1), _I, mp.mpc(3)]], [mp.mpc(1), _I, mp.mpc(0)]),
-    # the forward solve leaves mpc(2, 0) - 0.5 * 4 = mpc(0, 0) in x[1]; as
-    # an mpf zero it keeps x[2] real
-    ([[mp.mpf(4), mp.mpf(2), mp.mpf(1)], [mp.mpf(2), mp.mpf(5), mp.mpf(2)],
-      [mp.mpf(1), mp.mpf(2), mp.mpf(6)]],
-     [mp.mpf(4), mp.mpc(2, 0), mp.mpf(3)]),
-])
-def test_lu_stores_an_eliminated_complex_zero_as_mp_zero(gram, b):
-    # mp.matrix drops an exact mpc(0, 0), so mpmath goes on with mp.zero,
-    # an mpf, which changes the type of what is computed from it
-    with mp.workdps(30):
-        assert _assert_lu_matches_mpmath(gram, b) is not None
-
-
-def test_lu_of_a_singular_matrix_is_rank_deficient():
-    zero, one = mp.mpf(0), mp.mpf(1)
-    for gram in ([[one, one], [one, one]], [[zero, one], [zero, one]],
-                 [[zero]]):
+def test_lstsq_of_a_singular_gram_is_rank_deficient():
+    # Grams [[1, 1], [1, 1]], [[0, 0], [0, 1]] and [[0]]: the pivot of the
+    # dependent column is zero, exactly
+    one, zero = mp.mpf(1), mp.mpf(0)
+    for cols in ([{0: one, 1: one}, {0: one, 1: one}], [{0: zero}, {0: one}],
+                 [{0: mp.mpc(0, 0)}]):
         with mp.workdps(30), pytest.raises(
                 ContinuationError,
-                match=r"rank-deficient normal equations \(no usable pivot\)"):
-            _lu_decomp(gram)
+                match=r"^rank-deficient normal equations \(column \d lies "
+                      r"in the span of the columns before it\)$"):
+            _lstsq(cols, [{0: one}])
 
 
 def test_xside_expansion_is_built_once_per_geometry_and_truncation(

@@ -116,6 +116,27 @@ def test_every_imported_name_is_read():
     assert not unread
 
 
+def test_every_parameter_is_read():
+    # a parameter its function or lambda never loads is dead: delete it
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "lambda")
+            unread += [f"{path.name}:{fn.lineno} {name}: {p}" for p in params
+                       if p not in loads and p not in ("self", "cls")]
+    assert not unread
+
+
 def test_every_continuation_cache_is_documented():
     # a module-level dict in continuation.py outlives every call, so the
     # "Caches." paragraph of the module docstring must name it
