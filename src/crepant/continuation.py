@@ -7,14 +7,18 @@ that reads off the wall-crossing transformation U by comparing coefficients
 of the curve variables on both sides.
 
 Values are high-precision mpmath numbers; working precision is given in
-decimal digits (default 64).  Two parameter modes exist everywhere:
+decimal digits (default 64).  Two parameter modes exist everywhere; both
+evaluate every coefficient as one number per basis class:
 
-  "equivariant-numeric"  numeric lambda and z samples; every coefficient is
-                         a single number per basis class,
-  "nonequivariant"       lambda = 0 exactly, z kept symbolic; coefficients
-                         are finite Laurent polynomials in z and every
-                         series terminates, so results are exact to the
-                         working precision.
+  "equivariant-numeric"  at numeric lambda and z samples,
+  "nonequivariant"       at lambda = 0 exactly and z = 1.  deg z = 2 and
+                         deg y = 0 (each pair is crepant), so the grading
+                         makes each coefficient one z-monomial, and
+                         solve_connection restores each U entry's z-power
+                         from the degrees of its classes.  Every series
+                         terminates, so results are exact to the working
+                         precision.  An equivariant-numeric call at lam = 0
+                         computes the same, at its z.
 
 Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin and exp
 alike), goes through one evaluator, _Spectrum: the Newton form of the
@@ -76,8 +80,8 @@ sines, (-1)^m sin(pi |c_j| s_n), join pi/sin(pi s) in
     R(eps) = prod_poles sin(pi |c_j| s_n) / sin(pi (s_n + eps)),
 
 whose eps^k coefficient is entire in s_n for k < r, so it stays regular
-where the two pole families meet (integer scalar s_n, nonequivariant
-mode).  As q^(s_n + eps) = q^s_n sum_k (eps log q)^k/k!, the residue is
+where the two pole families meet (integer scalar s_n, lambda = 0).  As
+q^(s_n + eps) = q^s_n sum_k (eps log q)^k/k!, the residue is
 sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
 
 The integral integrates each component of the kernel along the contour
@@ -96,7 +100,7 @@ evaluation is one pass per row, scalar work and one exponential.
 Caches.  Five module dicts keep work that recurs across calls:
 _NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
 _SPECTRA the _Spectrum of each class, keyed (id(numeric algebra),
-precision, the exact class, its numeric factor, its z exponent);
+precision, the exact class, its numeric factor);
 _XSIDE_CACHE the X side's exact prefactor expansion, keyed (id(geometry),
 truncation), which serves both modes and every lambda, z and precision;
 _CONTOUR_CACHE the lattice map and the contour variable of each pair,
@@ -117,10 +121,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, count, permutations, product
+from itertools import chain, count, permutations
 from math import comb, factorial, floor, isqrt, prod
 from operator import add, mul
 from typing import Callable, Optional
@@ -171,7 +176,7 @@ def _to_mp(x):
             raise ContinuationError(f"not a number: {x!r}") from exc
     if isinstance(x, Fraction):
         return _frac_mp(x)
-    if isinstance(x, int):
+    if isinstance(x, (int, float)):
         return mp.mpf(x)
     return mp.mpc(x) if isinstance(x, complex) else x
 
@@ -190,7 +195,7 @@ def _number(where: str, name: str, x, real: bool = False):
 
 def _parameters(where: str, mode: str, lam, z, digits, truncation=0):
     """(lambda, z) of a numeric entry point, made at digits + 10 working
-    digits with the defaults default_lambda() and 1, or (None, None) in
+    digits with the defaults default_lambda() and 1, or (0, 1) exactly in
     nonequivariant mode; a bad parameter raises ContinuationError."""
     def bad(msg):
         return ContinuationError(f"{where}: {msg}")
@@ -202,9 +207,10 @@ def _parameters(where: str, mode: str, lam, z, digits, truncation=0):
                   f"not {truncation!r}")
     if mode == "nonequivariant":
         if lam not in (None, 0) or z is not None:
-            raise bad(f"nonequivariant mode fixes lambda = 0 and keeps z "
-                      f"symbolic, not lam={lam!r}, z={z!r}")
-        return None, None
+            raise bad(f"nonequivariant mode fixes lambda = 0 and reads the "
+                      f"powers of z off the grading, not lam={lam!r}, "
+                      f"z={z!r}")
+        return mp.zero, mp.one
     if mode != "equivariant-numeric":
         raise bad(f"unknown mode {mode!r}; choose from equivariant-numeric, "
                   f"nonequivariant")
@@ -214,6 +220,19 @@ def _parameters(where: str, mode: str, lam, z, digits, truncation=0):
     if z == 0:
         raise bad("z must be nonzero")
     return lam, z
+
+
+@contextmanager
+def _prefixed(where: str):
+    """Restate a ContinuationError raised within to start with where, as
+    "ex1: solve_umatrix" or "ex1-Y: kernel set-up", once: a message that
+    already starts with where's first part ("ex1: ") keeps it once."""
+    try:
+        yield
+    except ContinuationError as exc:
+        ex = where.split(": ")[0]
+        msg = str(exc).removeprefix(where + ": ").removeprefix(ex + ": ")
+        raise ContinuationError(f"{where}: {msg}") from None
 
 
 def _near_int(x, tol) -> Optional[int]:
@@ -228,10 +247,7 @@ def _near_int(x, tol) -> Optional[int]:
 
 
 class NumericAlgebra:
-    """Structure constants of an Algebra evaluated at a lambda sample.
-
-    lam = None means the exact nonequivariant limit lambda = 0.
-    """
+    """Structure constants of an Algebra evaluated at a lambda sample."""
 
     def __init__(self, algebra: Algebra, lam, digits: int = DEFAULT_DIGITS):
         self.algebra = algebra
@@ -240,22 +256,12 @@ class NumericAlgebra:
         self.dim = algebra.dim
         self.unit = algebra.unit
         self.labels = algebra.labels
-        point = 0 if lam is None else lam
-        table = {}
+        # table[(i, j)]: the nonzero (k, c_ij^k) of the product of i and j
         with mp.workdps(digits + 10):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    row = []
-                    for k in range(self.dim):
-                        c = algebra.table[i][j][k]
-                        if c.is_zero:
-                            continue
-                        v = c.evaluate(point)
-                        v = _to_mp(v)
-                        if v != 0:
-                            row.append((k, v))
-                    table[(i, j)] = tuple(row)
-        self.table = table
+            self.table = {(i, j): tuple(
+                (k, v) for k, c in enumerate(algebra.table[i][j])
+                if not c.is_zero and (v := _to_mp(c.evaluate(lam))) != 0)
+                for i in range(self.dim) for j in range(self.dim)}
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
@@ -267,7 +273,7 @@ _NA_CACHE: dict = {}
 def _numeric_algebra(algebra: Algebra, lam, digits: int) -> NumericAlgebra:
     # keyed on the algebra object, not its name: two configs may share a
     # name and differ in their tables
-    key = (id(algebra), None if lam is None else str(lam), digits)
+    key = (id(algebra), str(lam), digits)
     cached = _NA_CACHE.get(key)
     if cached is None or cached.algebra is not algebra:
         cached = _NA_CACHE[key] = NumericAlgebra(algebra, lam, digits)
@@ -279,13 +285,13 @@ def _numeric_algebra(algebra: Algebra, lam, digits: int) -> NumericAlgebra:
 
 
 class NilExpansion:
-    """Algebra element with high-precision coefficients per z-layer.
+    """Algebra element with high-precision coefficients.
 
-    terms maps (basis index, z exponent) to an mpmath number.  In numeric-z
-    mode every exponent is 0; in symbolic-z mode exponents are integers and
-    the object is a finite Laurent polynomial in z with algebra-element
-    coefficients.  terms is kept as given, not copied; the sums that can
-    cancel (+, * and _summed) drop their exact zeros.
+    terms maps (basis index, 0) to an mpmath number: every value is taken
+    at the frame's z, so the second slot, a z exponent, is always 0 (and
+    support() is [0] or []); callers that unpack it keep working.  terms
+    is kept as given, not copied; the sums that can cancel (+, * and
+    _summed) drop their exact zeros.
     """
 
     __slots__ = ("na", "terms")
@@ -329,19 +335,15 @@ class NilExpansion:
             return NilExpansion(self.na)
         return NilExpansion(self.na, {k: v * c for k, v in self.terms.items()})
 
-    def zshift(self, k: int) -> "NilExpansion":
-        return NilExpansion(
-            self.na, {(i, ze + k): v for (i, ze), v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NilExpansion):
             table = self.na.table
             out: dict = {}
-            for (i, e1), c1 in sorted(self.terms.items()):
-                for (j, e2), c2 in sorted(other.terms.items()):
+            for (i, _), c1 in sorted(self.terms.items()):
+                for (j, _), c2 in sorted(other.terms.items()):
                     f = c1 * c2
                     for k, s in table[(i, j)]:
-                        key = (k, e1 + e2)
+                        key = (k, 0)
                         out[key] = out[key] + f * s if key in out else f * s
             return NilExpansion(self.na, {k: v for k, v in out.items() if v})
         return self.scale(other)
@@ -349,8 +351,8 @@ class NilExpansion:
     __rmul__ = __mul__
 
     def __repr__(self):
-        parts = [f"{self.na.labels[i]}*z^{ze}: {mp.nstr(v, 8)}"
-                 for (i, ze), v in sorted(self.terms.items())]
+        parts = [f"{self.na.labels[i]}: {mp.nstr(v, 8)}"
+                 for (i, _), v in sorted(self.terms.items())]
         return "NilExpansion(" + ", ".join(parts) + ")"
 
 
@@ -360,14 +362,6 @@ def _summed(na: NumericAlgebra, items) -> NilExpansion:
     for key, v in items:
         out[key] = out[key] + v if key in out else v
     return NilExpansion(na, {k: v for k, v in out.items() if v})
-
-
-def negate_z(x: NilExpansion) -> NilExpansion:
-    """Substitute z -> -z on a symbolic-z expansion."""
-    return NilExpansion(
-        x.na,
-        {(i, ze): (v if ze % 2 == 0 else -v)
-         for (i, ze), v in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +458,15 @@ class _Spectrum:
     (Algebra.minimal_factors) times lambda and factor, or times factor alone
     at lambda = 0: the factor x gives exactly mp.zero, a linear factor its
     rational root, and only a factor of degree >= 2 goes to mp.polyroots,
-    its roots simple.  zexp = -1 puts t over a symbolic z (lambda = 0),
-    where the class must be nilpotent.
+    its roots simple.  At lambda = 0 the class must be nilpotent, as the
+    grading asks: the z-powers solve_connection restores rely on it.
     """
 
     __slots__ = ("na", "nodes", "owner", "basis", "nilpotent")
 
-    def __init__(self, na: NumericAlgebra, klass, factor, zexp: int = 0):
+    def __init__(self, na: NumericAlgebra, klass, factor):
         self.na = na
-        at_zero = na.lam is None or na.lam == 0
+        at_zero = not na.lam
         scale = factor if at_zero else na.lam * factor
         nodes = self.nodes = []
         for poly, mult in na.algebra.minimal_factors(klass, at_zero):
@@ -485,12 +479,12 @@ class _Spectrum:
                 nodes += [(r * scale, mult) for r in mp.polyroots(
                     [_frac_mp(poly.coeff(e)) for e in range(deg, -1, -1)])]
         self.nilpotent = len(nodes) == 1 and not nodes[0][0]
-        if zexp and not self.nilpotent:
+        if at_zero and not self.nilpotent:
             name = " + ".join(f"{c}*{l}" for l, c in klass)
             raise ContinuationError(
                 f"{na.algebra.name}: the class {name} is not nilpotent at "
-                f"lambda = 0, so it has no spectrum over a symbolic z")
-        t = NilExpansion(na, {(na.label_index(l), zexp): _frac_mp(c) * factor
+                f"lambda = 0, so the grading does not fix its powers of z")
+        t = NilExpansion(na, {(na.label_index(l), 0): _frac_mp(c) * factor
                               for l, c in klass})
         # the root of each position of the Newton sequence, and its basis
         self.owner = [k for k, (_, m) in enumerate(nodes) for _ in range(m)]
@@ -519,12 +513,12 @@ class _Spectrum:
 _SPECTRA: dict = {}
 
 
-def _spectrum(na: NumericAlgebra, klass, factor, zexp: int = 0) -> _Spectrum:
-    """_Spectrum(na, klass, factor, zexp), memoized on the arguments and the
+def _spectrum(na: NumericAlgebra, klass, factor) -> _Spectrum:
+    """_Spectrum(na, klass, factor), memoized on the arguments and the
     working precision: the same few tails recur thousands of times."""
-    key = (id(na), mp.prec, klass, factor, zexp)
+    key = (id(na), mp.prec, klass, factor)
     if key not in _SPECTRA:
-        _SPECTRA[key] = _Spectrum(na, klass, factor, zexp)
+        _SPECTRA[key] = _Spectrum(na, klass, factor)
     return _SPECTRA[key]
 
 
@@ -837,20 +831,17 @@ def _affine(a0, *terms) -> Arg:
 
 
 class Frame:
-    """Evaluation context: an algebra plus the treatment of lambda and z.
+    """Evaluation context: an algebra at the numbers lam and z.
 
-    mode "numeric": lam and z are numbers (z is the actual argument the
-    series is evaluated at, so callers wanting f(x, -z) pass the negated
-    sample).  mode "symbolic": lambda = 0 exactly and z stays a formal
-    variable tracked through integer Laurent exponents.
+    z is the actual argument the series is evaluated at, so callers wanting
+    f(x, -z) pass the negated sample.  A lam that is exactly 0 makes the
+    lambda parts of every argument vanish exactly: a pole of Gamma then
+    stays exact (exact_pole) and no sample can resonate (off_resonance).
     """
 
-    def __init__(self, na: NumericAlgebra, mode: str, lam=None, z=None,
+    def __init__(self, na: NumericAlgebra, lam, z,
                  digits: int = DEFAULT_DIGITS):
-        if mode not in ("numeric", "symbolic"):
-            raise ContinuationError(f"unknown frame mode {mode!r}")
         self.na = na
-        self.mode = mode
         self.lam = lam
         self.z = z
         self.digits = digits
@@ -863,20 +854,12 @@ class Frame:
     # -- scalars and tails ---------------------------------------------------
 
     def scalar(self, arg: Arg):
-        if self.mode == "symbolic":
-            return arg.a0
         return _frac_mp(arg.a0) + _frac_mp(arg.alam) * self.lam / self.z
 
     def tail(self, arg: Arg) -> NilExpansion:
         na = self.na
-        out: dict = {}
-        for label, c in arg.div:
-            i = na.label_index(label)
-            if self.mode == "symbolic":
-                out[(i, -1)] = _frac_mp(c)
-            else:
-                out[(i, 0)] = _frac_mp(c) / self.z
-        return NilExpansion(na, out)
+        return NilExpansion(na, {(na.label_index(label), 0):
+                                 _frac_mp(c) / self.z for label, c in arg.div})
 
     def const(self, c) -> NilExpansion:
         return NilExpansion.unit(self.na, _to_mp(c))
@@ -884,15 +867,11 @@ class Frame:
     def zero(self) -> NilExpansion:
         return NilExpansion(self.na)
 
-    def zpow(self, x: NilExpansion, k: int) -> NilExpansion:
-        if self.mode == "symbolic":
-            return x.zshift(k)
-        return x.scale(self.z ** k)
-
     def off_resonance(self, arg: Arg) -> None:
         """Refuse a lambda sample that puts arg near an integer; an exact
-        integer scalar is a structural fact, not an accident."""
-        if self.mode == "numeric" and arg.alam:
+        integer scalar (at lambda = 0 every scalar is exact) is a
+        structural fact, not an accident."""
+        if arg.alam and self.lam:
             s = self.scalar(arg)
             n = _near_int(s, mp.mpf(10) ** (-12))
             if n is not None:
@@ -902,8 +881,8 @@ class Frame:
 
     def exact_pole(self, arg: Arg) -> Optional[int]:
         """m when arg is exactly -m <= 0 in this frame (a pole of Gamma that
-        no lambda sample moves), else None."""
-        if arg.div or (arg.alam and self.mode == "numeric"):
+        no lambda sample moves, or any pole at lambda = 0), else None."""
+        if arg.div or (arg.alam and self.lam):
             return None
         a = arg.a0
         return -int(a) if a.denominator == 1 and a <= 0 else None
@@ -912,8 +891,6 @@ class Frame:
 
     def spectrum(self, div, scale=1) -> _Spectrum:
         """The _Spectrum of scale times the tail of a divisor part div."""
-        if self.mode == "symbolic":
-            return _spectrum(self.na, div, _to_mp(scale), -1)
         return _spectrum(self.na, div, scale / self.z)
 
     def _apply(self, jet, arg: Arg) -> NilExpansion:
@@ -949,7 +926,7 @@ class Frame:
         return [-v for v in ratio] if m * (sum(rates) + 1) % 2 else ratio
 
     def rgamma(self, arg: Arg) -> NilExpansion:
-        if self.mode == "symbolic" and self.exact_pole(arg) is not None:
+        if self.exact_pole(arg) is not None:
             return self.zero()  # exact zero of 1/Gamma
         return self._apply(self._rgamma, arg)
 
@@ -971,7 +948,9 @@ class ContinuedSeries:
     stripped scalar prefactors x_i^(-a_i*lambda/z) are recorded in
     scalar_exponents (they must agree with the partner's).  The values are
     the coefficients of the series evaluated at negated z, i.e. in the frame
-    in which the connection matrix is read off.
+    in which the connection matrix is read off; in nonequivariant mode that
+    is z = 1, so each value is the coefficient at -z = -1, and lam and z
+    are None.
     """
 
     example: str
@@ -1130,8 +1109,8 @@ def continued_ifunction(example, truncation: int,
 
     The result collects coefficients of the X-side curve variables (and log
     powers where divisor prefactors force them); values are taken at
-    negated z so they compare directly against the partner series in the
-    connection solve.
+    negated z (-1 in nonequivariant mode) so they compare directly against
+    the partner series in the connection solve.
 
     Every pair is derived from the charges of its two sides.  The lattice
     map D (_lattice_map) takes an X index n to the Y index d = D n with the
@@ -1157,17 +1136,13 @@ def continued_ifunction(example, truncation: int,
 
     with mp.workdps(digits + 10):
         na = _numeric_algebra(g_y.algebra, lam, digits)
-        if mode == "equivariant-numeric":
-            fr = Frame(na, "numeric", lam=lam, z=-z, digits=digits)
-        else:
-            fr = Frame(na, "symbolic", digits=digits)
+        fr = Frame(na, lam, -z, digits=digits)
         terms, scalar_exponents = _continued_terms(fr, g_y, g_x, truncation)
-        if mode == "nonequivariant":
-            terms = {k: negate_z(v) for k, v in terms.items()}
+    sample = mode == "equivariant-numeric"
     return ContinuedSeries(
         example=ex, geometry=g_y.name, mode=mode,
-        lam=None if mode == "nonequivariant" else mp.nstr(lam, digits),
-        z=None if mode == "nonequivariant" else mp.nstr(z, digits),
+        lam=mp.nstr(lam, digits) if sample else None,
+        z=mp.nstr(z, digits) if sample else None,
         digits=digits, truncation=truncation,
         scalar_exponents=scalar_exponents,
         terms=terms, na=na)
@@ -1179,18 +1154,12 @@ def continued_ifunction(example, truncation: int,
 
 def _coefficient_value(co: RatAZ, na: NumericAlgebra, name: str, lam,
                        z) -> NilExpansion:
-    """An exact coefficient of geometry name at lam and z, or with lam None
-    its lambda = 0 limit as a Laurent polynomial in z.  A z-denominator is
-    refused; no X side has one at any truncation."""
+    """An exact coefficient of geometry name at lam and z.  A z-denominator
+    is refused; no X side has one at any truncation."""
     try:
         az = co.as_algebra_z()
     except IFunctionError as exc:
         raise ContinuationError(f"{name}: {exc}") from None
-    if lam is None:
-        return NilExpansion(na, {(i, e): _frac_mp(v)
-                                 for e, elem in az.layers.items()
-                                 for i, c in enumerate(elem.coeffs)
-                                 if (v := c.nonequivariant_limit())})
     return _summed(na, (((i, 0), _to_mp(c.evaluate(lam)) * z ** e)
                         for e, elem in sorted(az.layers.items())
                         for i, c in enumerate(elem.coeffs) if not c.is_zero))
@@ -1218,8 +1187,8 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
 
     Returns (terms, numeric algebra, scalar exponents); the term keys match
     continued_ifunction's and the overall leading z factor is included.
-    In nonequivariant mode the coefficients are exact finite Laurent
-    polynomials in z.
+    In nonequivariant mode z = 1, and each value is exact to the working
+    precision.
     """
     ex = _example(example)
     lam, z = _parameters(f"{ex}: xside_terms", mode, lam, z, digits,
@@ -1230,12 +1199,8 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
         na = _numeric_algebra(g_x.algebra, lam, digits)
         terms = {}
         for key in sorted(pre):
-            if mode == "equivariant-numeric":
-                val = _coefficient_value(pre[key], na, g_x.name, lam,
-                                         -z).scale(-z)
-            else:
-                base = _coefficient_value(pre[key], na, g_x.name, None, None)
-                val = negate_z(base).zshift(1).scale(-1)  # times -z
+            val = _coefficient_value(pre[key], na, g_x.name, lam,
+                                     -z).scale(-z)
             if not val.is_zero:
                 terms[key] = val
     return terms, na, tuple(v.scalar_exponent for v in g_x.variables)
@@ -1250,8 +1215,11 @@ class UMatrix:
     """Wall-crossing transformation, one column per X-side basis class.
 
     entries[i][j] is a tuple of (z exponent, coefficient) pairs giving the
-    H(Y)-component i of the image of the j-th X-side class.  In numeric mode
-    all exponents are 0 and the metadata records the (lambda, z) sample.
+    H(Y)-component i of the image of the j-th X-side class.  In
+    nonequivariant mode a cell holds at most one pair, its exponent
+    (deg x_j - deg y_i)/2 from the grading, and an empty cell is zero.  In
+    equivariant-numeric mode every cell is one pair with exponent 0 and the
+    metadata records the (lambda, z) sample.
     """
 
     example: str
@@ -1304,75 +1272,66 @@ class UMatrix:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-# the Laurent window -_KWIN..._KWIN of each entry of a nonequivariant U;
-# bench/workloads.py's SOLVE_KWIN counts that solve's rows with it
-_KWIN = 4
-
-
 def solve_connection(xterms: dict, yterms: dict, na_x: NumericAlgebra,
                      na_y: NumericAlgebra, mode: str,
                      digits: int = DEFAULT_DIGITS):
     """Solve U * (X coefficients) = (Y coefficients) over all monomial keys.
 
-    Returns (entries, worst residual).  The system is over-determined, and
-    its columns are assembled sparse, straight from the X-side terms; _lstsq
-    solves it with one L D L^H per block of the normal equations, refusing a
-    block with dependent columns as rank-deficient, and the worst residual
-    is the infinity norm of A x - b over all equations.
+    Returns (entries, worst residual).  The system has one equation per
+    monomial key and one unknown per X class for each Y class.  It is
+    over-determined, and its columns are assembled sparse, straight from
+    the X-side terms; _lstsq solves it with one L D L^H per block of the
+    normal equations, refusing a block with dependent columns as
+    rank-deficient, and the worst residual is the infinity norm of A x - b
+    over all equations.
+
+    In nonequivariant mode both sides are taken at z = 1.  An entry below
+    10^-(digits // 2) is a zero of the solution and is dropped; any other
+    gets its z exponent (deg x_j - deg y_i)/2, and one whose exponent is
+    not an integer lies off the grading and is refused.
     """
     keys = sorted(set(xterms) | set(yterms))
     if not keys:
         raise ContinuationError("no monomials to match")
     dim_x, dim_y = na_x.dim, na_y.dim
+    shape = f"{mode} solve of {len(keys)} equations x {dim_x} unknowns"
+    if len(keys) <= dim_x:
+        raise ContinuationError(f"truncation too small for the {shape}")
     with mp.workdps(digits + 10):
-        if mode == "equivariant-numeric":
-            # one equation per monomial key, one unknown per X class, and
-            # every entry kept
-            ks = (0,)
-            eqs = [(key, 0) for key in keys]
-            least = dim_x + 1
-            drop = -1
-        else:
-            # symbolic z: unknowns are Laurent coefficients per entry; both
-            # sides are exact finite Laurent data, so every layer is a valid
-            # equation (including the ones that force stray layers to
-            # vanish), and coefficients below drop are zeros of the solution
-            ks = tuple(range(-_KWIN, _KWIN + 1))
-            eqs = []
-            for key in keys:
-                layers = set(yterms[key].support()) if key in yterms else set()
-                if key in xterms:
-                    for ze in xterms[key].support():
-                        layers.update(ze + k for k in ks)
-                eqs.extend((key, f) for f in sorted(layers))
-            least = dim_x * len(ks)
-            drop = mp.mpf(10) ** (-(digits // 2))
-        pos = {jk: c for c, jk in enumerate(product(range(dim_x), ks))}
-        shape = f"{mode} solve of {len(eqs)} equations x {len(pos)} unknowns"
-        if len(eqs) < least:
-            raise ContinuationError(f"truncation too small for the {shape}")
-        cols = [{} for _ in pos]
+        cols = [{} for _ in range(dim_x)]
         bs = [{} for _ in range(dim_y)]
-        for r, (key, f) in enumerate(eqs):
+        for r, key in enumerate(keys):
             if key in xterms:
-                for (j, ze), v in xterms[key].terms.items():
-                    c = pos.get((j, f - ze))
-                    if c is not None:
-                        cols[c][r] = v
+                for (j, _), v in xterms[key].terms.items():
+                    cols[j][r] = v
             if key in yterms:
-                for (i, ze), v in yterms[key].terms.items():
-                    if ze == f:
-                        bs[i][r] = v
+                for (i, _), v in yterms[key].terms.items():
+                    bs[i][r] = v
         try:
             xs, residuals = _lstsq(cols, bs)
         except ContinuationError as exc:
             raise ContinuationError(f"{shape}: {exc}") from None
-        entries = tuple(
-            tuple(tuple((k, x[pos[(j, k)]]) for k in ks
-                        if abs(x[pos[(j, k)]]) > drop)
-                  for j in range(dim_x))
-            for x in xs)
-        return entries, max(residuals)
+        if mode == "equivariant-numeric":
+            return tuple(tuple(((0, v),) for v in x) for x in xs), \
+                max(residuals)
+        drop = mp.mpf(10) ** (-(digits // 2))
+        entries = []
+        for i, x in enumerate(xs):
+            row = []
+            for j, v in enumerate(x):
+                k = Fraction(na_x.algebra.degrees[j]
+                             - na_y.algebra.degrees[i], 2)
+                if abs(v) <= drop:
+                    row.append(())
+                elif k.denominator != 1:
+                    raise ContinuationError(
+                        f"{shape}: the entry from {na_x.labels[j]} to "
+                        f"{na_y.labels[i]} is {mp.nstr(v, 5)}, off the "
+                        f"grading (z exponent {k})")
+                else:
+                    row.append(((int(k), v),))
+            entries.append(tuple(row))
+    return tuple(entries), max(residuals)
 
 
 def solve_umatrix(example, truncation: Optional[int] = None,
@@ -1386,24 +1345,22 @@ def solve_umatrix(example, truncation: Optional[int] = None,
     solved; the worst equation residual is reported in the result.
     """
     ex = _example(example)
+    where = f"{ex}: solve_umatrix"
     g_x = builtin(ex + "-X")
     g_y = builtin(ex + "-Y")
     if truncation is None:
         truncation = g_x.algebra.dim + 2
-    _parameters(f"{ex}: solve_umatrix", mode, lam, z, digits, truncation)
-    cs = continued_ifunction(ex, truncation, mode=mode, lam=lam, z=z,
-                             digits=digits)
-    xt, na_x, scal = xside_terms(ex, truncation, mode=mode, lam=lam, z=z,
+    _parameters(where, mode, lam, z, digits, truncation)
+    with _prefixed(where):
+        cs = continued_ifunction(ex, truncation, mode=mode, lam=lam, z=z,
                                  digits=digits)
-    if scal != cs.scalar_exponents:
-        raise ContinuationError(
-            f"{ex}: solve_umatrix: scalar prefactors of the two sides do not "
-            f"agree")
-    try:
+        xt, na_x, scal = xside_terms(ex, truncation, mode=mode, lam=lam, z=z,
+                                     digits=digits)
+        if scal != cs.scalar_exponents:
+            raise ContinuationError(
+                "scalar prefactors of the two sides do not agree")
         entries, residual = solve_connection(xt, cs.terms, na_x, cs.na, mode,
                                              digits=digits)
-    except ContinuationError as exc:
-        raise ContinuationError(f"{ex}: {exc}") from None
     return UMatrix(
         example=ex, mode=mode, lam=cs.lam, z=cs.z, digits=digits,
         truncation=truncation, xlabels=g_x.algebra.labels,
@@ -1468,13 +1425,13 @@ class _Kernel:
         self.rows = []
         # (f, argument, multiplicity) of each head factor but the sines
         self._heads = []
-        zexp = 1
+        zpower = 1
         for (klass, c, o), mult in groups.items():
             if not (c or o):
                 continue
             # the head Gamma(b + kappa/z), with b in (0, 1] and b = o mod 1
             b = 1 - (-o) % 1
-            zexp += (b - 1) * mult
+            zpower += (b - 1) * mult
             self._heads.append((fr.gamma, _class_arg(alg, klass, b), mult))
             arg = _class_arg(alg, klass, o)
             if c:
@@ -1486,7 +1443,7 @@ class _Kernel:
         if sector != alg.unit:
             self._heads.append((partial(NilExpansion.basis, fr.na),
                                 alg.labels[sector], 1))
-        self._zexp = int(zexp)
+        self._zpower = int(zpower)
         odd = sum(-r.c * r.mult for r in self.rows if r.c < 0)
         if any(r.c.denominator != 1 for r in self.rows) or odd % 2 != 1:
             raise ContinuationError(
@@ -1537,7 +1494,7 @@ class _Kernel:
         factors = []
         for f, arg, mult in self._heads:
             factors += [f(arg)] * mult
-        return self.fr.zpow(reduce(mul, factors), self._zexp)
+        return reduce(mul, factors).scale(self.fr.z ** self._zpower)
 
     @property
     def wall(self) -> Fraction:
@@ -1691,37 +1648,29 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     where = f"{ex}: mellin_barnes_integral"
     lam, z = _parameters(where, "equivariant-numeric", lam, z, digits)
     g_y = builtin(ex + "-Y")
-    _, c = _contour(g_y, builtin(ex + "-X"))
-    split = g_y.sector_map[c].denominator
-    if split != 1:
-        raise ContinuationError(
-            f"{g_y.name}: the contour variable {g_y.variables[c].symbol} "
-            f"splits into {split} residue classes; the Mellin-Barnes "
-            f"integral runs along one")
-    with mp.workdps(digits + 10):
+    with _prefixed(where), mp.workdps(digits + 10):
+        _, c = _contour(g_y, builtin(ex + "-X"))
+        split = g_y.sector_map[c].denominator
+        if split != 1:
+            raise ContinuationError(
+                f"{g_y.name}: the contour variable "
+                f"{g_y.variables[c].symbol} splits into {split} residue "
+                f"classes; the Mellin-Barnes integral runs along one")
         q = _number(where, "q", q)
         tol = _number(where, "tol", "1e-30" if tol is None else tol, real=True)
         if tol <= 0:
-            raise ContinuationError(f"{where}: tol must be positive")
+            raise ContinuationError("tol must be positive")
         if mp.im(q) == 0 and mp.re(q) <= 0:
-            raise ContinuationError(f"{where}: q must be nonzero and stay "
-                                    f"off the branch cut")
+            raise ContinuationError(
+                "q must be nonzero and stay off the branch cut")
         na = _numeric_algebra(g_y.algebra, lam, digits)
-        fr = Frame(na, "numeric", lam=lam, z=z, digits=digits)
-
-        def at(stage: str, run: Callable):
-            # the kernel's own errors, prefixed with the Y side and stage
-            try:
-                return run()
-            except ContinuationError as exc:
-                msg = str(exc).removeprefix(f"{g_y.name}: ")
-                raise ContinuationError(f"{g_y.name}: {stage}: {msg}") \
-                    from None
-
-        kern = at("kernel set-up", lambda: _Kernel(g_y, fr, c, q))
+        fr = Frame(na, lam, z, digits=digits)
+        # the kernel's own errors name the Y side and the stage
+        with _prefixed(f"{g_y.name}: kernel set-up"):
+            kern = _Kernel(g_y, fr, c, q)
         wall, aq = kern.wall, abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
-            raise ContinuationError(f"{where}: q sits on the convergence wall")
+            raise ContinuationError("q sits on the convergence wall")
         side = "inside" if aq < _frac_mp(wall) else "outside"
         sigma = _number(where, "sigma", "0.5" if sigma is None else sigma,
                         real=True)
@@ -1737,16 +1686,14 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                 break
             if abs(val - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
-                    f"{where}: left pole {n} sits within 0.05 of the contour")
+                    f"left pole {n} sits within 0.05 of the contour")
             if n > 400:
-                raise ContinuationError(
-                    f"{where}: left pole family does not descend")
+                raise ContinuationError("left pole family does not descend")
             if val >= sigma:
                 lefts.append(n)
         for d in range(int(mp.floor(sigma)), int(mp.ceil(sigma)) + 1):
             if abs(d - sigma) < mp.mpf("0.05"):
                 raise ContinuationError(
-                    f"{where}: "
                     f"{'right pole' if d >= 0 else 'pole of pi/sin(pi s) at'}"
                     f" {d} sits within 0.05 of the contour")
         rights = range(max(0, int(mp.ceil(sigma))))
@@ -1755,11 +1702,11 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         # continued-family poles right of the line with a minus
         transferred = fr.zero()
         for n in lefts:
-            transferred = transferred - at(f"left pole n = {n}",
-                                           partial(kern.left_value, n))
+            with _prefixed(f"{g_y.name}: left pole n = {n}"):
+                transferred = transferred - kern.left_value(n)
         for d in rights:
-            transferred = transferred + at(f"right pole d = {d}",
-                                           partial(kern.right_residue, d))
+            with _prefixed(f"{g_y.name}: right pole d = {d}"):
+                transferred = transferred + kern.right_residue(d)
 
         evaluations = 0
 
@@ -1793,8 +1740,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             t_cur += 10
         if tail > tol:
             raise ContinuationError(
-                f"{where}: tail estimate {mp.nstr(tail, 5)} exceeds the "
-                f"tolerance")
+                f"tail estimate {mp.nstr(tail, 5)} exceeds the tolerance")
 
         if symmetric:
             nodes = [0, t_cur / 4, t_cur]
@@ -1826,10 +1772,10 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
                     break
             else:
                 raise ContinuationError(
-                    f"{where}: the quadrature over t in [{mp.nstr(a, 5)}, "
-                    f"{mp.nstr(b, 5)}] reached degree {max_degree} with error "
-                    f"{mp.nstr(err, 5)}, above its share {mp.nstr(share, 5)} "
-                    f"of the tolerance {mp.nstr(tol, 5)}")
+                    f"the quadrature over t in [{mp.nstr(a, 5)}, "
+                    f"{mp.nstr(b, 5)}] reached degree {max_degree} with "
+                    f"error {mp.nstr(err, 5)}, above its share "
+                    f"{mp.nstr(share, 5)} of the tolerance {mp.nstr(tol, 5)}")
             for comp, v in acc.items():
                 v = v + mp.conj(v) if symmetric else v
                 # (1/2<pi>i) ds with ds = i dt

@@ -23,7 +23,7 @@ from crepant.continuation import (Arg, ContinuationError, Frame,
                                   _numeric_algebra,
                                   _spectrum, _to_mp, _xside_expansion,
                                   continued_ifunction, default_lambda,
-                                  mellin_barnes_integral, negate_z,
+                                  mellin_barnes_integral,
                                   solve_umatrix, xside_terms)
 
 
@@ -162,9 +162,10 @@ def test_rgamma_reflection_jet_of_a_power(power):
             assert abs(v - want) <= mp.mpf(10) ** -24 * max(1, abs(want)), j
 
 
-def _two_class_algebra(square: int) -> Algebra:
-    """Unit 1 and one class p with p*p = square * 1, named alike."""
-    one, zero, c = LambdaRat(1), LambdaRat(0), LambdaRat(square)
+def _two_class_algebra(square: int, power: int = 0) -> Algebra:
+    """Unit 1 and one class p with p*p = square * lambda^power * 1, named
+    alike; power 2 makes it graded."""
+    one, zero, c = LambdaRat(1), LambdaRat(0), LambdaRat.gen(power, square)
     table = (((one, zero), (zero, one)), ((zero, one), (c, zero)))
     return Algebra("config", ("1", "p"), (0, 2), (0, 0), 0, table,
                    ((one, zero), (zero, one)))
@@ -172,11 +173,11 @@ def _two_class_algebra(square: int) -> Algebra:
 
 def test_numeric_algebra_cache_tells_same_named_algebras_apart():
     a, b = _two_class_algebra(2), _two_class_algebra(3)
-    na_a = _numeric_algebra(a, None, 20)
-    na_b = _numeric_algebra(b, None, 20)
+    na_a = _numeric_algebra(a, 0, 20)
+    na_b = _numeric_algebra(b, 0, 20)
     assert na_a.table[(1, 1)] == ((0, 2),)
     assert na_b.table[(1, 1)] == ((0, 3),)
-    assert _numeric_algebra(a, None, 20) is na_a
+    assert _numeric_algebra(a, 0, 20) is na_a
 
 
 def test_mb_matches_inside_series_ex4():
@@ -191,7 +192,7 @@ def test_mb_matches_inside_series_ex4():
     with mp.workdps(25):
         geom = builtin("ex4-Y")
         na = _numeric_algebra(geom.algebra, lam, 15)
-        fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=15)
+        fr = Frame(na, lam=lam, z=mp.mpf(1), digits=15)
         kern = _Kernel(geom, fr, 0, q)
         total = fr.zero()
         for d in range(60):
@@ -209,7 +210,7 @@ def _kernel_at(ex, q, digits):
     geom = builtin(ex + "-Y")
     lam = mp.mpc("0.7", "0.31")
     na = _numeric_algebra(geom.algebra, lam, digits)
-    fr = Frame(na, "numeric", lam=lam, z=mp.mpf(1), digits=digits)
+    fr = Frame(na, lam=lam, z=mp.mpf(1), digits=digits)
     return _Kernel(geom, fr, 0, mp.mpf(q))
 
 
@@ -233,8 +234,8 @@ def test_coefficient_with_a_z_denominator_is_refused():
     # ex2-Y's point fixed locus leaves z-denominators, which no X side has
     ifn = build_ifunction(builtin("ex2-Y"), 1)
     co = next(c for c in ifn.coeffs.values() if c.den)
-    na = _numeric_algebra(ifn.geometry.algebra, None, 30)
-    for lam, z in ((None, None), (default_lambda(), mp.mpf(1))):
+    na = _numeric_algebra(ifn.geometry.algebra, 0, 30)
+    for lam, z in ((0, mp.mpf(-1)), (default_lambda(), mp.mpf(1))):
         with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
             _coefficient_value(co, na, "ex2-Y", lam, z)
 
@@ -309,8 +310,9 @@ def _closed_jet(f, x, k):
 def test_spectrum_apply_closed_forms(square, f, shift):
     # f^(shift)(s + c p) with p*p = 0 is the jet f(s) + c f'(s) p; with
     # p*p = 2, c p has the eigenvalues +-c sqrt 2 and the projectors
-    # (1 +- p/sqrt 2)/2
-    na = _numeric_algebra(_two_class_algebra(square), None, 20)
+    # (1 +- p/sqrt 2)/2.  p*p = square lambda^2 at lambda = 1, as a class
+    # that is not nilpotent at lambda = 0 is refused
+    na = _numeric_algebra(_two_class_algebra(square, 2), 1, 20)
     with mp.workdps(30):
         s, c = mp.mpc("1.3", "0.4"), mp.mpf("0.5")
         jet = _exp_jet if f == "exp" else _GammaDerivs(mp.mpf(10) ** -14).jet
@@ -422,7 +424,8 @@ def test_exact_factors_are_built_once_across_lambda_samples(monkeypatch):
 def test_spectrum_refuses_classes_without_a_graded_spectrum():
     # a degree-0 label, and lambda != 0 on an algebra whose p*p = 2 is not
     # the lambda-monomial its grading asks for, raise before any eigenvalue
-    # is made; so does a non-nilpotent class over a symbolic z
+    # is made; so does a class that is not nilpotent at lambda = 0, where
+    # the grading must fix the powers of z
     na = _numeric_algebra(builtin("ex2-Y").algebra, default_lambda(), 20)
     with pytest.raises(AlgebraError, match=r"^kf3: class 1\*1: label 1 "
                                            r"has degree 0, not 2"):
@@ -434,8 +437,8 @@ def test_spectrum_refuses_classes_without_a_graded_spectrum():
                   (("p", Fraction(1)),), mp.mpf(1))
     with pytest.raises(ContinuationError, match=r"^config: the class 1\*p "
                                                 r"is not nilpotent"):
-        _spectrum(_numeric_algebra(toy, None, 20), (("p", Fraction(1)),),
-                  mp.mpf(1), -1)
+        _spectrum(_numeric_algebra(toy, 0, 20), (("p", Fraction(1)),),
+                  mp.mpf(1))
 
 
 @pytest.mark.parametrize("lam, why", [
@@ -447,7 +450,7 @@ def test_spectrum_refuses_classes_without_a_graded_spectrum():
 def test_mb_errors_name_the_side_and_the_pole(lam, why):
     with pytest.raises(ContinuationError) as info:
         mellin_barnes_integral("ex1", "0.06", lam=lam, digits=15)
-    assert str(info.value) == f"ex1-Y: {why}"
+    assert str(info.value) == f"ex1: mellin_barnes_integral: ex1-Y: {why}"
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -493,7 +496,7 @@ def test_mb_budget_counts_the_lower_tail(monkeypatch):
        st.sampled_from(["integer", "complex"]))
 def test_sine_ratio_shifts_by_a_sign(rates, k, m, kind):
     # R_k(x + m) = (-1)^(m (sum rates + 1)) R_k(x) for integer rates, at an
-    # integer x (the branch of symbolic mode) and at a complex one
+    # integer x (the branch of lambda = 0) and at a complex one
     assume(k < len(rates) or kind == "complex")
     with mp.workdps(30):
         x = mp.mpf(2) if kind == "integer" else mp.mpc("0.3", "0.7")
@@ -530,13 +533,14 @@ def test_continued_series_jet_counts(monkeypatch):
 
 @pytest.mark.parametrize("lam, why", [
     (3, "argument -1.0 is too close to the integer -1"),
-    (0, "argument 0.0 is too close to the integer 0"),
 ])
 def test_left_residue_error_names_geometry_index_and_pole(lam, why):
+    # an exact lambda = 0 is no resonance: it is the nonequivariant sample
     with pytest.raises(ContinuationError) as info:
         solve_umatrix("ex1", mode="equivariant-numeric", lam=lam, digits=30)
-    assert str(info.value) == (f"ex1-Y: X index (0,), pole n = 0: parameter "
-                               f"sample resonates: {why}")
+    assert str(info.value) == (f"ex1: solve_umatrix: ex1-Y: X index (0,), "
+                               f"pole n = 0: parameter sample resonates: "
+                               f"{why}")
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -573,7 +577,7 @@ def test_mb_reflected_path_matches_inside_series_ex4(monkeypatch):
     assert len(heights) == res.evaluations and min(heights) >= 0
     with mp.workdps(25):
         geom = builtin("ex4-Y")
-        fr = Frame(_numeric_algebra(geom.algebra, lam, 15), "numeric",
+        fr = Frame(_numeric_algebra(geom.algebra, lam, 15),
                    lam=lam, z=mp.mpf(1), digits=15)
         kern = _Kernel(geom, fr, 0, q)
         total = fr.zero()
@@ -591,8 +595,9 @@ def test_mb_without_a_radius_is_refused():
     # ex3's contour variable y1 has sector_map entry -1/3, so its indices
     # fall into 3 residue classes, and the integral sums only one
     with pytest.raises(ContinuationError,
-                       match="^ex3-Y: the contour variable y1 splits into 3 "
-                             "residue classes"):
+                       match="^ex3: mellin_barnes_integral: ex3-Y: the "
+                             "contour variable y1 splits into 3 residue "
+                             "classes"):
         mellin_barnes_integral("ex3", "0.02")
 
 
@@ -606,7 +611,7 @@ def test_mb_wall_from_the_kernel_rates(ex, wall):
     g_y = builtin(ex + "-Y")
     _, c = _contour(g_y, builtin(ex + "-X"))
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), "numeric", lam=lam,
+    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), lam=lam,
                z=mp.mpf(1), digits=15)
     assert _Kernel(g_y, fr, c).wall == wall
 
@@ -651,7 +656,7 @@ def test_kernel_rows_off_one_class_are_refused(monkeypatch):
     monkeypatch.setattr(_Kernel, "qpow", lambda self, arg: self.fr.const(1))
     g_y = builtin("ex2-Y")
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), "numeric", lam=lam,
+    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), lam=lam,
                z=mp.mpf(1), digits=15)
     with pytest.raises(ContinuationError, match="^ex2-Y: the contour kernel "
                        "along y2 needs every row class to be a multiple"):
@@ -700,7 +705,7 @@ def _sin_ratio(fr, arga, argb, n):
 def _terms_ex2(fr: Frame, bound: int) -> dict:
     out: dict = {}
     p1 = NilExpansion.basis(fr.na, "p1")
-    p1 = p1.zshift(-1) if fr.mode == "symbolic" else p1.scale(1 / fr.z)
+    p1 = p1.scale(1 / fr.z)
     logpows = [fr.const(1)]
     while len(logpows) <= 2:
         nxt = logpows[-1] * p1
@@ -723,7 +728,7 @@ def _terms_ex2(fr: Frame, bound: int) -> dict:
             gb = fr.gamma(_arg(1, 0, p1=1, p2=-3))
             gc = fr.gamma(_arg(1, 1, p1=-2, p2=1))
             base = ratio * g2 * g2 * rg2 * rg2 * gp1 * rgp1k * gb * gc * rg_res
-            base = fr.zpow(base, 1).scale(
+            base = base.scale(fr.z).scale(
                 Fraction((-1) ** (n + k), 3 * factorial(n)))
             for c, dress in enumerate(logpows):
                 val = (base * dress).scale(Fraction(1, factorial(c)))
@@ -757,7 +762,7 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                                      Fraction(1, 5)))
                 rgb = fr.rgamma(_arg(1 - Fraction(e + 3 * nh, 5),
                                      Fraction(3, 5)))
-                if fr.mode == "symbolic":
+                if not fr.lam:
                     assert rga.is_zero == rgb.is_zero
                 if rga.is_zero or rgb.is_zero:
                     continue
@@ -780,25 +785,21 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                                  5 * factorial(e) * factorial(nh))
                 # overall -1: orientation of the closed contour, anchored so
                 # the unit monomial reproduces the unit column
-                val = fr.zpow(val, 1 + int(nu)).scale(-scale)
+                val = val.scale(fr.z ** (1 + int(nu))).scale(-scale)
                 key = ((nh, e), (0, 0))
                 out[key] = out[key] + val if key in out else val
     return out
 
 
 def _written_out(ex, mode, truncation, digits):
-    """The written-out sum in continued_ifunction's frame."""
+    """The written-out sum in continued_ifunction's frame: at negated z,
+    and in nonequivariant mode at lambda = 0, z = 1."""
     builder = {"ex2": _terms_ex2, "ex3": _terms_ex3}[ex]
     alg = builtin(ex + "-Y").algebra
     with mp.workdps(digits + 10):
-        if mode == "nonequivariant":
-            fr = Frame(_numeric_algebra(alg, None, digits), "symbolic",
-                       digits=digits)
-            return {k: negate_z(v) for k, v in
-                    builder(fr, truncation).items()}
-        lam = default_lambda()
-        fr = Frame(_numeric_algebra(alg, lam, digits), "numeric", lam=lam,
-                   z=mp.mpf(-1), digits=digits)
+        lam = default_lambda() if mode == "equivariant-numeric" else 0
+        fr = Frame(_numeric_algebra(alg, lam, digits), lam=lam, z=mp.mpf(-1),
+                   digits=digits)
         return builder(fr, truncation)
 
 
@@ -991,8 +992,9 @@ def _gram_at(algebra, lam):
                             "residual stay the same with logs up to order "
                             "2, 3 or 4, while ex1, ex3 and ex4 read <= "
                             "3.2e-30: the defect is not in ex2's residue "
-                            "families but on the X side or in the "
-                            "pairing")),
+                            "families but in the Y side's pairing: K_F3's "
+                            "Gram entry (1, p2) is typed as 2/lambda^2 "
+                            "where it should be 5/(3 lambda^2)")),
 ])
 def test_umatrix_is_symplectic(ex, digits, truncation):
     # U(-z)^T G_Y U(z) = G_X for the Givental pairing at a generic lambda
@@ -1023,6 +1025,36 @@ def test_equivariant_u_tends_to_the_nonequivariant_u(ex):
                   for i in range(len(ue.ylabels))
                   for j in range(len(ue.xlabels)))
     assert gap <= mp.mpf("1e-6")
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_graded_u_is_the_whole_u(ex):
+    # the nonequivariant U is solved at z = 1 and its z-powers come from the
+    # grading; the equivariant solve at lambda = 0 exactly and another z
+    # sees the whole U at that z
+    u0 = solve_umatrix(ex, digits=30)
+    for zv in (1, 2, -0.7):
+        ue = solve_umatrix(ex, mode="equivariant-numeric", lam=0, z=zv,
+                           digits=30)
+        with mp.workdps(40):
+            gap = max(abs(ue.entry_value(i, j) - u0.entry_value(i, j, zv))
+                      for i in range(len(ue.ylabels))
+                      for j in range(len(ue.xlabels)))
+        assert gap <= mp.mpf("1e-35"), zv
+        assert ue.residual <= mp.mpf("1e-25"), zv
+
+
+def test_entry_off_the_grading_is_refused(monkeypatch):
+    # with ex4-X's 1_1/2 made degree 3, U's entry 1 from it to p^2 (degree
+    # 4) would carry z^(-1/2)
+    solve_umatrix("ex4", digits=30)
+    monkeypatch.setattr(builtin("ex4-X").algebra, "degrees", (0, 2, 3))
+    with pytest.raises(ContinuationError,
+                       match=r"^ex4: solve_umatrix: nonequivariant solve of 5 "
+                             r"equations x 3 unknowns: the entry from 1_1/2 "
+                             r"to p\^2 is 1\.0, off the grading "
+                             r"\(z exponent -1/2\)$"):
+        solve_umatrix("ex4", digits=30)
 
 
 def test_scalar_prefactor_mismatch_is_refused(monkeypatch):
@@ -1294,7 +1326,7 @@ def _zero_x_side(monkeypatch, keep=lambda i: False):
 
 @pytest.mark.parametrize("mode, shape, why", [
     ("equivariant-numeric", "9 equations x 3 unknowns", "rank-deficient"),
-    ("nonequivariant", "6 equations x 27 unknowns", "truncation too small"),
+    ("nonequivariant", "5 equations x 3 unknowns", "rank-deficient"),
 ])
 def test_all_zero_x_side_error_names_example_mode_and_shape(
         monkeypatch, mode, shape, why):
@@ -1302,18 +1334,17 @@ def test_all_zero_x_side_error_names_example_mode_and_shape(
     with pytest.raises(ContinuationError) as info:
         solve_umatrix("ex4", mode=mode, digits=30)
     msg = str(info.value)
-    assert msg.startswith("ex4: ")
+    assert msg.startswith("ex4: solve_umatrix: ")
     assert f"{mode} solve of {shape}" in msg
     assert why in msg
 
 
 def test_missing_x_class_is_rank_deficient_nonequivariant(monkeypatch):
-    # class p of ex4-X never appears, so its nine Laurent unknowns are
-    # unconstrained
+    # class p of ex4-X never appears, so its unknowns are unconstrained
     _zero_x_side(monkeypatch, keep=lambda i: i != 1)
     with pytest.raises(ContinuationError,
-                       match=r"^ex4: nonequivariant solve of \d+ equations "
-                             r"x 27 unknowns: rank-deficient"):
+                       match=r"^ex4: solve_umatrix: nonequivariant solve of "
+                             r"\d+ equations x 3 unknowns: rank-deficient"):
         solve_umatrix("ex4", digits=30)
 
 
