@@ -60,7 +60,7 @@ b_j = o_j mod 1, and with P the prefactor class of y_c,
 pi/sin(pi s) gives the series its signs only when the c_j are integers
 whose negative ones sum to an odd number; other rows are refused.  Both
 the continued series and the Mellin-Barnes integral take y_c from the
-pair's lattice map (_contour).  The integral runs from base 0, where every
+pair's lattice map (Pair.var).  The integral runs from base 0, where every
 o_j = 0 and b_j = 1, and only where N = 1; its wall is
 |q| = prod_j |c_j|^(c_j), each row counted with its multiplicity.  The
 continued series takes the spectators and a from the lattice map too (see
@@ -97,22 +97,21 @@ _gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
 hp = head exp(P log q / z), and every hp tau^k != 0 is built once: an
 evaluation is one pass per row, scalar work and one exponential.
 
-Caches.  Five module dicts keep work that recurs across calls:
-_NA_CACHE holds the numeric algebras, keyed (id(algebra), lambda, digits);
-_SPECTRA the _Spectrum of each class, keyed (id(numeric algebra),
-precision, the exact class, its numeric factor);
-_XSIDE_CACHE the X side's exact prefactor expansion, keyed (id(geometry),
-truncation), which serves both modes and every lambda, z and precision;
-_CONTOUR_CACHE the lattice map and the contour variable of each pair,
-keyed (id(Y side), id(X side)); _BERNOULLI the scaled Bernoulli numbers
-of _gamma_pass, keyed by its working precision.  _NA_CACHE, _XSIDE_CACHE and _CONTOUR_CACHE store the
-keyed objects too and rebuild when they are not the ones asked for, so a
-recycled id cannot return another object's entry.  Within one call, the
-Frame's memo keeps what repeats across the kernels and poles of one
-continued series: the head Gammas, keyed by their argument; the sine
-ratios R_k, keyed (sorted rates, pole order, s_n less the floor of its
-rational part); and the 1/Gamma jets at an exact pole -m, keyed (m,
-order).  The memo lives and dies with its Frame, which no cache keeps.
+Caches.  Two module dicts keep work that recurs across calls: _PAIRS the
+built-in Pair of each pair name, and _BERNOULLI the scaled Bernoulli
+numbers of _gamma_pass, keyed by its working precision.  A Pair keeps what
+the continuation derives from its two sides: the lattice map and the
+contour variable; the X side's exact prefactor expansion per truncation,
+which serves both modes and every lambda, z and precision; and each
+side's NumericAlgebra, keyed (side, lambda, digits).  A NumericAlgebra
+keeps the _Spectrum of each class, keyed (precision, the exact class, its
+numeric factor).  Every cache lives on the object it serves, so none is
+keyed on another object's identity.  Within one call, the Frame's memo
+keeps what repeats across the kernels and poles of one continued series:
+the head Gammas, keyed by their argument; the sine ratios R_k, keyed
+(sorted rates, pole order, s_n less the floor of its rational part); and
+the 1/Gamma jets at an exact pole -m, keyed (m, order).  The memo lives
+and dies with its Frame, which no cache keeps.
 Each Algebra keeps its classes' exact minimal_factors, keyed (class,
 lambda = 0), which serve every lambda sample, z and precision.
 """
@@ -149,14 +148,6 @@ class ContinuationError(ValueError):
 
 
 DEFAULT_DIGITS = 64
-
-
-def _example(name: str) -> str:
-    key = str(name)
-    if key not in pairs():
-        raise ContinuationError(
-            f"unknown example {name!r}; choose from {', '.join(pairs())}")
-    return key
 
 
 def default_lambda():
@@ -262,22 +253,18 @@ class NumericAlgebra:
                 (k, v) for k, c in enumerate(algebra.table[i][j])
                 if not c.is_zero and (v := _to_mp(c.evaluate(lam))) != 0)
                 for i in range(self.dim) for j in range(self.dim)}
+        self._spectra: dict = {}
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
-
-_NA_CACHE: dict = {}
-
-
-def _numeric_algebra(algebra: Algebra, lam, digits: int) -> NumericAlgebra:
-    # keyed on the algebra object, not its name: two configs may share a
-    # name and differ in their tables
-    key = (id(algebra), str(lam), digits)
-    cached = _NA_CACHE.get(key)
-    if cached is None or cached.algebra is not algebra:
-        cached = _NA_CACHE[key] = NumericAlgebra(algebra, lam, digits)
-    return cached
+    def spectrum(self, klass, factor) -> _Spectrum:
+        """_Spectrum(self, klass, factor), memoized on the arguments and the
+        working precision: the same few tails recur thousands of times."""
+        key = (mp.prec, klass, factor)
+        if key not in self._spectra:
+            self._spectra[key] = _Spectrum(self, klass, factor)
+        return self._spectra[key]
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +497,6 @@ class _Spectrum:
                                  zip(self.basis, coeffs) for key, v in b))
 
 
-_SPECTRA: dict = {}
-
-
-def _spectrum(na: NumericAlgebra, klass, factor) -> _Spectrum:
-    """_Spectrum(na, klass, factor), memoized on the arguments and the
-    working precision: the same few tails recur thousands of times."""
-    key = (id(na), mp.prec, klass, factor)
-    if key not in _SPECTRA:
-        _SPECTRA[key] = _Spectrum(na, klass, factor)
-    return _SPECTRA[key]
-
-
 def _bell_jet(base, exponent_derivs, jmax: int):
     """Derivatives of exp(g) given g', g'', ... and the value exp(g(x)):
     (exp g)^(m) = sum_k C(m-1, k) (exp g)^(k) g^(m-k)."""
@@ -693,47 +668,37 @@ def _gamma_polygamma(x, n: int):
             else mp.make_mpc(gamma)), psis
 
 
-class _GammaDerivs:
-    """f = Gamma, its derivatives from the complete Bell polynomials of
-    the polygammas: Gamma = exp(log Gamma)."""
+def _gamma_jet(x, jmax, tol):
+    """The jet of Gamma, from the complete Bell polynomials of the
+    polygammas: Gamma = exp(log Gamma).  A pole within tol is refused."""
+    x = _to_mp(x)
+    if _gamma_pole_at(x, tol) is not None:
+        raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
+    if jmax == 0:
+        return [mp.gamma(x)]
+    return _bell_jet(*_gamma_polygamma(x, jmax), jmax)
 
-    def __init__(self, tol):
-        self.tol = tol
 
-    def jet(self, x, jmax):
-        x = _to_mp(x)
-        if _gamma_pole_at(x, self.tol) is not None:
-            raise ContinuationError(f"gamma pole at {mp.nstr(x, 8)}")
+def _rgamma_jet(x, jmax, tol):
+    """The jet of 1/Gamma, entire; within tol of a pole of Gamma the
+    reflection form 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies it."""
+    x = _to_mp(x)
+    if _gamma_pole_at(x, tol) is None:
         if jmax == 0:
-            return [mp.gamma(x)]
-        return _bell_jet(*_gamma_polygamma(x, jmax), jmax)
-
-
-class _RGammaDerivs:
-    """f = 1/Gamma, entire; near the poles of Gamma the reflection form
-    1/Gamma(x) = Gamma(1-x) sin(pi x)/pi supplies the jet."""
-
-    def __init__(self, tol):
-        self.tol = tol
-
-    def jet(self, x, jmax):
-        x = _to_mp(x)
-        if _gamma_pole_at(x, self.tol) is None:
-            if jmax == 0:
-                return [mp.rgamma(x)]
-            g, psis = _gamma_polygamma(x, jmax)
-            return _bell_jet(1 / g, [-v for v in psis], jmax)
-        y = 1 - x
-        gjet = (_bell_jet(*_gamma_polygamma(y, jmax), jmax) if jmax
-                else [mp.gamma(y)])
-        out = []
-        for j in range(jmax + 1):
-            total = mp.mpf(0)
-            for k in range(j + 1):
-                sin_d = mp.pi ** (j - k) * mp.sinpi(x + mp.mpf(j - k) / 2)
-                total += comb(j, k) * (-1) ** k * gjet[k] * sin_d / mp.pi
-            out.append(total)
-        return out
+            return [mp.rgamma(x)]
+        g, psis = _gamma_polygamma(x, jmax)
+        return _bell_jet(1 / g, [-v for v in psis], jmax)
+    y = 1 - x
+    gjet = (_bell_jet(*_gamma_polygamma(y, jmax), jmax) if jmax
+            else [mp.gamma(y)])
+    out = []
+    for j in range(jmax + 1):
+        total = mp.mpf(0)
+        for k in range(j + 1):
+            sin_d = mp.pi ** (j - k) * mp.sinpi(x + mp.mpf(j - k) / 2)
+            total += comb(j, k) * (-1) ** k * gjet[k] * sin_d / mp.pi
+        out.append(total)
+    return out
 
 
 def _sinpi_jet(x, jmax):
@@ -846,8 +811,8 @@ class Frame:
         self.z = z
         self.digits = digits
         self.tol = mp.mpf(10) ** (-(digits - 6))
-        self._gamma = _GammaDerivs(self.tol).jet
-        self._rgamma = _RGammaDerivs(self.tol).jet
+        self._gamma = partial(_gamma_jet, tol=self.tol)
+        self._rgamma = partial(_rgamma_jet, tol=self.tol)
         # values that repeat across the kernels and poles of one call
         self._memo: dict = {}
 
@@ -891,7 +856,7 @@ class Frame:
 
     def spectrum(self, div, scale=1) -> _Spectrum:
         """The _Spectrum of scale times the tail of a divisor part div."""
-        return _spectrum(self.na, div, scale / self.z)
+        return self.na.spectrum(div, scale / self.z)
 
     def _apply(self, jet, arg: Arg) -> NilExpansion:
         return self.spectrum(arg.div).apply(jet, self.scalar(arg))
@@ -936,7 +901,7 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# continued series for the built-in pairs
+# pairs and their continued series
 
 
 @dataclass(frozen=True)
@@ -995,29 +960,65 @@ def _lattice_map(g_y: Geometry, g_x: Geometry) -> list:
             for i in range(ny)]
 
 
-_CONTOUR_CACHE: dict = {}
+class Pair:
+    """The Y and X side of one crepant transformation, and what the
+    continuation derives from them, each built once: the lattice map D
+    (lattice) and the contour variable y_c (var), the one Y variable whose
+    row of D has a negative entry; the X side's exact prefactor expansion
+    per truncation (xside); and each side's NumericAlgebra (numeric).
+    Callers read what it returns and must not change it.
+    """
 
-
-def _contour(g_y: Geometry, g_x: Geometry) -> tuple[list, int]:
-    """(D, c): the lattice map and the contour variable y_c, the one Y
-    variable whose row of D has a negative entry.  Built once per pair of
-    geometry objects; callers read it and must not change it."""
-    key = (id(g_y), id(g_x))
-    cached = _CONTOUR_CACHE.get(key)
-    if cached is None or cached[0] is not g_y or cached[1] is not g_x:
-        d = _lattice_map(g_y, g_x)
-        neg = [i for i, row in enumerate(d) if min(row) < 0]
+    def __init__(self, y: Geometry, x: Geometry):
+        if (y.side, x.side) != ("Y", "X") or y.pair != x.pair:
+            raise ContinuationError(f"{y.name} and {x.name} are not the Y "
+                                    f"and X side of one pair")
+        self.name, self.y, self.x = y.pair, y, x
+        self.lattice = _lattice_map(y, x)
+        neg = [i for i, row in enumerate(self.lattice) if min(row) < 0]
         if len(neg) != 1:
-            raise ContinuationError(f"{g_y.pair}: no single contour variable "
-                                    f"in the lattice map {d}")
-        cached = _CONTOUR_CACHE[key] = (g_y, g_x, (d, neg[0]))
-    return cached[2]
+            raise ContinuationError(f"{self.name}: no single contour variable "
+                                    f"in the lattice map {self.lattice}")
+        self.var = neg[0]
+        self._xside: dict = {}
+        self._numeric: dict = {}
+
+    def xside(self, truncation: int) -> dict:
+        """The X side's exact prefactor expansion: it depends on no mode,
+        lambda, z or precision."""
+        if truncation not in self._xside:
+            self._xside[truncation] = expand_prefactor(
+                build_ifunction(self.x, truncation), log_order=_LOG_ORDER)
+        return self._xside[truncation]
+
+    def numeric(self, side: Geometry, lam, digits: int) -> NumericAlgebra:
+        """The NumericAlgebra of side, self.y or self.x, at lam and digits."""
+        key = (side.side, str(lam), digits)
+        if key not in self._numeric:
+            self._numeric[key] = NumericAlgebra(side.algebra, lam, digits)
+        return self._numeric[key]
 
 
-def _continued_terms(fr: Frame, g_y: Geometry, g_x: Geometry, bound: int):
+_PAIRS: dict = {}
+
+
+def _pair(example) -> Pair:
+    """example if it is a Pair, else the built-in Pair of that name."""
+    if isinstance(example, Pair):
+        return example
+    name = str(example)
+    if name not in _PAIRS:
+        if name not in pairs():
+            raise ContinuationError(f"unknown example {example!r}; choose "
+                                    f"from {', '.join(pairs())}")
+        _PAIRS[name] = Pair(builtin(name + "-Y"), builtin(name + "-X"))
+    return _PAIRS[name]
+
+
+def _continued_terms(fr: Frame, pair: Pair, bound: int):
     """Minus the kernels' left residues on the X lattice, and the X-side
     scalar exponents, as in continued_ifunction's docstring."""
-    d, c = _contour(g_y, g_x)
+    d, c, g_y, g_x = pair.lattice, pair.var, pair.y, pair.x
     ny = len(d)
     split = g_y.sector_map[c].denominator
     # column k of A^-1 gives log y_i = sum_k A^-1_ik log x_k, where
@@ -1127,20 +1128,19 @@ def continued_ifunction(example, truncation: int,
     compares with the X side's as an independent derivation.  Their
     divisor parts, and the residue's powers of log q, expand into powers
     of log x, up to the total order xside_terms keeps.
-    """
-    ex = _example(example)
-    lam, z = _parameters(f"{ex}: continued_ifunction", mode, lam, z, digits,
-                         truncation)
-    g_y = builtin(ex + "-Y")
-    g_x = builtin(ex + "-X")
 
+    example is a built-in pair name or a Pair.
+    """
+    pair = _pair(example)
+    lam, z = _parameters(f"{pair.name}: continued_ifunction", mode, lam, z,
+                         digits, truncation)
     with mp.workdps(digits + 10):
-        na = _numeric_algebra(g_y.algebra, lam, digits)
+        na = pair.numeric(pair.y, lam, digits)
         fr = Frame(na, lam, -z, digits=digits)
-        terms, scalar_exponents = _continued_terms(fr, g_y, g_x, truncation)
+        terms, scalar_exponents = _continued_terms(fr, pair, truncation)
     sample = mode == "equivariant-numeric"
     return ContinuedSeries(
-        example=ex, geometry=g_y.name, mode=mode,
+        example=pair.name, geometry=pair.y.name, mode=mode,
         lam=mp.nstr(lam, digits) if sample else None,
         z=mp.nstr(z, digits) if sample else None,
         digits=digits, truncation=truncation,
@@ -1165,22 +1165,6 @@ def _coefficient_value(co: RatAZ, na: NumericAlgebra, name: str, lam,
                         for i, c in enumerate(elem.coeffs) if not c.is_zero))
 
 
-_XSIDE_CACHE: dict = {}
-
-
-def _xside_expansion(g_x: Geometry, truncation: int) -> dict:
-    """The X side's exact prefactor expansion, built once per geometry and
-    truncation: it depends on no mode, lambda, z or precision.  Callers
-    read it and must not change it."""
-    key = (id(g_x), truncation)
-    cached = _XSIDE_CACHE.get(key)
-    if cached is None or cached[0] is not g_x:
-        pre = expand_prefactor(build_ifunction(g_x, truncation),
-                               log_order=_LOG_ORDER)
-        cached = _XSIDE_CACHE[key] = (g_x, pre)
-    return cached[1]
-
-
 def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
                 lam=None, z=None, digits: int = DEFAULT_DIGITS):
     """Coefficients of the partner (X-side) series at negated z.
@@ -1188,15 +1172,15 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
     Returns (terms, numeric algebra, scalar exponents); the term keys match
     continued_ifunction's and the overall leading z factor is included.
     In nonequivariant mode z = 1, and each value is exact to the working
-    precision.
+    precision.  example is a built-in pair name or a Pair.
     """
-    ex = _example(example)
-    lam, z = _parameters(f"{ex}: xside_terms", mode, lam, z, digits,
+    pair = _pair(example)
+    lam, z = _parameters(f"{pair.name}: xside_terms", mode, lam, z, digits,
                          truncation)
-    g_x = builtin(ex + "-X")
-    pre = _xside_expansion(g_x, truncation)
+    g_x = pair.x
+    pre = pair.xside(truncation)
     with mp.workdps(digits + 10):
-        na = _numeric_algebra(g_x.algebra, lam, digits)
+        na = pair.numeric(g_x, lam, digits)
         terms = {}
         for key in sorted(pre):
             val = _coefficient_value(pre[key], na, g_x.name, lam,
@@ -1343,28 +1327,27 @@ def solve_umatrix(example, truncation: Optional[int] = None,
     same parameter treatment, their common scalar prefactors are checked to
     agree and stripped, and the resulting over-determined linear system is
     solved; the worst equation residual is reported in the result.
+    example is a built-in pair name or a Pair.
     """
-    ex = _example(example)
-    where = f"{ex}: solve_umatrix"
-    g_x = builtin(ex + "-X")
-    g_y = builtin(ex + "-Y")
+    pair = _pair(example)
+    where = f"{pair.name}: solve_umatrix"
     if truncation is None:
-        truncation = g_x.algebra.dim + 2
+        truncation = pair.x.algebra.dim + 2
     _parameters(where, mode, lam, z, digits, truncation)
     with _prefixed(where):
-        cs = continued_ifunction(ex, truncation, mode=mode, lam=lam, z=z,
+        cs = continued_ifunction(pair, truncation, mode=mode, lam=lam, z=z,
                                  digits=digits)
-        xt, na_x, scal = xside_terms(ex, truncation, mode=mode, lam=lam, z=z,
-                                     digits=digits)
+        xt, na_x, scal = xside_terms(pair, truncation, mode=mode, lam=lam,
+                                     z=z, digits=digits)
         if scal != cs.scalar_exponents:
             raise ContinuationError(
                 "scalar prefactors of the two sides do not agree")
         entries, residual = solve_connection(xt, cs.terms, na_x, cs.na, mode,
                                              digits=digits)
     return UMatrix(
-        example=ex, mode=mode, lam=cs.lam, z=cs.z, digits=digits,
-        truncation=truncation, xlabels=g_x.algebra.labels,
-        ylabels=g_y.algebra.labels, entries=entries, residual=residual)
+        example=pair.name, mode=mode, lam=cs.lam, z=cs.z, digits=digits,
+        truncation=truncation, xlabels=pair.x.algebra.labels,
+        ylabels=pair.y.algebra.labels, entries=entries, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1642,14 +1625,13 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     plus tail, is thus at most tol.  An evaluation costs one fixed-point
     pass per row (_gamma_pass), scalar work and one exponential, as in the
     module docstring.  evaluations counts the kernel evaluations, the
-    height probes included.
+    height probes included.  example is a built-in pair name or a Pair.
     """
-    ex = _example(example)
-    where = f"{ex}: mellin_barnes_integral"
+    pair = _pair(example)
+    where = f"{pair.name}: mellin_barnes_integral"
     lam, z = _parameters(where, "equivariant-numeric", lam, z, digits)
-    g_y = builtin(ex + "-Y")
+    g_y, c = pair.y, pair.var
     with _prefixed(where), mp.workdps(digits + 10):
-        _, c = _contour(g_y, builtin(ex + "-X"))
         split = g_y.sector_map[c].denominator
         if split != 1:
             raise ContinuationError(
@@ -1663,7 +1645,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         if mp.im(q) == 0 and mp.re(q) <= 0:
             raise ContinuationError(
                 "q must be nonzero and stay off the branch cut")
-        na = _numeric_algebra(g_y.algebra, lam, digits)
+        na = pair.numeric(g_y, lam, digits)
         fr = Frame(na, lam, z, digits=digits)
         # the kernel's own errors name the Y side and the stage
         with _prefixed(f"{g_y.name}: kernel set-up"):
@@ -1786,7 +1768,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
 
         # the left-closure value is the negative of the separated line
         # integral
-        return MBResult(example=ex, value=transferred - vhat, error=budget,
+        return MBResult(example=pair.name, value=transferred - vhat, error=budget,
                         side=side, sigma=sigma, height=t_cur, wall=wall,
                         corrections=len(lefts) + len(rights),
                         evaluations=evaluations)

@@ -5,6 +5,7 @@ import dataclasses
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import mpmath as mp
@@ -12,16 +13,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import crepant.continuation as continuation
-from crepant import LambdaRat, build_ifunction, builtin, expand_prefactor
+from crepant import (LambdaRat, build_ifunction, builtin, expand_prefactor,
+                     load_config, save_config)
 from crepant.algebra import Algebra, AlgebraError
 from crepant.continuation import (Arg, ContinuationError, Frame,
-                                  NilExpansion, _affine,
+                                  NilExpansion, NumericAlgebra, Pair, _affine,
                                   _coefficient_value, _exp_jet,
-                                  _frac_mp, _gamma_polygamma, _GammaDerivs,
-                                  _contour, _Kernel,
-                                  _RGammaDerivs, _SineRatio, _lstsq,
-                                  _numeric_algebra,
-                                  _spectrum, _to_mp, _xside_expansion,
+                                  _frac_mp, _gamma_jet, _gamma_polygamma,
+                                  _Kernel, _pair, _rgamma_jet, _SineRatio,
+                                  _lstsq, _to_mp,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral,
                                   solve_umatrix, xside_terms)
@@ -86,11 +86,11 @@ def test_order_zero_jets_call_no_polygamma(monkeypatch):
     with mp.workdps(30):
         tol = mp.mpf(10) ** -24
         x = mp.mpc("0.3", "1.7")
-        assert _GammaDerivs(tol).jet(x, 0) == [mp.gamma(x)]
-        assert _RGammaDerivs(tol).jet(x, 0) == [mp.rgamma(x)]
+        assert _gamma_jet(x, 0, tol) == [mp.gamma(x)]
+        assert _rgamma_jet(x, 0, tol) == [mp.rgamma(x)]
         # the reflection branch at a pole of Gamma
         pole = mp.mpf(-2) + mp.mpf(10) ** -28
-        (val,) = _RGammaDerivs(tol).jet(pole, 0)
+        (val,) = _rgamma_jet(pole, 0, tol)
         assert abs(val - mp.rgamma(pole)) <= mp.mpf(10) ** -50
     assert not any(orders)
 
@@ -112,8 +112,8 @@ def test_gamma_pass_matches_mpmath(x, digits):
     with mp.workdps(digits):
         x = mp.mpf(x.real) if x.imag == 0 else mp.mpc(x)
         tol = mp.mpf(10) ** -(digits - 6)
-        gamma = _GammaDerivs(tol).jet(x, 1)[0]
-        rgamma = _RGammaDerivs(tol).jet(x, 1)[0]
+        gamma = _gamma_jet(x, 1, tol)[0]
+        rgamma = _rgamma_jet(x, 1, tol)[0]
         psis = _gamma_polygamma(x, 5)[1]
         eps = mp.mpf(mp.eps)
     assert isinstance(gamma, type(x)) and isinstance(psis[4], type(x))
@@ -156,7 +156,7 @@ def test_rgamma_reflection_jet_of_a_power(power):
     with mp.workdps(30):
         tol = mp.mpf(10) ** -24
         x = mp.mpf(-2) + mp.mpf(10) ** -28
-        got = _RGammaDerivs(tol).jet(x, 3)
+        got = _rgamma_jet(x, 3, tol)
         for j, v in enumerate(got):
             want = mp.diff(lambda t: mp.rgamma(t) ** power, x, j)
             assert abs(v - want) <= mp.mpf(10) ** -24 * max(1, abs(want)), j
@@ -171,15 +171,6 @@ def _two_class_algebra(square: int, power: int = 0) -> Algebra:
                    ((one, zero), (zero, one)))
 
 
-def test_numeric_algebra_cache_tells_same_named_algebras_apart():
-    a, b = _two_class_algebra(2), _two_class_algebra(3)
-    na_a = _numeric_algebra(a, 0, 20)
-    na_b = _numeric_algebra(b, 0, 20)
-    assert na_a.table[(1, 1)] == ((0, 2),)
-    assert na_b.table[(1, 1)] == ((0, 3),)
-    assert _numeric_algebra(a, 0, 20) is na_a
-
-
 def test_mb_matches_inside_series_ex4():
     # below ex4's wall |q| = 1/4 the contour integral is the inside residue
     # series; lambda and q are made at more digits than the integral uses
@@ -191,7 +182,7 @@ def test_mb_matches_inside_series_ex4():
     assert res.side == "inside"
     with mp.workdps(25):
         geom = builtin("ex4-Y")
-        na = _numeric_algebra(geom.algebra, lam, 15)
+        na = NumericAlgebra(geom.algebra, lam, 15)
         fr = Frame(na, lam=lam, z=mp.mpf(1), digits=15)
         kern = _Kernel(geom, fr, 0, q)
         total = fr.zero()
@@ -209,7 +200,7 @@ def _kernel_at(ex, q, digits):
     """ex's Y-side kernel at lambda 0.7+0.31i, z = 1 and the point q."""
     geom = builtin(ex + "-Y")
     lam = mp.mpc("0.7", "0.31")
-    na = _numeric_algebra(geom.algebra, lam, digits)
+    na = NumericAlgebra(geom.algebra, lam, digits)
     fr = Frame(na, lam=lam, z=mp.mpf(1), digits=digits)
     return _Kernel(geom, fr, 0, mp.mpf(q))
 
@@ -234,7 +225,7 @@ def test_coefficient_with_a_z_denominator_is_refused():
     # ex2-Y's point fixed locus leaves z-denominators, which no X side has
     ifn = build_ifunction(builtin("ex2-Y"), 1)
     co = next(c for c in ifn.coeffs.values() if c.den)
-    na = _numeric_algebra(ifn.geometry.algebra, 0, 30)
+    na = NumericAlgebra(ifn.geometry.algebra, 0, 30)
     for lam, z in ((0, mp.mpf(-1)), (default_lambda(), mp.mpf(1))):
         with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
             _coefficient_value(co, na, "ex2-Y", lam, z)
@@ -280,7 +271,7 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(ex, q):
                 c, scal = _frac_mp(r.c), fr.scalar(r.arg)
                 x, sign = ((-c * s - scal, -1) if c < 0
                            else (1 + c * s + scal, 1))
-                f = _spectrum(fr.na, r.arg.div, sign / fr.z).apply(
+                f = fr.na.spectrum(r.arg.div, sign / fr.z).apply(
                     numerical_jet(mp.gamma if c < 0 else mp.rgamma), x)
                 for _ in range(r.mult):
                     want = want * f
@@ -312,11 +303,12 @@ def test_spectrum_apply_closed_forms(square, f, shift):
     # p*p = 2, c p has the eigenvalues +-c sqrt 2 and the projectors
     # (1 +- p/sqrt 2)/2.  p*p = square lambda^2 at lambda = 1, as a class
     # that is not nilpotent at lambda = 0 is refused
-    na = _numeric_algebra(_two_class_algebra(square, 2), 1, 20)
+    na = NumericAlgebra(_two_class_algebra(square, 2), 1, 20)
     with mp.workdps(30):
         s, c = mp.mpc("1.3", "0.4"), mp.mpf("0.5")
-        jet = _exp_jet if f == "exp" else _GammaDerivs(mp.mpf(10) ** -14).jet
-        spec = _spectrum(na, (("p", 1),), c)
+        jet = (_exp_jet if f == "exp"
+               else partial(_gamma_jet, tol=mp.mpf(10) ** -14))
+        spec = na.spectrum((("p", 1),), c)
         got = spec.apply(jet, s, shift)
         if square == 0:
             want = {(0, 0): _closed_jet(f, s, shift),
@@ -367,8 +359,8 @@ def test_exact_spectrum_matches_a_high_precision_eig(name, label, klass):
     alg = builtin(name).algebra
     with mp.workdps(110):
         lam, z = mp.mpc("0.7", "0.31"), mp.mpf("0.9")
-        na = _numeric_algebra(alg, lam, 100)
-        spec = _spectrum(na, klass, 1 / z)
+        na = NumericAlgebra(alg, lam, 100)
+        spec = na.spectrum(klass, 1 / z)
         nodes = [mu for mu, _ in spec.nodes]
         mults = [m for _, m in spec.nodes]
         if (name, label) in RATIONAL_ROOTS:
@@ -403,7 +395,7 @@ def test_exact_spectrum_matches_a_high_precision_eig(name, label, klass):
 def test_exact_factors_are_built_once_across_lambda_samples(monkeypatch):
     # the spectra of a numeric algebra are cached per sample, the exact
     # factors under them once per class
-    monkeypatch.setattr(continuation, "_SPECTRA", {})
+    monkeypatch.setattr(continuation, "_PAIRS", {})
     alg = builtin("ex2-Y").algebra
     monkeypatch.setattr(alg, "_minimal", {})
     calls = []
@@ -426,19 +418,19 @@ def test_spectrum_refuses_classes_without_a_graded_spectrum():
     # the lambda-monomial its grading asks for, raise before any eigenvalue
     # is made; so does a class that is not nilpotent at lambda = 0, where
     # the grading must fix the powers of z
-    na = _numeric_algebra(builtin("ex2-Y").algebra, default_lambda(), 20)
+    na = NumericAlgebra(builtin("ex2-Y").algebra, default_lambda(), 20)
     with pytest.raises(AlgebraError, match=r"^kf3: class 1\*1: label 1 "
                                            r"has degree 0, not 2"):
-        _spectrum(na, (("1", Fraction(1)),), mp.mpf(1))
+        na.spectrum((("1", Fraction(1)),), mp.mpf(1))
     toy = _two_class_algebra(2)
     with pytest.raises(AlgebraError, match=r"^config: class 1\*p: structure "
                                            r"constant 2/1 at \(p, p\)"):
-        _spectrum(_numeric_algebra(toy, default_lambda(), 20),
-                  (("p", Fraction(1)),), mp.mpf(1))
+        NumericAlgebra(toy, default_lambda(), 20).spectrum(
+            (("p", Fraction(1)),), mp.mpf(1))
     with pytest.raises(ContinuationError, match=r"^config: the class 1\*p "
                                                 r"is not nilpotent"):
-        _spectrum(_numeric_algebra(toy, 0, 20), (("p", Fraction(1)),),
-                  mp.mpf(1))
+        NumericAlgebra(toy, 0, 20).spectrum((("p", Fraction(1)),),
+                                            mp.mpf(1))
 
 
 @pytest.mark.parametrize("lam, why", [
@@ -577,7 +569,7 @@ def test_mb_reflected_path_matches_inside_series_ex4(monkeypatch):
     assert len(heights) == res.evaluations and min(heights) >= 0
     with mp.workdps(25):
         geom = builtin("ex4-Y")
-        fr = Frame(_numeric_algebra(geom.algebra, lam, 15),
+        fr = Frame(NumericAlgebra(geom.algebra, lam, 15),
                    lam=lam, z=mp.mpf(1), digits=15)
         kern = _Kernel(geom, fr, 0, q)
         total = fr.zero()
@@ -608,10 +600,9 @@ def test_mb_wall_from_the_kernel_rates(ex, wall):
     # prod_j |c_j|^(c_j) over the rates along the contour variable:
     # (1, 1, 1, -3) on ex1-Y, (1, 1, 0, -3, 1) along ex2-Y's y2 and
     # (1, 1, 1, -2, -1) on ex4-Y
-    g_y = builtin(ex + "-Y")
-    _, c = _contour(g_y, builtin(ex + "-X"))
+    g_y, c = _pair(ex).y, _pair(ex).var
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), lam=lam,
+    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam,
                z=mp.mpf(1), digits=15)
     assert _Kernel(g_y, fr, c).wall == wall
 
@@ -656,7 +647,7 @@ def test_kernel_rows_off_one_class_are_refused(monkeypatch):
     monkeypatch.setattr(_Kernel, "qpow", lambda self, arg: self.fr.const(1))
     g_y = builtin("ex2-Y")
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(_numeric_algebra(g_y.algebra, lam, 15), lam=lam,
+    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam,
                z=mp.mpf(1), digits=15)
     with pytest.raises(ContinuationError, match="^ex2-Y: the contour kernel "
                        "along y2 needs every row class to be a multiple"):
@@ -798,7 +789,7 @@ def _written_out(ex, mode, truncation, digits):
     alg = builtin(ex + "-Y").algebra
     with mp.workdps(digits + 10):
         lam = default_lambda() if mode == "equivariant-numeric" else 0
-        fr = Frame(_numeric_algebra(alg, lam, digits), lam=lam, z=mp.mpf(-1),
+        fr = Frame(NumericAlgebra(alg, lam, digits), lam=lam, z=mp.mpf(-1),
                    digits=digits)
         return builder(fr, truncation)
 
@@ -859,12 +850,12 @@ def test_continued_series_keeps_no_rounding_noise(mode, truncation):
 def test_lattice_map_of_each_pair(ex, d):
     # the Y index of each X index, and the contour variable: the one Y
     # variable whose row has a negative entry (y2 for ex2, y1 for ex3)
-    assert _contour(builtin(ex + "-Y"), builtin(ex + "-X")) == (
-        d, 1 if ex == "ex2" else 0)
+    pair = _pair(ex)
+    assert (pair.lattice, pair.var) == (d, 1 if ex == "ex2" else 0)
 
 
 def test_lattice_map_is_built_once_per_pair(monkeypatch):
-    monkeypatch.setattr(continuation, "_CONTOUR_CACHE", {})
+    monkeypatch.setattr(continuation, "_PAIRS", {})
     calls = []
     real = continuation._lattice_map
 
@@ -881,22 +872,48 @@ def test_lattice_map_is_built_once_per_pair(monkeypatch):
     assert calls == [("ex1-Y", "ex1-X"), ("ex4-Y", "ex4-X")]
 
 
-def test_x_side_without_a_lattice_map_is_refused(monkeypatch):
+def test_x_side_without_a_lattice_map_is_refused():
     # no T takes ex1-Y's charges (1, 1, 1, -3) to (-2, -1, -1, 3)
-    real = continuation.builtin
-
-    def patched(name):
-        g = real(name)
-        if name != "ex1-X":
-            return g
-        row = dataclasses.replace(g.rows[0], charge=(-2,))
-        return dataclasses.replace(g, rows=(row,) + g.rows[1:])
-
-    monkeypatch.setattr(continuation, "builtin", patched)
+    g = builtin("ex1-X")
+    row = dataclasses.replace(g.rows[0], charge=(-2,))
+    g = dataclasses.replace(g, rows=(row,) + g.rows[1:])
     with pytest.raises(ContinuationError,
                        match="^ex1: 0 lattice maps take the charges of "
                              "ex1-Y to those of ex1-X"):
-        continued_ifunction("ex1", 2, digits=30)
+        Pair(builtin("ex1-Y"), g)
+
+
+@pytest.mark.parametrize("y, x", [("ex1-X", "ex1-Y"), ("ex1-Y", "ex4-X")],
+                         ids=["swapped", "two-pairs"])
+def test_pair_of_foreign_sides_is_refused(y, x):
+    with pytest.raises(ContinuationError,
+                       match=f"^{y} and {x} are not the Y and X side of one "
+                             f"pair$"):
+        Pair(builtin(y), builtin(x))
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_pair_from_saved_configs_solves_as_the_built_in(ex, tmp_path):
+    # both sides written out and read back are new geometries with the same
+    # data: the Pair made from them keeps its own caches and gives the
+    # built-in pair's U, and ex1's MB value, byte for byte
+    sides = []
+    for side in ("Y", "X"):
+        path = str(tmp_path / f"{ex}-{side}.json")
+        save_config(builtin(f"{ex}-{side}"), path)
+        sides.append(load_config(path))
+    pair = Pair(*sides)
+    assert pair is not _pair(ex) and pair.y is not builtin(ex + "-Y")
+    lam = mp.mpc("0.7", "0.31")
+    for kw in ({}, {"mode": "equivariant-numeric", "lam": lam}):
+        assert (solve_umatrix(pair, digits=30, **kw).to_json()
+                == solve_umatrix(ex, digits=30, **kw).to_json())
+    assert pair.numeric(pair.y, lam, 30) is pair.numeric(pair.y, lam, 30)
+    if ex == "ex1":
+        kw = dict(lam=lam, digits=15, tol="1e-12")
+        got = mellin_barnes_integral(pair, "0.06", **kw)
+        want = mellin_barnes_integral(ex, "0.06", **kw)
+        assert (got.value.terms, got.error) == (want.value.terms, want.error)
 
 
 def test_unknown_example_lists_the_pairs():
@@ -1057,24 +1074,17 @@ def test_entry_off_the_grading_is_refused(monkeypatch):
         solve_umatrix("ex4", digits=30)
 
 
-def test_scalar_prefactor_mismatch_is_refused(monkeypatch):
+def test_scalar_prefactor_mismatch_is_refused():
     # ex1's continued series reads its scalar exponent off the kernel's
     # left poles, so an X side that records another one is caught
-    real = continuation.builtin
-
-    def patched(name):
-        g = real(name)
-        if name != "ex1-X":
-            return g
-        (var,) = g.variables
-        return dataclasses.replace(g, variables=(dataclasses.replace(
-            var, scalar_exponent=var.scalar_exponent + 1),))
-
-    monkeypatch.setattr(continuation, "builtin", patched)
+    g = builtin("ex1-X")
+    (var,) = g.variables
+    g = dataclasses.replace(g, variables=(dataclasses.replace(
+        var, scalar_exponent=var.scalar_exponent + 1),))
     with pytest.raises(ContinuationError,
                        match="^ex1: solve_umatrix: scalar prefactors of the "
                              "two sides do not agree"):
-        solve_umatrix("ex1", digits=30)
+        solve_umatrix(Pair(builtin("ex1-Y"), g), digits=30)
 
 
 _ENTRY = st.one_of(
@@ -1271,7 +1281,7 @@ def test_lstsq_of_a_singular_gram_is_rank_deficient():
 
 def test_xside_expansion_is_built_once_per_geometry_and_truncation(
         monkeypatch):
-    monkeypatch.setattr(continuation, "_XSIDE_CACHE", {})
+    monkeypatch.setattr(continuation, "_PAIRS", {})
     calls = []
     real = continuation.build_ifunction
 
@@ -1293,13 +1303,13 @@ def test_cached_xside_expansion_equals_a_fresh_one(ex):
     trunc = g_x.algebra.dim + 2
     fresh = expand_prefactor(build_ifunction(g_x, trunc),
                              log_order=continuation._LOG_ORDER)
-    assert _xside_expansion(g_x, trunc) == fresh
+    assert _pair(ex).xside(trunc) == fresh
 
 
 def test_xside_terms_repeat_after_the_solve(monkeypatch):
     # the first call builds the expansion, the solve reads it from the
     # cache, and a second call sees it unchanged
-    monkeypatch.setattr(continuation, "_XSIDE_CACHE", {})
+    monkeypatch.setattr(continuation, "_PAIRS", {})
 
     def terms():
         xt, _, _ = xside_terms("ex4", 5, mode="nonequivariant", digits=30)

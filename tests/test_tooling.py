@@ -151,5 +151,5 @@ def test_every_continuation_cache_is_documented():
               for t in (stmt.targets if isinstance(stmt, ast.Assign)
                         else [stmt.target])
               if isinstance(t, ast.Name)]
-    assert "_CONTOUR_CACHE" in caches
+    assert "_PAIRS" in caches
     assert [name for name in caches if name not in paragraph] == []
