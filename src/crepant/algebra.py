@@ -1,9 +1,12 @@
 """Finite-dimensional graded cohomology algebras over the exact scalar field.
 
-An Algebra packages basis labels, cohomological degrees, inertia-sector
-labels, structure constants, a distinguished unit, and the pairing matrix.
-Elements are coefficient vectors over LambdaRat.  AlgebraZ holds finite
-Laurent polynomials in z with Element coefficients; deg z = 2.
+An Algebra is its multiplication table and its integrals, with basis
+labels, cohomological degrees, inertia-sector labels and a distinguished
+unit.  integrals[k] is the integral of basis class k.  The pairing is the
+integral of the product, (a, b) = ∫ab, so the Gram matrix is derived from
+the table and the integrals, never typed.  Elements are coefficient
+vectors over LambdaRat.  AlgebraZ holds finite Laurent polynomials in z
+with Element coefficients; deg z = 2.
 
 Algebra.minimal_factors gives the spectrum of multiplication by a
 degree-two class exactly: the squarefree factors of its minimal polynomial
@@ -26,13 +29,15 @@ class AlgebraError(ValueError):
 
 
 class Algebra:
-    """Basis-indexed multiplication table and pairing; validated on demand.
+    """Basis-indexed multiplication table and integrals; validated on demand.
 
-    basis, one and zero return Elements built once and shared: Elements
-    are immutable, so no caller can change another's.
+    The Gram matrix gram[i][j] = sum_k table[i][j][k] * integrals[k] is
+    derived once.  basis, one and zero return Elements built once and
+    shared: Elements are immutable, so no caller can change another's.
     """
 
-    def __init__(self, name, labels, degrees, sectors, unit, table, gram):
+    def __init__(self, name, labels, degrees, sectors, unit, table,
+                 integrals):
         self.name = name
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -41,7 +46,14 @@ class Algebra:
         self.unit = unit
         # table[i][j]: coefficient vector of basis_i · basis_j
         self.table = tuple(tuple(tuple(row) for row in line) for line in table)
-        self.gram = tuple(tuple(row) for row in gram)
+        self.integrals = tuple(integrals)
+        if len(self.integrals) != self.dim:
+            raise AlgebraError(f"{name}: expected {self.dim} integrals")
+        self.gram = tuple(
+            tuple(sum((c * w for c, w in zip(vec, self.integrals)
+                       if not c.is_zero and not w.is_zero), RAT_ZERO)
+                  for vec in line)
+            for line in self.table)
         self._dual = None
         self._gram_inv = None
         # (class, lambda = 0) -> minimal_factors of the class
@@ -206,46 +218,42 @@ class Algebra:
                             f"({self.labels[i]}, {self.labels[j]})")
 
     def _validate_pairing(self):
-        n = self.dim
+        # the Gram is the integral of the product, so a commutative and
+        # associative table makes it symmetric and Frobenius, (ab, c) = ∫abc
+        # = (a, bc); what is left is one virtual degree, deg e_k - 2·(the
+        # λ-power of ∫e_k), for every nonzero integral, sectors paired only
+        # with their opposites, and nondegeneracy
         dvirt = None
-        for i in range(n):
-            for j in range(n):
-                g = self.gram[i][j]
-                if g != self.gram[j][i]:
-                    raise AlgebraError(f"{self.name}: pairing not symmetric")
-                if g.is_zero:
-                    continue
-                if (self.sectors[i] + self.sectors[j]) % 1 != 0:
+        for k, c in enumerate(self.integrals):
+            if c.is_zero:
+                continue
+            where = f"{self.name}: integral of {self.labels[k]}"
+            mono = c.as_monomial()
+            if mono is None:
+                raise AlgebraError(f"{where} is not a λ-monomial")
+            d = self.degrees[k] - 2 * mono[1]
+            if dvirt is None:
+                dvirt = d
+            elif d != dvirt:
+                raise AlgebraError(
+                    f"{where} has virtual degree {d}, not {dvirt}")
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if not self.gram[i][j].is_zero and \
+                        (self.sectors[i] + self.sectors[j]) % 1 != 0:
                     raise AlgebraError(
-                        f"{self.name}: pairing couples sectors "
-                        f"{self.sectors[i]} and {self.sectors[j]}")
-                mono = g.as_monomial()
-                if mono is None:
-                    raise AlgebraError(f"{self.name}: pairing entry not a λ-monomial")
-                d = self.degrees[i] + self.degrees[j] - 2 * mono[1]
-                if dvirt is None:
-                    dvirt = d
-                elif d != dvirt:
-                    raise AlgebraError(f"{self.name}: pairing not homogeneous")
+                        f"{self.name}: pairing couples {self.labels[i]} and "
+                        f"{self.labels[j]}, of sectors {self.sectors[i]} and "
+                        f"{self.sectors[j]}")
         self.gram_inverse()  # raises if singular
-        # Frobenius property ties pairing to product: (ab, c) = (a, bc)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.pairing(self.mul_basis(i, j), self.basis(k))
-                    rhs = self.pairing(self.basis(i), self.mul_basis(j, k))
-                    if lhs != rhs:
-                        raise AlgebraError(
-                            f"{self.name}: Frobenius compatibility fails at "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
         return (self.name, self.labels, self.degrees, self.sectors, self.unit,
-                self.table, self.gram) == \
+                self.table, self.integrals) == \
                (other.name, other.labels, other.degrees, other.sectors,
-                other.unit, other.table, other.gram)
+                other.unit, other.table, other.integrals)
 
     def __repr__(self):
         return f"Algebra({self.name}, dim={self.dim})"

@@ -26,7 +26,8 @@ a malformed field raises GeometryError naming it):
         "name": str, "labels": [str], "degrees": [int], "sectors": [frac],
         "unit": int,
         "table": [[[rat]]],          # table[i][j][k], see algebra.Algebra
-        "gram": [[rat]]
+        "integrals": [rat]           # integrals[k] = ∫ of class k; the
+                                     # pairing is the integral of the product
       },
       "variables": [{
         "symbol": str, "denominator": int, "step": frac,
@@ -138,11 +139,6 @@ class Geometry:
     metadata: dict = field(default_factory=dict)
 
     # -- index bookkeeping ------------------------------------------------
-
-    def degree_of(self, index: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(n, v.denominator) for n, v in zip(index, self.variables)
-        )
 
     def curve_degree(self, index: tuple[int, ...]) -> Fraction:
         """Total curve-class degree; sector insertions carry none."""
@@ -396,13 +392,13 @@ def _algebra_to_dict(alg: Algebra) -> dict:
             [[format_lambda_rat(c) for c in vec] for vec in row]
             for row in alg.table
         ],
-        "gram": [[format_lambda_rat(c) for c in row] for row in alg.gram],
+        "integrals": [format_lambda_rat(c) for c in alg.integrals],
     }
 
 
 def _algebra_from_dict(d) -> Algebra:
     _expect_keys(d, {"name", "labels", "degrees", "sectors", "unit",
-                     "table", "gram"}, "algebra")
+                     "table", "integrals"}, "algebra")
     labels = _array(d["labels"], "algebra: labels", (None,), _str)
     dim = len(labels)
     unit = _int(d["unit"], "algebra: unit")
@@ -416,7 +412,7 @@ def _algebra_from_dict(d) -> Algebra:
         sectors=_array(d["sectors"], "algebra: sectors", (dim,), _fr),
         unit=unit,
         table=_array(d["table"], "algebra: table", (dim,) * 3, _rat),
-        gram=_array(d["gram"], "algebra: gram", (dim,) * 2, _rat),
+        integrals=_array(d["integrals"], "algebra: integrals", (dim,), _rat),
     )
 
 
@@ -532,7 +528,7 @@ def load_config(path: str) -> Geometry:
 # built-in algebras
 
 
-def _mk_algebra(name, labels, degrees, sectors, unit, prods, gram):
+def _mk_algebra(name, labels, degrees, sectors, unit, prods, integrals):
     dim = len(labels)
     table = []
     for i in range(dim):
@@ -556,7 +552,7 @@ def _mk_algebra(name, labels, degrees, sectors, unit, prods, gram):
         sectors=tuple(Fraction(s) for s in sectors),
         unit=unit,
         table=tuple(table),
-        gram=tuple(tuple(parse_lambda_rat(s) for s in row) for row in gram),
+        integrals=tuple(parse_lambda_rat(s) for s in integrals),
     )
 
 
@@ -569,11 +565,7 @@ def _alg_kp2():
         sectors=("0", "0", "0"),
         unit=0,
         prods={(1, 1): {2: "1"}, (1, 2): {}, (2, 2): {}},
-        gram=[
-            ["9/λ^3", "3/λ^2", "1/λ"],
-            ["3/λ^2", "1/λ", "0"],
-            ["1/λ", "0", "0"],
-        ],
+        integrals=["9/λ^3", "3/λ^2", "1/λ"],
     )
 
 
@@ -590,11 +582,7 @@ def _alg_c3z3():
             (1, 2): {0: "λ^3/27"},
             (2, 2): {1: "λ^3/27"},
         },
-        gram=[
-            ["9/λ^3", "0", "0"],
-            ["0", "0", "1/3"],
-            ["0", "1/3", "0"],
-        ],
+        integrals=["9/λ^3", "0", "0"],
     )
 
 
@@ -614,13 +602,7 @@ def _alg_kp113():
             (3, 4): {2: "λ"},
             (4, 4): {},
         },
-        gram=[
-            ["25/(3λ^3)", "5/(3λ^2)", "1/(3λ)", "0", "0"],
-            ["5/(3λ^2)", "1/(3λ)", "0", "0", "0"],
-            ["1/(3λ)", "0", "0", "0", "0"],
-            ["0", "0", "0", "0", "1/3"],
-            ["0", "0", "0", "1/3", "0"],
-        ],
+        integrals=["25/(3λ^3)", "5/(3λ^2)", "1/(3λ)", "0", "0"],
     )
 
 
@@ -641,13 +623,7 @@ def _alg_kf3():
             (3, 3): {}, (3, 4): {},
             (4, 4): {4: "λ^2"},
         },
-        gram=[
-            ["25/(3λ^3)", "5/λ^2", "2/λ^2", "1/λ", "1/(3λ)"],
-            ["5/λ^2", "3/λ", "1/λ", "0", "0"],
-            ["2/λ^2", "1/λ", "1/(3λ)", "0", "(-1)/3"],
-            ["1/λ", "0", "0", "0", "0"],
-            ["1/(3λ)", "0", "(-1)/3", "0", "λ/3"],
-        ],
+        integrals=["25/(3λ^3)", "5/λ^2", "2/λ^2", "1/λ", "1/(3λ)"],
     )
 
 
@@ -671,13 +647,7 @@ def _alg_c3z5():
             (3, 4): {2: "3λ^3/125"},
             (4, 4): {3: "λ^2/25"},
         },
-        gram=[
-            ["25/(3λ^3)", "0", "0", "0", "0"],
-            ["0", "0", "0", "0", "1/5"],
-            ["0", "0", "0", "1/5", "0"],
-            ["0", "0", "1/5", "0", "0"],
-            ["0", "1/5", "0", "0", "0"],
-        ],
+        integrals=["25/(3λ^3)", "0", "0", "0", "0"],
     )
 
 
@@ -694,11 +664,7 @@ def _alg_op12():
             (1, 2): {},
             (2, 2): {1: "λ^3"},
         },
-        gram=[
-            ["3/(2λ^4)", "1/(2λ^3)", "0"],
-            ["1/(2λ^3)", "0", "0"],
-            ["0", "0", "1/2"],
-        ],
+        integrals=["3/(2λ^4)", "1/(2λ^3)", "0"],
     )
 
 
@@ -711,11 +677,7 @@ def _alg_op2_12():
         sectors=("0", "0", "0"),
         unit=0,
         prods={(1, 1): {2: "1"}, (1, 2): {}, (2, 2): {}},
-        gram=[
-            ["3/(2λ^4)", "1/λ^3", "1/(2λ^2)"],
-            ["1/λ^3", "1/(2λ^2)", "0"],
-            ["1/(2λ^2)", "0", "0"],
-        ],
+        integrals=["3/(2λ^4)", "1/λ^3", "1/(2λ^2)"],
     )
 
 

@@ -269,7 +269,6 @@ class IFunction:
         self.geometry = geometry
         self.bound = bound
         self.coeffs = coeffs
-        self.leading_z = 1  # overall factor z, recorded explicitly
 
     def indices(self) -> list[tuple[int, ...]]:
         return enumerate_degrees(self.geometry.lattice(self.bound))

@@ -1,5 +1,7 @@
 """Algebra, Element, AlgebraZ behavior against frozen closed forms."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from crepant.algebra import (
     AlgebraZ,
     nonequivariant_limit,
 )
-from crepant.geometry import builtin
+from crepant.geometry import BUILTIN_NAMES, builtin
 from crepant.lambda_rat import LambdaRat, format_lambda_rat, parse_lambda_rat
 
 
@@ -34,6 +36,65 @@ def el(alg, **coeffs):
 def test_all_builtin_algebras_validate():
     for alg in ALL:
         alg.validate()
+
+
+# sha256 of each built-in side's algebra as _algebra_digest prints it,
+# computed while every Gram matrix was still typed in full: the Grams now
+# derived from the integrals equal the typed ones entry for entry
+ALGEBRA_DIGESTS = {
+    "ex1-X": "5ef53fe169234a1efe3ea1ca180d44d61bd482e732d103a48e44658404c5f151",
+    "ex1-Y": "a06a020223c28aeda98fea26d37225a2917c2899b06fbd9ca54a193769610d2f",
+    "ex2-X": "792896ee1cb816ed6c7903cefc5fdb74a503bab4b5465bc7f072a6a00eb45288",
+    "ex2-Y": "81d745a6e9b1d0b5daca39e1a6041ce7753159b261efb5342bdf15c0affffc12",
+    "ex3-X": "b6539d9b54e843031ccd871202a7010b6a8966c494608fdfec37b0ce8b7b88da",
+    "ex3-Y": "792896ee1cb816ed6c7903cefc5fdb74a503bab4b5465bc7f072a6a00eb45288",
+    "ex4-X": "5fcb54f72e27ca7a16a119b33368d434dbf2ee7e3d80e54ec099c454244cb008",
+    "ex4-Y": "de7d22792169d1f0aed5be6fcb1c65ca746bc18f71e24056f4a6af4660ae24b8",
+}
+
+
+def _algebra_digest(alg) -> str:
+    text = json.dumps([
+        list(alg.labels), list(alg.degrees), [str(s) for s in alg.sectors],
+        alg.unit,
+        [[[format_lambda_rat(c) for c in vec] for vec in row]
+         for row in alg.table],
+        [[format_lambda_rat(c) for c in row] for row in alg.gram]],
+        ensure_ascii=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_algebra_is_pinned_byte_for_byte(name):
+    assert _algebra_digest(builtin(name).algebra) == ALGEBRA_DIGESTS[name]
+
+
+def _with_integrals(alg, *integrals):
+    """alg with its table kept and the given integrals, unvalidated."""
+    return Algebra(alg.name, alg.labels, alg.degrees, alg.sectors, alg.unit,
+                   alg.table, [parse_lambda_rat(s) for s in integrals])
+
+
+@pytest.mark.parametrize("alg, integrals, match", [
+    # ∫1_0 = 1 + 9/λ^3 mixes two degrees
+    (C3Z3, ("(λ^3 + 9)/λ^3", "0", "0"),
+     r"^c3z3: integral of 1_0 is not a λ-monomial"),
+    # deg p - 2·(-3) = 8, against deg 1 - 2·(-3) = 6
+    (KP2, ("9/λ^3", "3/λ^3", "1/λ"),
+     r"^kp2: integral of p has virtual degree 8, not 6"),
+    # homogeneous, but on a twisted class: (1_0, 1_1/3) = ∫1_1/3 != 0
+    (C3Z3, ("9/λ^3", "1/λ^2", "0"),
+     r"^c3z3: pairing couples 1_0 and 1_1/3, of sectors 0 and 1/3"),
+    (C3Z3, ("0", "0", "0"), r"^c3z3: pairing matrix is singular"),
+])
+def test_bad_integrals_are_refused_by_name(alg, integrals, match):
+    with pytest.raises(AlgebraError, match=match):
+        _with_integrals(alg, *integrals).validate()
+
+
+def test_integrals_must_match_the_basis():
+    with pytest.raises(AlgebraError, match=r"^kp2: expected 3 integrals"):
+        _with_integrals(KP2, "9/λ^3", "3/λ^2")
 
 
 def test_kp2_dual_basis_closed_form():
@@ -198,7 +259,7 @@ def test_minimal_factors_refuse_constants_off_the_grading(square):
     one, zero, c = LambdaRat(1), LambdaRat(0), parse_lambda_rat(square)
     alg = Algebra("toy", ("1", "p"), (0, 2), (0, 0), 0,
                   (((one, zero), (zero, one)), ((zero, one), (c, zero))),
-                  ((one, zero), (zero, one)))
+                  (one, zero))
     with pytest.raises(AlgebraError, match=r"^toy: class 1\*p: structure "
                        r"constant .* at \(p, p\) is not the lambda-monomial"):
         alg.minimal_factors([("p", 1)], False)

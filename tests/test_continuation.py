@@ -168,7 +168,7 @@ def _two_class_algebra(square: int, power: int = 0) -> Algebra:
     one, zero, c = LambdaRat(1), LambdaRat(0), LambdaRat.gen(power, square)
     table = (((one, zero), (zero, one)), ((zero, one), (c, zero)))
     return Algebra("config", ("1", "p"), (0, 2), (0, 0), 0, table,
-                   ((one, zero), (zero, one)))
+                   (one, zero))
 
 
 def test_mb_matches_inside_series_ex4():
