@@ -46,8 +46,8 @@ along a contour variable y_c.  N is the denominator of y_c's sector_map
 entry, so every index of the class has the sector class S of base; base
 fixes the other (spectator) indices and a = d_c < N.  Along y_c row j has
 the rate c_j = N charge_j[c]/den_c, the offset o_j (its shifted index at
-base) and the class kappa_j; identical rows are grouped with a
-multiplicity.  In gamma_ratio's convention, with b_j in (0, 1] and
+base) and the class kappa_j (Geometry.row_classes); identical rows are
+grouped with a multiplicity.  In gamma_ratio's convention, with b_j in (0, 1] and
 b_j = o_j mod 1, and with P the prefactor class of y_c,
 
     head = z^(1 + sum_j (b_j - 1)) * S * prod_j Gamma(b_j + kappa_j/z)
@@ -1371,7 +1371,7 @@ class MBResult:
 
 def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
     """a0 + kappa/z for a class kappa = w*lambda*1 + a constant degree-2
-    part, given by its coefficient vector (a gamma row or a prefactor)."""
+    part, given by its coefficient vector (a row class or a prefactor)."""
     unit = klass[alg.unit]
     return Arg(a0, 0 if unit.is_zero else unit.as_monomial()[0],
                {alg.labels[i]: c.as_monomial()[0]
@@ -1402,9 +1402,9 @@ class _Kernel:
             self.pdress = self.qpow(self.pre)
         base = base or (0,) * len(geom.variables)
         split = geom.sector_map[var].denominator
-        groups = Counter((row.klass, split * geom.rate(j)[var],
+        groups = Counter((klass, split * geom.rate(j)[var],
                           geom.shifted_index(j, base))
-                         for j, row in enumerate(geom.rows))
+                         for j, klass in enumerate(geom.row_classes))
         self.rows = []
         # (f, argument, multiplicity) of each head factor but the sines
         self._heads = []

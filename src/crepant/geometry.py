@@ -3,11 +3,11 @@
 A geometry bundles everything the series machinery needs to know about one
 side of a birational pair: the equivariant cohomology algebra, the curve
 variables the generating series is expanded in, and one gamma row per toric
-coordinate (its class and integer charge vector).  Whatever these fix is
-derived rather than stored: a row's torus weight is the lambda-multiple of
-its class's unit part (Geometry.weight), a variable is a divisor variable
-exactly when it carries a prefactor class, and a side's partner is the
-other side of its pair.
+coordinate (its integer charge vector and torus weight).  Whatever these fix
+is derived rather than stored: a row's class is its weight times lambda plus
+its charges over the divisor prefactor classes (Geometry.row_classes), a
+variable is a divisor variable exactly when it carries a prefactor class,
+and a side's partner is the other side of its pair.
 
 Charge conventions.  Variable i stores integer indices n_i; the actual curve
 degree is d_i = n_i / m_i where m_i is the variable's denominator.  Charge
@@ -35,9 +35,9 @@ a malformed field raises GeometryError naming it):
                                      # sector-insertion variable
         "scalar_exponent": frac      # a in the overall x^(-a*lambda/z)
       }],
-      "rows": [{"klass": [rat], "charge": [int]}],
+      "rows": [{"weight": frac,      # w in the row's class w*lambda + ...
+                "charge": [int]}],
       "sector_map": [frac],
-      "pi_star": [{"source": str, "image": str, "r": frac}],
       "metadata": {str: str}
     }
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .lambda_rat import (
@@ -59,7 +60,7 @@ from .lambda_rat import (
     format_lambda_rat,
     parse_lambda_rat,
 )
-from .algebra import Algebra, Element, _solve_exact
+from .algebra import Algebra, Element
 
 
 class GeometryError(ValueError):
@@ -94,16 +95,15 @@ class CurveVariable:
 
 @dataclass(frozen=True)
 class GammaRow:
-    """One toric coordinate: its class and charge vector.
+    """One toric coordinate: its charge vector and torus weight.
 
-    klass is the coefficient vector of an algebra element linear in the
-    degree-2 generators and lambda (its unit part is the torus weight times
-    lambda, see Geometry.weight); charge has one integer per variable, in
-    degree units.
+    charge has one integer per variable, in degree units; the torus acts on
+    the coordinate with weight*lambda.  The coordinate's class is derived
+    from the two, see Geometry.row_classes.
     """
 
-    klass: tuple[LambdaRat, ...]
     charge: tuple[int, ...]
+    weight: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class Geometry:
     variables: tuple[CurveVariable, ...]
     rows: tuple[GammaRow, ...]
     sector_map: tuple[Fraction, ...]
-    pi_star: tuple[tuple[str, str, Fraction], ...] = ()
     metadata: dict = field(default_factory=dict)
 
     # -- index bookkeeping ------------------------------------------------
@@ -154,11 +153,6 @@ class Geometry:
         return tuple(
             Fraction(c, v.denominator) for c, v in zip(r.charge, self.variables)
         )
-
-    def weight(self, row: int) -> Fraction:
-        """The row's torus weight: the lambda-multiple of its unit part."""
-        c = self.rows[row].klass[self.algebra.unit]
-        return Fraction(0) if c.is_zero else c.as_monomial()[0]
 
     def shifted_index(self, row: int, index: tuple[int, ...]) -> Fraction:
         return sum(
@@ -193,8 +187,35 @@ class Geometry:
             return None
         return Element(self.algebra, v.prefactor)
 
+    @cached_property
+    def row_classes(self) -> tuple[tuple[LambdaRat, ...], ...]:
+        """The class of each gamma row, as a coefficient vector:
+
+            kappa_j = w_j lambda 1 + sum_i charge[j][i] / (m_i step_i) P_i,
+
+        the sum over the divisor variables i, P_i their prefactor classes:
+        the toric divisor class of the mirror theorem (Coates-Corti-Iritani-
+        Tseng; Borisov-Chen-Smith).  So each class is a lambda-multiple of
+        the unit plus constant degree-2 classes, and its degree-2 part
+        agrees with the row's charges, by construction.  Their sum needs no
+        check either: the Calabi-Yau condition in validate makes every
+        charge column sum to 0, so sum_j kappa_j = (sum_j w_j) lambda 1.
+        """
+        alg = self.algebra
+        out = []
+        for row in self.rows:
+            vec = [RAT_ZERO] * alg.dim
+            vec[alg.unit] = LambdaRat.gen(1, row.weight)
+            for c, v in zip(row.charge, self.variables):
+                if v.prefactor is None:
+                    continue
+                r = Fraction(c, v.denominator) / v.step
+                vec = [a + p * r for a, p in zip(vec, v.prefactor)]
+            out.append(tuple(vec))
+        return tuple(out)
+
     def row_element(self, row: int) -> Element:
-        return Element(self.algebra, self.rows[row].klass)
+        return Element(self.algebra, self.row_classes[row])
 
     # -- validation --------------------------------------------------------
 
@@ -233,22 +254,12 @@ class Geometry:
                     )
 
         for j, row in enumerate(self.rows):
-            if len(row.klass) != dim:
-                raise GeometryError(f"{self.name}: row {j} class length mismatch")
             if len(row.charge) != nvar:
                 raise GeometryError(f"{self.name}: row {j} charge length mismatch")
-            # class must be (weight*lambda) * unit + constant degree-2 part
-            for i, c in enumerate(row.klass):
-                mono = c.as_monomial()
-                power = 1 if i == alg.unit else 0
-                if c != RAT_ZERO and (mono is None or mono[1] != power
-                                      or i not in deg2 + [alg.unit]):
-                    raise GeometryError(
-                        f"{self.name}: row {j} class must be a λ-multiple of "
-                        "the unit plus constant degree-2 classes"
-                    )
-
-        self._check_divisor_charges(deg2)
+            if not isinstance(row.weight, (int, Fraction)):
+                raise GeometryError(
+                    f"{self.name}: row {j} weight must be rational, "
+                    f"not {row.weight!r}")
 
         # crepant/Calabi-Yau condition: each charge column sums to zero
         for i in range(nvar):
@@ -257,24 +268,6 @@ class Geometry:
                 raise GeometryError(
                     f"{self.name}: charge column {i} sums to {s}, not 0 "
                     "(Calabi-Yau condition)"
-                )
-
-        # the classes themselves sum to a lambda multiple of the unit
-        for i in range(dim):
-            total = RAT_ZERO
-            for row in self.rows:
-                total = total + row.klass[i]
-            if i == alg.unit:
-                mono = total.as_monomial()
-                if total != RAT_ZERO and (mono is None or mono[1] != 1):
-                    raise GeometryError(
-                        f"{self.name}: row classes must sum to a λ-multiple "
-                        "of the unit"
-                    )
-            elif total != RAT_ZERO:
-                raise GeometryError(
-                    f"{self.name}: sum of row classes has a nonzero "
-                    f"component on {alg.labels[i]}"
                 )
 
         # sector map lands in the algebra's sector set (a subgroup of Q/Z)
@@ -286,46 +279,6 @@ class Geometry:
                     f"{self.name}: sector shift {f} of variable "
                     f"{self.variables[i].symbol} is not an algebra sector"
                 )
-
-        for src, img, r in self.pi_star:
-            if src not in alg.labels:
-                raise GeometryError(f"{self.name}: π* source {src!r} unknown")
-            if not isinstance(r, Fraction) or r <= 0:
-                raise GeometryError(f"{self.name}: π* factor must be a positive rational")
-
-    def _check_divisor_charges(self, deg2: list[int]) -> None:
-        """Charge/divisor-class cross-check.
-
-        Expanding a row's degree-2 part over the divisor prefactor classes
-        must reproduce the row's per-index rates on the divisor variables:
-        charge[j][i]/m_i == c[j][i] * step_i.
-        """
-        alg = self.algebra
-        div = [i for i, v in enumerate(self.variables)
-               if v.prefactor is not None]
-        if not div:
-            return
-
-        def consts(klass):
-            # the degree-2 part, constant by the checks in validate
-            return [Fraction(0) if klass[k].is_zero
-                    else klass[k].as_monomial()[0] for k in deg2]
-
-        cols = [consts(self.variables[i].prefactor) for i in div]
-        for j, row in enumerate(self.rows):
-            coeffs = _solve_exact(cols, consts(row.klass))
-            if coeffs is None:
-                raise GeometryError(
-                    f"{self.name}: row {j} degree-2 part is not spanned by "
-                    "the divisor prefactor classes"
-                )
-            for c, i in zip(coeffs, div):
-                v = self.variables[i]
-                if Fraction(row.charge[i], v.denominator) != c * v.step:
-                    raise GeometryError(
-                        f"{self.name}: row {j} charge on {v.symbol} disagrees "
-                        "with its divisor class (cross-check)"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +388,10 @@ def config_to_dict(g: Geometry) -> dict:
             for v in g.variables
         ],
         "rows": [
-            {
-                "klass": [format_lambda_rat(c) for c in r.klass],
-                "charge": list(r.charge),
-            }
+            {"weight": str(r.weight), "charge": list(r.charge)}
             for r in g.rows
         ],
         "sector_map": [str(s) for s in g.sector_map],
-        "pi_star": [
-            {"source": s, "image": i, "r": str(r)} for s, i, r in g.pi_star
-        ],
         "metadata": dict(g.metadata),
     }
 
@@ -466,24 +413,17 @@ def _variable_from_dict(vd, where: str) -> CurveVariable:
 
 
 def _row_from_dict(rd, where: str) -> GammaRow:
-    _expect_keys(rd, {"klass", "charge"}, where)
+    _expect_keys(rd, {"weight", "charge"}, where)
     return GammaRow(
-        klass=_array(rd["klass"], f"{where}: klass", (None,), _rat),
         charge=_array(rd["charge"], f"{where}: charge", (None,), _int),
+        weight=_fr(rd["weight"], f"{where}: weight"),
     )
-
-
-def _pi_star_from_dict(pd, where: str) -> tuple[str, str, Fraction]:
-    _expect_keys(pd, {"source", "image", "r"}, where)
-    return (_str(pd["source"], f"{where}: source"),
-            _str(pd["image"], f"{where}: image"),
-            _fr(pd["r"], f"{where}: r"))
 
 
 def config_from_dict(d) -> Geometry:
     _expect_keys(d, {"name", "description", "pair", "side", "algebra",
-                     "variables", "rows", "sector_map", "pi_star",
-                     "metadata"}, "config")
+                     "variables", "rows", "sector_map", "metadata"},
+                 "config")
     g = Geometry(
         name=_str(d["name"], "config: name"),
         description=_str(d["description"], "config: description"),
@@ -495,8 +435,6 @@ def config_from_dict(d) -> Geometry:
         rows=_array(d["rows"], "config: rows", (None,), _row_from_dict),
         sector_map=_array(d["sector_map"], "config: sector_map", (None,),
                           _fr),
-        pi_star=_array(d["pi_star"], "config: pi_star", (None,),
-                       _pi_star_from_dict),
         metadata=_metadata(d["metadata"], "config: metadata"),
     )
     g.validate()
@@ -694,15 +632,14 @@ def _cls(alg: Algebra, **coeffs: str) -> tuple[LambdaRat, ...]:
 
 def _geom_ex1_y():
     alg = _alg_kp2()
-    p = _cls(alg, **{"p": "1"})
     return Geometry(
         name="ex1-Y", description="canonical bundle of the projective plane",
         pair="ex1", side="Y",
         algebra=alg,
-        variables=(CurveVariable("y", prefactor=p),),
+        variables=(CurveVariable("y", prefactor=_cls(alg, p="1")),),
         rows=(
-            GammaRow(p, (1,)), GammaRow(p, (1,)), GammaRow(p, (1,)),
-            GammaRow(_cls(alg, **{"1": "λ", "p": "(-3)/1"}), (-3,)),
+            GammaRow((1,)), GammaRow((1,)), GammaRow((1,)),
+            GammaRow((-3,), Fraction(1)),
         ),
         sector_map=(Fraction(0),),
         metadata={"patch": "resolved chamber of the anticanonical fan"},
@@ -711,7 +648,6 @@ def _geom_ex1_y():
 
 def _geom_ex1_x():
     alg = _alg_c3z3()
-    third = _cls(alg, **{"1_0": "λ/3"})
     return Geometry(
         name="ex1-X", description="threefold quotient point of order three",
         pair="ex1", side="X",
@@ -719,10 +655,10 @@ def _geom_ex1_x():
         variables=(CurveVariable("x", denominator=3,
                                  scalar_exponent=Fraction(1)),),
         rows=(
-            GammaRow(third, (-1,)),
-            GammaRow(third, (-1,)),
-            GammaRow(third, (-1,)),
-            GammaRow(_cls(alg), (3,)),
+            GammaRow((-1,), Fraction(1, 3)),
+            GammaRow((-1,), Fraction(1, 3)),
+            GammaRow((-1,), Fraction(1, 3)),
+            GammaRow((3,)),
         ),
         sector_map=(Fraction(1, 3),),
         metadata={"patch": "orbifold chamber of the anticanonical fan"},
@@ -731,23 +667,18 @@ def _geom_ex1_x():
 
 def _geom_ex2_y():
     alg = _alg_kf3()
-    p1 = _cls(alg, p1="1")
-    p2 = _cls(alg, p2="1")
     return Geometry(
         name="ex2-Y",
         description="canonical bundle of the third Hirzebruch surface",
         pair="ex2", side="Y",
         algebra=alg,
         variables=(
-            CurveVariable("y1", prefactor=p1),
-            CurveVariable("y2", prefactor=p2),
+            CurveVariable("y1", prefactor=_cls(alg, p1="1")),
+            CurveVariable("y2", prefactor=_cls(alg, p2="1")),
         ),
         rows=(
-            GammaRow(p2, (0, 1)), GammaRow(p2, (0, 1)),
-            GammaRow(p1, (1, 0)),
-            GammaRow(_cls(alg, p1="1", p2="(-3)/1"), (1, -3)),
-            GammaRow(_cls(alg, **{"1": "λ", "p1": "(-2)/1", "p2": "1"}),
-                     (-2, 1)),
+            GammaRow((0, 1)), GammaRow((0, 1)), GammaRow((1, 0)),
+            GammaRow((1, -3)), GammaRow((-2, 1), Fraction(1)),
         ),
         sector_map=(Fraction(0), Fraction(0)),
         metadata={"patch": "fully resolved chamber"},
@@ -767,14 +698,11 @@ def _geom_ex2_x():
             CurveVariable("x2", denominator=3),
         ),
         rows=(
-            GammaRow(_cls(alg, p="1"), (1, -1)),
-            GammaRow(_cls(alg, p="1"), (1, -1)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-5)/1"}), (-5, -1)),
-            GammaRow(_cls(alg, p="3"), (3, 0)),
-            GammaRow(_cls(alg), (0, 3)),
+            GammaRow((1, -1)), GammaRow((1, -1)),
+            GammaRow((-5, -1), Fraction(1)),
+            GammaRow((3, 0)), GammaRow((0, 3)),
         ),
         sector_map=(Fraction(-1, 3), Fraction(1, 3)),
-        pi_star=(("p", "p1", Fraction(1, 3)),),
         metadata={"patch": "orbifold chamber with one quotient point"},
     )
 
@@ -799,7 +727,6 @@ def _geom_ex3_y():
 
 def _geom_ex3_x():
     alg = _alg_c3z5()
-    fifth = _cls(alg, **{"1_0": "λ/5"})
     return Geometry(
         name="ex3-X", description="threefold quotient point of order five",
         pair="ex3", side="X",
@@ -810,11 +737,10 @@ def _geom_ex3_x():
             CurveVariable("x2", denominator=5),
         ),
         rows=(
-            GammaRow(fifth, (-1, -2)),
-            GammaRow(fifth, (-1, -2)),
-            GammaRow(_cls(alg, **{"1_0": "3λ/5"}), (-3, -1)),
-            GammaRow(_cls(alg), (5, 0)),
-            GammaRow(_cls(alg), (0, 5)),
+            GammaRow((-1, -2), Fraction(1, 5)),
+            GammaRow((-1, -2), Fraction(1, 5)),
+            GammaRow((-3, -1), Fraction(3, 5)),
+            GammaRow((5, 0)), GammaRow((0, 5)),
         ),
         sector_map=(Fraction(1, 5), Fraction(2, 5)),
         metadata={"patch": "orbifold chamber"},
@@ -823,17 +749,15 @@ def _geom_ex3_x():
 
 def _geom_ex4_y():
     alg = _alg_op2_12()
-    p = _cls(alg, p="1")
     return Geometry(
         name="ex4-Y",
         description="sum of degree -1 and -2 line bundles over the projective plane",
         pair="ex4", side="Y",
         algebra=alg,
-        variables=(CurveVariable("y", prefactor=p),),
+        variables=(CurveVariable("y", prefactor=_cls(alg, p="1")),),
         rows=(
-            GammaRow(p, (1,)), GammaRow(p, (1,)), GammaRow(p, (1,)),
-            GammaRow(_cls(alg, **{"1": "2λ", "p": "(-2)/1"}), (-2,)),
-            GammaRow(_cls(alg, **{"1": "λ", "p": "(-1)/1"}), (-1,)),
+            GammaRow((1,)), GammaRow((1,)), GammaRow((1,)),
+            GammaRow((-2,), Fraction(2)), GammaRow((-1,), Fraction(1)),
         ),
         sector_map=(Fraction(0),),
         metadata={"patch": "one side of the flop wall"},
@@ -852,11 +776,10 @@ def _geom_ex4_x():
                                  prefactor=_cls(alg, p="1"),
                                  scalar_exponent=Fraction(1)),),
         rows=(
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
-            GammaRow(_cls(alg, **{"1_0": "λ", "p": "(-1)/1"}), (-1,)),
-            GammaRow(_cls(alg, p="1"), (1,)),
-            GammaRow(_cls(alg, p="2"), (2,)),
+            GammaRow((-1,), Fraction(1)),
+            GammaRow((-1,), Fraction(1)),
+            GammaRow((-1,), Fraction(1)),
+            GammaRow((1,)), GammaRow((2,)),
         ),
         sector_map=(Fraction(1, 2),),
         metadata={"patch": "other side of the flop wall"},

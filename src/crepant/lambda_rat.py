@@ -483,9 +483,13 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_poly(text: str) -> LambdaPoly:
+def _parse_poly(text: str, whole: str = "") -> LambdaPoly:
+    """The polynomial text, optionally in parentheses.  whole, when given,
+    is the quotient text is one side of; there a side outside parentheses
+    may hold one term only."""
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
+    bare = not (text.startswith("(") and text.endswith(")"))
+    if not bare:
         text = text[1:-1].strip()
     if not text:
         raise ValueError("empty polynomial")
@@ -502,6 +506,9 @@ def _parse_poly(text: str) -> LambdaPoly:
             raise ValueError(f"bad polynomial at {text[pos:]!r}")
         if sign is None and not first:
             raise ValueError(f"missing sign in {text!r}")
+        if whole and bare and not first:
+            raise ValueError(f"{whole!r}: a side of '/' with more than one "
+                             "term needs parentheses")
         c = Fraction(int(coeff)) if coeff is not None else _ONE
         if sign == "-":
             c = -c
@@ -513,7 +520,9 @@ def _parse_poly(text: str) -> LambdaPoly:
 
 
 def parse_lambda_rat(text: str) -> LambdaRat:
-    """Inverse of format_lambda_rat; also accepts a bare polynomial."""
+    """Inverse of format_lambda_rat; also accepts a bare polynomial.  In a
+    quotient, a side of more than one term must be in parentheses, so that
+    "1 + 9/λ^3" is refused rather than read as 10/λ^3."""
     depth = 0
     split = None
     for i, ch in enumerate(text):
@@ -527,4 +536,5 @@ def parse_lambda_rat(text: str) -> LambdaRat:
             split = i
     if split is None:
         return LambdaRat(_parse_poly(text))
-    return LambdaRat(_parse_poly(text[:split]), _parse_poly(text[split + 1:]))
+    return LambdaRat(_parse_poly(text[:split], text),
+                     _parse_poly(text[split + 1:], text))

@@ -7,14 +7,16 @@ P_i is the divisor prefactor class, a_i the scalar exponent and e_i(n) the
 actual exponent of the i-th variable.  Residuals are exact; no tolerance.
 
 The operators of a geometry are derived from its gamma rows (pf_system),
-as the GKZ box operators of the toric charge matrix.  Row j (class κ_j,
-weight w_j, charges charge_ji) gives the linear form
+as the GKZ box operators of the toric charge matrix.  Row j (weight w_j,
+charges charge_ji) gives the linear form
 
     L_j = w_j λ + Σ_i r_ji (D_i + a_i λ),   r_ji = charge_ji / (m_i step_i),
 
-which multiplies the degree-n term by κ_j + z v_j(n).  The shifts are the
-minimal nonzero s >= 0 with sector_of(s) == 0, searched in the box
-[0, N]^k with N the lcm of the sector_map denominators; for each one
+which multiplies the degree-n term by κ_j + z v_j(n); the row's class
+κ_j = w_j λ + Σ_i r_ji P_i is Geometry.row_classes[j], by the same rule.
+The shifts are the minimal nonzero s >= 0 with sector_of(s) == 0, searched
+in the box [0, N]^k with N the lcm of the sector_map denominators; for
+each one
 
     Π_{v_j>0} Π_{k<v_j} (L_j - kz) - y^s Π_{v_j<0} Π_{k<|v_j|} (L_j - kz),
 
@@ -217,11 +219,11 @@ def pf_system(geom: Geometry | str) -> tuple[PFOperator, ...]:
         geom = builtin(geom)
     nv = len(geom.variables)
     forms = []
-    for j, row in enumerate(geom.rows):
+    for row in geom.rows:
         r = tuple(Fraction(c, v.denominator) / v.step
                   for c, v in zip(row.charge, geom.variables))
-        lam = geom.weight(j) + sum(c * v.scalar_exponent
-                                   for c, v in zip(r, geom.variables))
+        lam = row.weight + sum(c * v.scalar_exponent
+                               for c, v in zip(r, geom.variables))
         forms.append(LinForm(r, lam))
     ops = []
     for s in _box_shifts(geom):

@@ -11,7 +11,6 @@ from crepant.geometry import (
     BUILTIN_NAMES,
     CurveVariable,
     DegreeLattice,
-    GammaRow,
     Geometry,
     GeometryError,
     builtin,
@@ -22,7 +21,7 @@ from crepant.geometry import (
     pairs,
     save_config,
 )
-from crepant.lambda_rat import parse_lambda_rat
+from crepant.lambda_rat import format_lambda_rat
 
 
 def test_all_builtins_validate():
@@ -100,11 +99,6 @@ def test_shifted_index_and_sector():
     assert g.algebra.labels[g.sector_label_index((0, 1))] == "1_1/3"
 
 
-def test_pi_star_record():
-    assert builtin("ex2-X").pi_star == (("p", "p1", Fraction(1, 3)),)
-    assert builtin("ex4-X").pi_star == ()
-
-
 def test_scalar_exponents():
     assert builtin("ex1-X").variables[0].scalar_exponent == 1
     assert builtin("ex4-X").variables[0].scalar_exponent == 1
@@ -151,30 +145,9 @@ def _rebuild(g, **kwargs):
     base = dict(
         name=g.name, description=g.description, pair=g.pair, side=g.side,
         algebra=g.algebra, variables=g.variables,
-        rows=g.rows, sector_map=g.sector_map, pi_star=g.pi_star,
-        metadata=g.metadata)
+        rows=g.rows, sector_map=g.sector_map, metadata=g.metadata)
     base.update(kwargs)
     return Geometry(**base)
-
-
-def test_charge_perturbation_fails_cross_check():
-    g = builtin("ex1-Y")
-    rows = list(g.rows)
-    rows[3] = replace(rows[3], charge=(-2,))
-    bad = _rebuild(g, rows=tuple(rows))
-    with pytest.raises(GeometryError, match="cross-check"):
-        bad.validate()
-
-
-def test_class_perturbation_fails_class_sum():
-    g = builtin("ex1-Y")
-    rows = list(g.rows)
-    vec = list(rows[0].klass)
-    vec[g.algebra.labels.index("p")] = parse_lambda_rat("2")
-    rows[0] = GammaRow(tuple(vec), rows[0].charge)
-    bad = _rebuild(g, rows=tuple(rows))
-    with pytest.raises(GeometryError):
-        bad.validate()
 
 
 def test_charge_column_sum_check():
@@ -184,6 +157,15 @@ def test_charge_column_sum_check():
     bad = _rebuild(g, rows=tuple(rows))
     with pytest.raises(GeometryError, match="Calabi-Yau"):
         bad.validate()
+
+
+def test_row_weight_must_be_rational():
+    # the weight enters the row's class exactly, so a float is refused
+    g = builtin("ex1-Y")
+    rows = list(g.rows)
+    rows[3] = replace(rows[3], weight=1.0)
+    with pytest.raises(GeometryError, match="row 3 weight must be rational"):
+        _rebuild(g, rows=tuple(rows)).validate()
 
 
 def test_sector_map_must_land_in_algebra_sectors():
@@ -216,26 +198,45 @@ def test_divisor_variables_carry_prefactors():
         for i, v in enumerate(g.variables):
             bare = tuple(v.denominator if k == i else 0
                          for k in range(len(g.variables)))
-            has = any(row.charge == bare and all(c.is_zero for c in row.klass)
-                      for row in g.rows)
+            has = any(row.charge == bare and all(c.is_zero for c in klass)
+                      for row, klass in zip(g.rows, g.row_classes))
             assert (v.prefactor is None) == has, (name, v.symbol)
 
 
-def test_weights_match_classes():
-    # Geometry.weight reads the lambda-multiple off each row's unit part
-    for name, weights in [
-        ("ex4-Y", (0, 0, 0, 2, 1)),
-        ("ex1-X", (Fraction(1, 3),) * 3 + (0,)),
-        ("ex3-X", (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5), 0, 0)),
-    ]:
-        g = builtin(name)
-        assert tuple(g.weight(j) for j in range(len(g.rows))) == weights
+_Z = "(0)/1"
+# the row classes of the built-ins as they were once typed by hand, the
+# oracle of the derivation w*lambda + sum of charges over the prefactors
+_TYPED_CLASSES = {
+    "ex1-X": [("λ/3", _Z, _Z)] * 3 + [(_Z,) * 3],
+    "ex1-Y": [(_Z, "1/1", _Z)] * 3 + [("λ/1", "(-3)/1", _Z)],
+    "ex2-X": [(_Z, "1/1", _Z, _Z, _Z)] * 2 + [
+        ("λ/1", "(-5)/1", _Z, _Z, _Z), (_Z, "3/1", _Z, _Z, _Z), (_Z,) * 5],
+    "ex2-Y": [(_Z, _Z, "1/1", _Z, _Z)] * 2 + [
+        (_Z, "1/1", _Z, _Z, _Z), (_Z, "1/1", "(-3)/1", _Z, _Z),
+        ("λ/1", "(-2)/1", "1/1", _Z, _Z)],
+    "ex3-X": [("λ/5", _Z, _Z, _Z, _Z)] * 2 + [
+        ("3λ/5", _Z, _Z, _Z, _Z)] + [(_Z,) * 5] * 2,
+    "ex4-X": [("λ/1", "(-1)/1", _Z)] * 3 + [(_Z, "1/1", _Z), (_Z, "2/1", _Z)],
+    "ex4-Y": [(_Z, "1/1", _Z)] * 3 + [("2λ/1", "(-2)/1", _Z),
+                                       ("λ/1", "(-1)/1", _Z)],
+}
+_TYPED_CLASSES["ex3-Y"] = _TYPED_CLASSES["ex2-X"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_row_classes_are_the_typed_ones(name):
+    g = builtin(name)
+    assert [tuple(map(format_lambda_rat, klass))
+            for klass in g.row_classes] == _TYPED_CLASSES[name]
+    # built once per geometry, and read by row_element
+    assert g.row_classes is g.row_classes
+    assert g.row_element(0).coeffs == g.row_classes[0]
 
 
 @pytest.mark.parametrize("level, key", [
     ("variable", "kind"), ("variable", "factorial"), ("variable", "radius"),
-    ("row", "weight"), ("config", "partner"), ("algebra", "involution"),
-    ("algebra", "gram"),
+    ("row", "klass"), ("config", "partner"), ("config", "pi_star"),
+    ("algebra", "involution"), ("algebra", "gram"),
 ])
 def test_loader_refuses_a_derived_field(level, key):
     # these are derived from the other fields, so a config may not set them
@@ -274,14 +275,16 @@ def _malformed(path, value, match):
     _malformed(("rows", 0, "charge"), ["x"],
                r"config: rows\[0\]: charge\[0\] must be an integer, "
                "not 'x'"),
-    _malformed(("rows", 0, "klass", 1), 1,
-               r"config: rows\[0\]: klass\[1\] must be a λ-rational"),
+    _malformed(("rows", 0, "weight"), "x",
+               r"config: rows\[0\]: weight must be a rational"),
     _malformed(("rows",), {}, "config: rows must be a list"),
     _malformed(("algebra", "unit"), "a", "algebra: unit must be an integer"),
     _malformed(("algebra", "unit"), 7,
                "algebra: unit must index one of the 3 labels, not 7"),
     _malformed(("algebra", "integrals", 1), "x",
                r"algebra: integrals\[1\] must be a λ-rational"),
+    _malformed(("algebra", "integrals", 0), "1+9/λ^3",
+               r"algebra: integrals\[0\] must be a λ-rational"),
     _malformed(("algebra", "degrees", 2), _DELETE,
                "algebra: degrees must be a list of 3"),
     _malformed(("algebra", "sectors", 2), _DELETE,
@@ -291,8 +294,6 @@ def _malformed(path, value, match):
     _malformed(("algebra", "labels", 0), 1,
                r"algebra: labels\[0\] must be a string"),
     _malformed(("algebra",), [], "algebra must be an object"),
-    _malformed(("pi_star",), [{"source": "p", "r": "1"}],
-               r"config: pi_star\[0\]: missing fields \['image'\]"),
     _malformed(("sector_map", 0), None,
                r"config: sector_map\[0\] must be a rational"),
     _malformed(("name",), 3, "config: name must be a string"),

@@ -88,6 +88,12 @@ def test_parse_variants():
         parse_lambda_rat("3x + 1")
     with pytest.raises(ValueError):
         parse_lambda_rat("1/2/3")
+    # a side of a quotient with more than one term needs parentheses: these
+    # once read as 10/λ^3, 9/(λ^3 + 1) and (λ + 1)/λ
+    for text in ("1+9/λ^3", "9/λ^3+1", "λ + 1/λ"):
+        with pytest.raises(ValueError, match="needs parentheses"):
+            parse_lambda_rat(text)
+    assert parse_lambda_rat("-3/λ") == LambdaRat.gen(-1, -3)
 
 
 def test_reduction():

@@ -80,8 +80,8 @@ def _emitted_keys(d: dict, path=(), out=None) -> dict:
 
 
 def test_config_schema_in_the_docstring_matches_config_to_dict():
-    # every level (top, algebra, variable, row, pi_star entry) lists the
-    # keys the serializer writes, no more and no fewer
+    # every level (top, algebra, variable, row) lists the keys the
+    # serializer writes, no more and no fewer
     from crepant import BUILTIN_NAMES, builtin, config_to_dict, geometry
     doc = _schema_keys(geometry.__doc__)
     assert doc.pop(("metadata",)) == set()
@@ -90,8 +90,7 @@ def test_config_schema_in_the_docstring_matches_config_to_dict():
         _emitted_keys(config_to_dict(builtin(name)), out=emitted)
     assert doc == emitted
     assert {p: len(k) for p, k in doc.items()} == {
-        (): 10, ("algebra",): 7, ("variables",): 5, ("rows",): 2,
-        ("pi_star",): 3}
+        (): 9, ("algebra",): 7, ("variables",): 5, ("rows",): 2}
 
 
 def test_every_imported_name_is_read():
