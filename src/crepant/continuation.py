@@ -101,17 +101,27 @@ Caches.  Two module dicts keep work that recurs across calls: _PAIRS the
 built-in Pair of each pair name, and _BERNOULLI the scaled Bernoulli
 numbers of _gamma_pass, keyed by its working precision.  A Pair keeps what
 the continuation derives from its two sides: the lattice map and the
-contour variable; the X side's exact prefactor expansion per truncation,
-which serves both modes and every lambda, z and precision; and each
-side's NumericAlgebra, keyed (side, lambda, digits).  A NumericAlgebra
-keeps the _Spectrum of each class, keyed (precision, the exact class, its
-numeric factor).  Every cache lives on the object it serves, so none is
-keyed on another object's identity.  Within one call, the Frame's memo
-keeps what repeats across the kernels and poles of one continued series:
-the head Gammas, keyed by their argument; the sine ratios R_k, keyed
-(sorted rates, pole order, s_n less the floor of its rational part); and
-the 1/Gamma jets at an exact pole -m, keyed (m, order).  The memo lives
-and dies with its Frame, which no cache keeps.
+contour variable; the exact data of the Y side's kernels along it
+(_KernelData: per gamma row its class, rate and shifted-index weights,
+per class its argument, the pole row, and the tails of s_n and of each
+row's argument there), so that a base only adds its integer offsets; the
+X side's exact prefactor expansion per truncation; and each side's
+NumericAlgebra, keyed (side, lambda, digits).  The kernel data and the
+expansion serve both modes and every lambda, z and precision.  A
+NumericAlgebra keeps the _Spectrum of each class, keyed (precision, the
+exact class, its numeric factor).  Every cache lives on the object it
+serves, so none is keyed on another object's identity.  Within one call,
+the Frame's memo keeps what repeats across the kernels and poles of one
+continued series: the head Gammas, keyed by their argument; the head
+sines, keyed by their argument less the floor of its rational part; the
+sine ratios R_k, keyed (sorted rates, pole order, s_n less the floor of
+its rational part); the row jets of a left residue, keyed (Gamma or
+1/Gamma, |c_j|, pole order, the row's argument at s_n); and the 1/Gamma
+jets at an exact pole -m, keyed (m, order).  Each kernel keeps its pole
+anchor, s_0 and every row's argument there, so that s_n and the rows at
+it are one rational shift away, and its constant, pi (-1/pi)^nsines times
+the head without the pole rows' sines, per pattern of pole rows.  The
+memo and the kernels live and die with their call, which no cache keeps.
 Each Algebra keeps its classes' exact minimal_factors, keyed (class,
 lambda = 0), which serve every lambda sample, z and precision.
 """
@@ -141,6 +151,7 @@ from .algebra import Algebra, _solve_exact
 from .geometry import Geometry, builtin, enumerate_degrees, pairs
 from .ifunction import (IFunctionError, RatAZ, build_ifunction,
                         exp_log_terms, expand_prefactor)
+from .lambda_rat import format_lambda_rat
 
 
 class ContinuationError(ValueError):
@@ -781,6 +792,12 @@ class Arg:
         self.div = tuple(sorted((str(l), Fraction(c)) for l, c in dict(div).items()
                                 if Fraction(c) != 0))
 
+    def shifted(self, da) -> "Arg":
+        """self + da for a rational scalar da; the tail is shared as it is."""
+        out = object.__new__(Arg)
+        out.a0, out.alam, out.div = self.a0 + da, self.alam, self.div
+        return out
+
     def __repr__(self):
         return f"Arg({self.a0}, {self.alam}, {self.div})"
 
@@ -882,7 +899,7 @@ class Frame:
         values at sn - m, m the floor of sn's rational part, times
         (-1)^(m (sum rates + 1)), which is exact for integer rates."""
         m = floor(sn.a0)
-        reduced = _affine(-m, (1, sn))
+        reduced = sn.shifted(-m)
         ratio = self._memoized(
             ("sine", tuple(sorted(rates)), size, reduced.a0, reduced.alam,
              reduced.div),
@@ -890,13 +907,45 @@ class Frame:
                      for k in range(size)])
         return [-v for v in ratio] if m * (sum(rates) + 1) % 2 else ratio
 
+    def row_jet(self, c, size: int, arg: Arg, m: Optional[int]) -> list:
+        """[f_0, ..., f_(size-1)], the eps-jet of one kernel row at a left
+        pole, arg its argument there: f = Gamma(arg + |c| eps) for c < 0
+        and 1/Gamma(arg + c eps) for c > 0, f_k = c^k f^(k)(arg)/k!, a
+        NilExpansion each where arg has a tail and a number where it has
+        none.  At an exact pole -m it is the jet of 1/Gamma(-m + |c| eps)
+        divided by eps, and of Gamma(-m + |c| eps) times eps.  It depends on
+        (the sign and size of c, size, arg) alone."""
+        return self._memoized(
+            ("jet", c < 0, abs(c), size, arg.a0, arg.alam, arg.div),
+            lambda: self._row_jet(c, size, arg, m))
+
+    def _row_jet(self, c, size, arg, m):
+        scale = [_frac_mp(abs(c) ** k) / factorial(k) for k in range(size + 1)]
+        if m is not None:
+            # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
+            jet = [v * w for v, w in zip(self.rgamma_pole(m, size), scale)][1:]
+            return _series_recip(jet) if c < 0 else jet
+        fjet, scal = (self._gamma if c < 0 else self._rgamma), self.scalar(arg)
+        if arg.div:
+            spec = self.spectrum(arg.div)
+            return [spec.apply(fjet, scal, k).scale(scale[k])
+                    for k in range(size)]
+        return [v * w for v, w in zip(fjet(scal, size - 1), scale)]
+
     def rgamma(self, arg: Arg) -> NilExpansion:
         if self.exact_pole(arg) is not None:
             return self.zero()  # exact zero of 1/Gamma
         return self._apply(self._rgamma, arg)
 
     def sinpi(self, arg: Arg) -> NilExpansion:
-        return self._apply(_sinpi_jet, arg)
+        """sin(pi arg): its value at arg - m, m the floor of arg's rational
+        part, times (-1)^m, so that arguments an integer apart share one."""
+        m = floor(arg.a0)
+        reduced = arg.shifted(-m)
+        value = self._memoized(
+            ("sinpi", reduced.a0, reduced.alam, reduced.div),
+            lambda: self._apply(_sinpi_jet, reduced))
+        return -value if m % 2 else value
 
 
 
@@ -964,8 +1013,9 @@ class Pair:
     """The Y and X side of one crepant transformation, and what the
     continuation derives from them, each built once: the lattice map D
     (lattice) and the contour variable y_c (var), the one Y variable whose
-    row of D has a negative entry; the X side's exact prefactor expansion
-    per truncation (xside); and each side's NumericAlgebra (numeric).
+    row of D has a negative entry; the exact data of the Y side's kernels
+    along y_c (kernel_data); the X side's exact prefactor expansion per
+    truncation (xside); and each side's NumericAlgebra (numeric).
     Callers read what it returns and must not change it.
     """
 
@@ -998,6 +1048,12 @@ class Pair:
             self._numeric[key] = NumericAlgebra(side.algebra, lam, digits)
         return self._numeric[key]
 
+    @cached_property
+    def kernel_data(self) -> _KernelData:
+        """The exact data of the Y side's kernels along y_c: it depends on
+        no base, mode, lambda, z or precision."""
+        return _KernelData(self.y, self.var)
+
 
 _PAIRS: dict = {}
 
@@ -1029,19 +1085,18 @@ def _continued_terms(fr: Frame, pair: Pair, bound: int):
            for k in range(ny)]
     if None in inv:
         raise ContinuationError(f"{g_y.pair}: the lattice map {d} is singular")
+    data = pair.kernel_data
     kernels: dict = {}
 
     def kernel(base):
         if base not in kernels:
-            kernels[base] = _Kernel(g_y, fr, c, base=base)
+            kernels[base] = _Kernel(data, fr, base=base)
         return kernels[base]
 
     # the class of s_n, times log q = split step_c log y_c, joins the Y
     # prefactors; rewritten in log x its lambda parts are the scalar
     # exponents and its divisor parts the dressing exp(sum_k Q_k log x_k/z)
-    kern = kernel((0,) * ny)
-    sigma = _affine(0, (1 / kern.left_rate,
-                        Arg(0, kern.kappa.alam, kern.kappa.div)))
+    sigma = data.sigma
     logq = split * g_y.variables[c].step
     pres = [Arg(0, -v.scalar_exponent, () if v.prefactor is None
                 else _class_arg(g_y.algebra, v.prefactor).div)
@@ -1068,7 +1123,7 @@ def _continued_terms(fr: Frame, pair: Pair, bound: int):
         for a in range(split):
             kern = kernel(tuple(a if i == c else int(v)
                                 for i, v in enumerate(dy)))
-            n = kern.kappa.a0 - kern.left_rate * (dy[c] - a) / split
+            n = kern.pole_offset - kern.left_rate * (dy[c] - a) / split
             if n.denominator != 1 or n < 0:
                 continue
             try:
@@ -1155,12 +1210,23 @@ def continued_ifunction(example, truncation: int,
 def _coefficient_value(co: RatAZ, na: NumericAlgebra, name: str, lam,
                        z) -> NilExpansion:
     """An exact coefficient of geometry name at lam and z.  A z-denominator
-    is refused; no X side has one at any truncation."""
+    is refused; no X side has one at any truncation.  The grading makes
+    every component a lambda-monomial c lambda^k (Algebra.validate checks
+    it on the structure constants), evaluated as such."""
     try:
         az = co.as_algebra_z()
     except IFunctionError as exc:
         raise ContinuationError(f"{name}: {exc}") from None
-    return _summed(na, (((i, 0), _to_mp(c.evaluate(lam)) * z ** e)
+
+    def value(c):
+        mono = c.as_monomial()
+        if mono is None:
+            raise ContinuationError(f"{name}: the coefficient "
+                                    f"{format_lambda_rat(c)} is not a "
+                                    f"lambda-monomial")
+        return _frac_mp(mono[0]) * lam ** mono[1]
+
+    return _summed(na, (((i, 0), value(c) * z ** e)
                         for e, elem in sorted(az.layers.items())
                         for i, c in enumerate(elem.coeffs) if not c.is_zero))
 
@@ -1379,21 +1445,62 @@ def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
                 if i != alg.unit and not c.is_zero})
 
 
-_Row = namedtuple("_Row", "c arg mult sin")
+_Row = namedtuple("_Row", "c arg mult sin anchor step")
+
+
+class _KernelData:
+    """What the kernels along y_c take from the Y side that no base
+    changes, derived once per Pair (Pair.kernel_data).  Per gamma row j
+    (rows): the index of its class kappa_j among the distinct row classes,
+    its rate c_j = N charge_j[c]/den_c and the weights charge_ji/den_i of
+    its shifted index o_j = sum_i charge_ji d_i/den_i at base d.  Per
+    distinct class, its argument kappa/z (args).  The left poles: the pole
+    row p, the first with the least rate (pole), left_rate = |c_p|, the
+    tail kappa_p/(|c_p| z) of every s_n (sigma), and per (class, rate) the
+    tail a row's argument has at every s_n (tails): |c_j| s_n - kappa_j/z
+    for c_j < 0 and kappa_j/z + c_j s_n for c_j > 0.  Rates that are not
+    integers, or negative ones of even sum, are refused.
+    """
+
+    def __init__(self, geom: Geometry, var: int):
+        self.geom, self.var = geom, var
+        split = geom.sector_map[var].denominator
+        classes, self.rows = [], []
+        for j, klass in enumerate(geom.row_classes):
+            if klass not in classes:
+                classes.append(klass)
+            self.rows.append((classes.index(klass), split * geom.rate(j)[var],
+                              tuple(Fraction(ch, v.denominator) for ch, v in
+                                    zip(geom.rows[j].charge, geom.variables))))
+        rates = [c for _, c, _ in self.rows]
+        if any(c.denominator != 1 for c in rates) or \
+                sum(-c for c in rates if c < 0) % 2 != 1:
+            raise ContinuationError(
+                f"{geom.name}: pi/sin(pi s) gives the signs of the series "
+                f"along {geom.variables[var].symbol} only for integer rates "
+                f"whose negative ones sum to an odd number")
+        self.args = [_class_arg(geom.algebra, klass) for klass in classes]
+        self.pole = rates.index(min(rates))
+        self.left_rate = -min(rates)
+        self.sigma = _affine(0, (1 / self.left_rate,
+                                 self.args[self.rows[self.pole][0]]))
+        self.tails = {(k, c): _affine(0, (1 if c > 0 else -1, self.args[k]),
+                                      (abs(c), self.sigma))
+                      for k, c, _ in self.rows if c}
 
 
 class _Kernel:
     """Integrand of the continuation contour, derived from the gamma rows
     as in the module docstring, and its residues: at a right pole s = d
-    the d-th inside term, at a left pole minus the continued term.  var
-    picks the contour variable y_c and base the residue class (by default
-    base 0).  A kernel made without q is not evaluated; its left_residue
-    still works.
+    the d-th inside term, at a left pole minus the continued term.  data
+    is the Y side's _KernelData along the contour variable y_c and base
+    the residue class (by default base 0).  A kernel made without q is not
+    evaluated; its left_residue still works.
     """
 
-    def __init__(self, geom: Geometry, fr: Frame, var: int, q=None,
-                 base=None):
+    def __init__(self, data: _KernelData, fr: Frame, q=None, base=None):
         self.fr = fr
+        geom, var = data.geom, data.var
         self.name = geom.name
         alg = geom.algebra
         if q is not None:
@@ -1401,44 +1508,48 @@ class _Kernel:
             self.logq = mp.log(_to_mp(q))
             self.pdress = self.qpow(self.pre)
         base = base or (0,) * len(geom.variables)
-        split = geom.sector_map[var].denominator
-        groups = Counter((klass, split * geom.rate(j)[var],
-                          geom.shifted_index(j, base))
-                         for j, klass in enumerate(geom.row_classes))
+        # the base adds its offsets o_j to the exact data, and identical
+        # rows group with a multiplicity
+        offsets = [sum(map(mul, w, base), Fraction(0))
+                   for _, _, w in data.rows]
+        groups = Counter((k, c, o) for (k, c, _), o in zip(data.rows, offsets))
+        # the pole anchor: s_n is s_0 less n/|c_p|, and a row's argument at
+        # s_n its anchor, the argument at s_0, less n |c_j|/|c_p|; the
+        # anchor's rational part is (c_j > 0) + sign(c_j) o_j + |c_j| o_p/|c_p|
+        self.left_rate = rate = data.left_rate
+        self.pole_offset = o_p = offsets[data.pole]
+        self._s0 = data.sigma.shifted(o_p / rate)
         self.rows = []
         # (f, argument, multiplicity) of each head factor but the sines
         self._heads = []
         zpower = 1
-        for (klass, c, o), mult in groups.items():
+        for (k, c, o), mult in groups.items():
             if not (c or o):
                 continue
             # the head Gamma(b + kappa/z), with b in (0, 1] and b = o mod 1
             b = 1 - (-o) % 1
             zpower += (b - 1) * mult
-            self._heads.append((fr.gamma, _class_arg(alg, klass, b), mult))
-            arg = _class_arg(alg, klass, o)
+            self._heads.append((fr.gamma, data.args[k].shifted(b), mult))
+            arg = data.args[k].shifted(o)
             if c:
+                anchor = data.tails[k, c].shifted(
+                    (c > 0) + (o if c > 0 else -o) + abs(c) * o_p / rate)
                 self.rows.append(_Row(c, arg, mult,
-                                      fr.sinpi(arg) if c < 0 else None))
+                                      fr.sinpi(arg) if c < 0 else None,
+                                      anchor, -abs(c) / rate))
             else:
-                self._heads.append((fr.rgamma, _affine(1, (1, arg)), mult))
+                self._heads.append((fr.rgamma, arg.shifted(1), mult))
         sector = geom.sector_label_index(base)
         if sector != alg.unit:
             self._heads.append((partial(NilExpansion.basis, fr.na),
                                 alg.labels[sector], 1))
         self._zpower = int(zpower)
-        odd = sum(-r.c * r.mult for r in self.rows if r.c < 0)
-        if any(r.c.denominator != 1 for r in self.rows) or odd % 2 != 1:
-            raise ContinuationError(
-                f"{geom.name}: pi/sin(pi s) gives the signs of the series "
-                f"along {geom.variables[var].symbol} only for integer rates "
-                f"whose negative ones sum to an odd number")
         # the Gamma(|c| s - o - kappa/z) factors first, then the 1/Gamma ones
         self.rows.sort(key=lambda r: r.c > 0)
         sines = [r.sin for r in self.rows if r.c < 0 for _ in range(r.mult)]
         self.nsines = len(sines)
-        c, self.kappa, _, _ = min(self.rows, key=lambda r: r.c)
-        self.left_rate = -c
+        # the head without the pole rows' sines, per pattern of pole rows
+        self._constants: dict = {}
         if q is not None:
             # as in the module docstring: tau, every hp tau^k != 0, and per
             # row (slope, offset, e_j, [e_j a_j^k/k! for k >= 1])
@@ -1536,9 +1647,15 @@ class _Kernel:
         return self._body(mp.mpf(d), (-1) ** d)
 
     def left_pole(self, n: int) -> Arg:
-        """s_n = (kappa_p/z - n)/|c_p|, as an argument."""
-        return _affine(-Fraction(n) / self.left_rate,
-                       (1 / self.left_rate, self.kappa))
+        """s_n = (kappa_p/z + o_p - n)/|c_p|, as an argument: s_0 less
+        n/|c_p|."""
+        return self._s0.shifted(-Fraction(n) / self.left_rate)
+
+    def pole_args(self, n: int) -> list:
+        """Each row's argument at s_n: |c_j| s_n - o_j - kappa_j/z for c_j <
+        0 and 1 + o_j + kappa_j/z + c_j s_n for c_j > 0, its value at s_0
+        less n |c_j|/|c_p|."""
+        return [r.anchor.shifted(n * r.step) for r in self.rows]
 
     def left_value(self, n: int) -> NilExpansion:
         """Residue at s_n, for a kernel made with q."""
@@ -1547,55 +1664,56 @@ class _Kernel:
         dress = self.qpow(_affine(0, (1, self.left_pole(n)), (1, self.pre)))
         return reduce(add, logs, self.fr.zero()) * dress
 
+    def _constant(self, regular: tuple) -> NilExpansion:
+        """pi (-1/pi)^nsines times the head without the sines of the pole
+        rows, regular[j] telling whether row j is no pole; the pole rows'
+        signs (-1)^(m mult) are left to the caller."""
+        if regular not in self._constants:
+            const = self.gammas.scale(mp.pi * (-1 / mp.pi) ** self.nsines)
+            for r, reg in zip(self.rows, regular):
+                if reg and r.c < 0:
+                    const = reduce(mul, [r.sin] * r.mult, const)
+            self._constants[regular] = const
+        return self._constants[regular]
+
     def left_residue(self, n: int) -> list:
         """[R_0, ..., R_{r-1}] as in the module docstring: the residue at
-        s_n is sum_k R_k (log q)^k q^s_n exp(P log q / z); [] if r <= 0."""
+        s_n is sum_k R_k (log q)^k q^s_n exp(P log q / z); [] if r <= 0.
+        No argument is rebuilt: s_n is s_0 with its rational part less
+        n/|c_p|, and each row's argument the row's anchor, its argument at
+        s_0, with its rational part less n |c_j|/|c_p| (pole_args).  Each
+        row's eps-jet comes from the frame's memo (Frame.row_jet), and the
+        head with the regular rows' sines from the kernel's constants."""
         fr = self.fr
         sn = self.left_pole(n)
         fr.off_resonance(sn)
-        factors = []
-        for r in self.rows:
-            arg = (_affine(0, (-r.c, sn), (-1, r.arg)) if r.c < 0
-                   else _affine(1, (1, r.arg), (r.c, sn)))
-            factors.append((r, arg, fr.exact_pole(arg)))
+        args = self.pole_args(n)
+        poles = [fr.exact_pole(arg) for arg in args]
         size = sum(r.mult if r.c < 0 else -r.mult
-                   for r, _, m in factors if m is not None)
+                   for r, m in zip(self.rows, poles) if m is not None)
         if size <= 0:
             return []
-        const = self.gammas.scale(mp.pi * (-1 / mp.pi) ** self.nsines)
+        const = self._constant(tuple(m is None for m in poles))
         # the series of the factors without a tail are multiplied first:
         # Euler's constant then cancels exactly between Gamma(eps) and
         # 1/Gamma(1 + eps), as the 0 in ex4's nonequivariant n = 0 term needs
         series = [fr.const(1)] + [fr.zero()] * (size - 1)
         scalars = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
-        rates = []
-        for r, arg, m in factors:
-            scale = [_frac_mp(abs(r.c) ** k) / factorial(k)
-                     for k in range(size + 1)]
-            scal = fr.scalar(arg)
-            fjet = fr._gamma if r.c < 0 else fr._rgamma
-            if m is None and r.c < 0:
-                const = reduce(mul, [r.sin] * r.mult, const)
+        rates, sign = [], 0
+        for r, arg, m in zip(self.rows, args, poles):
+            jet = fr.row_jet(r.c, size, arg, m)
             if m is None and arg.div:
-                spec = fr.spectrum(arg.div)
-                jet = [spec.apply(fjet, scal, k).scale(scale[k])
-                       for k in range(size)]
                 series = reduce(_series_mul, [jet] * r.mult, series)
                 continue
-            if m is None:
-                jet = [v * w for v, w in zip(fjet(scal, size - 1), scale)]
-            else:
-                # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
-                jet = [v * w for v, w in
-                       zip(fr.rgamma_pole(m, size), scale)][1:]
-                if r.c < 0:
-                    jet = _series_recip(jet)
-                    # its head sine (-1)^m sin(pi |c| s_n) moves into R
-                    rates += [abs(r.c)] * r.mult
-                    const = const.scale((-1) ** (m * r.mult))
+            if m is not None and r.c < 0:
+                # its head sine (-1)^m sin(pi |c| s_n) moves into R
+                rates += [abs(r.c)] * r.mult
+                sign += m * r.mult
             scalars = reduce(_series_mul, [jet] * r.mult, scalars)
         ratio = fr.sine_ratio(rates, size, sn)
         series = _series_mul(_series_mul(series, scalars), ratio)
+        if sign % 2:
+            const = -const
         return [(const * series[size - 1 - k]).scale(mp.mpf(1) / factorial(k))
                 for k in range(size)]
 
@@ -1649,7 +1767,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         fr = Frame(na, lam, z, digits=digits)
         # the kernel's own errors name the Y side and the stage
         with _prefixed(f"{g_y.name}: kernel set-up"):
-            kern = _Kernel(g_y, fr, c, q)
+            kern = _Kernel(pair.kernel_data, fr, q)
         wall, aq = kern.wall, abs(q)
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,47 @@ def el(alg, **coeffs):
 def test_all_builtin_algebras_validate():
     for alg in ALL:
         alg.validate()
+
+
+def _with_products(alg, products):
+    """alg with the products {(i, j): coefficient strings} set both ways."""
+    table = [[list(vec) for vec in line] for line in alg.table]
+    for (i, j), vec in products.items():
+        table[i][j] = table[j][i] = [parse_lambda_rat(c) for c in vec]
+    return Algebra(alg.name, alg.labels, alg.degrees, alg.sectors, alg.unit,
+                   table, alg.integrals)
+
+
+def _first_nonassociative(alg):
+    """The first (i, j, k) where (e_i e_j) e_k != e_i (e_j e_k), by
+    Element products over Q(λ)."""
+    n = alg.dim
+    return next(((i, j, k) for i in range(n) for j in range(n)
+                 for k in range(n)
+                 if alg.mul_basis(i, j) * alg.basis(k)
+                 != alg.basis(i) * alg.mul_basis(j, k)), None)
+
+
+def test_associativity_is_decided_on_the_rational_parts():
+    # graded, but (1_2/3)^2 doubled: the exact check on the rational parts
+    # names the first triple the Element products fail at
+    bad = _with_products(C3Z3, {(2, 2): ["0", "2λ^3/27", "0"]})
+    i, j, k = _first_nonassociative(bad)
+    labels = ", ".join(C3Z3.labels[t] for t in (i, j, k))
+    with pytest.raises(AlgebraError,
+                       match=re.escape(f"c3z3: associativity fails at "
+                                       f"({labels})")):
+        bad.validate()
+
+
+def test_ungraded_nonassociative_table_reports_the_grading():
+    # 1_1/3 * 1_2/3 = 1 leaves the grading and associativity both; the
+    # grading is checked first, since associativity is decided on it
+    bad = _with_products(C3Z3, {(1, 2): ["1", "0", "0"]})
+    assert _first_nonassociative(bad) is not None
+    with pytest.raises(AlgebraError, match=re.escape(
+            "c3z3: graded product violated at (1_1/3, 1_2/3)")):
+        bad.validate()
 
 
 # sha256 of each built-in side's algebra as _algebra_digest prints it,

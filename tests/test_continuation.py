@@ -15,16 +15,18 @@ from hypothesis import assume, given, settings, strategies as st
 import crepant.continuation as continuation
 from crepant import (LambdaRat, build_ifunction, builtin, expand_prefactor,
                      load_config, save_config)
-from crepant.algebra import Algebra, AlgebraError
+from crepant.algebra import Algebra, AlgebraError, AlgebraZ
 from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, NumericAlgebra, Pair, _affine,
                                   _coefficient_value, _exp_jet,
                                   _frac_mp, _gamma_jet, _gamma_polygamma,
-                                  _Kernel, _pair, _rgamma_jet, _SineRatio,
-                                  _lstsq, _to_mp,
+                                  _Kernel, _KernelData, _pair, _rgamma_jet,
+                                  _SineRatio, _lstsq, _to_mp,
                                   continued_ifunction, default_lambda,
                                   mellin_barnes_integral,
                                   solve_umatrix, xside_terms)
+from crepant.ifunction import RatAZ
+from crepant.lambda_rat import parse_lambda_rat
 
 
 def test_to_mp_accepts_strings():
@@ -184,7 +186,7 @@ def test_mb_matches_inside_series_ex4():
         geom = builtin("ex4-Y")
         na = NumericAlgebra(geom.algebra, lam, 15)
         fr = Frame(na, lam=lam, z=mp.mpf(1), digits=15)
-        kern = _Kernel(geom, fr, 0, q)
+        kern = _Kernel(_KernelData(geom, 0), fr, q)
         total = fr.zero()
         for d in range(60):
             term = kern.right_residue(d)
@@ -202,7 +204,7 @@ def _kernel_at(ex, q, digits):
     lam = mp.mpc("0.7", "0.31")
     na = NumericAlgebra(geom.algebra, lam, digits)
     fr = Frame(na, lam=lam, z=mp.mpf(1), digits=digits)
-    return _Kernel(geom, fr, 0, mp.mpf(q))
+    return _Kernel(_KernelData(geom, 0), fr, mp.mpf(q))
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -229,6 +231,19 @@ def test_coefficient_with_a_z_denominator_is_refused():
     for lam, z in ((0, mp.mpf(-1)), (default_lambda(), mp.mpf(1))):
         with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
             _coefficient_value(co, na, "ex2-Y", lam, z)
+
+
+def test_coefficient_off_the_grading_is_refused():
+    # the grading makes each component c lambda^k, and only such a
+    # component is evaluated: 1 + lambda, which no graded series holds,
+    # is refused by name
+    alg = builtin("ex1-X").algebra
+    co = RatAZ(AlgebraZ(alg, {0: alg.element(
+        [parse_lambda_rat("1+λ"), 0, 0])}))
+    na = NumericAlgebra(alg, default_lambda(), 30)
+    with pytest.raises(ContinuationError, match=re.escape(
+            "ex1-X: the coefficient (λ + 1)/1 is not a lambda-monomial")):
+        _coefficient_value(co, na, "ex1-X", default_lambda(), mp.mpf(1))
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -499,10 +514,64 @@ def test_sine_ratio_shifts_by_a_sign(rates, k, m, kind):
             assert abs(u - sign * v) <= mp.mpf(10) ** -25 * max(1, abs(v))
 
 
+def _arg_parts(arg):
+    return arg.a0, arg.alam, arg.div
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_pole_walk_matches_affine_rebuilds(ex, monkeypatch):
+    # every kernel of the continued series walks its left poles from s_0:
+    # s_n and each row's argument there equal their rebuilds from the
+    # pole row's class and each row's own argument, exactly
+    kernels = []
+    init = _Kernel.__init__
+
+    def recorded(self, *args, **kw):
+        init(self, *args, **kw)
+        kernels.append(self)
+
+    monkeypatch.setattr(_Kernel, "__init__", recorded)
+    trunc = builtin(ex + "-X").algebra.dim + 2
+    continued_ifunction(ex, trunc, lam=mp.mpc("0.7", "0.31"), digits=30)
+    assert kernels
+    for kern in kernels:
+        pole_row = min(kern.rows, key=lambda r: r.c)
+        rate = -pole_row.c
+        assert kern.left_rate == rate
+        for n in range(12):
+            sn = _affine(-Fraction(n) / rate, (1 / rate, pole_row.arg))
+            assert _arg_parts(kern.left_pole(n)) == _arg_parts(sn)
+            want = [_affine(0, (-r.c, sn), (-1, r.arg)) if r.c < 0
+                    else _affine(1, (1, r.arg), (r.c, sn)) for r in kern.rows]
+            assert [_arg_parts(a) for a in kern.pole_args(n)] == \
+                [_arg_parts(a) for a in want]
+
+
+def _term_digest(cs):
+    return sorted((key, sorted((comp, repr(v))
+                               for comp, v in val.terms.items()))
+                  for key, val in cs.terms.items())
+
+
+@pytest.mark.parametrize("mode", ["nonequivariant", "equivariant-numeric"])
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_second_continued_series_call_is_identical(ex, mode):
+    # the per-call memo dies with its Frame: a second call in the same
+    # process recomputes, and gives the same terms digit for digit
+    trunc = builtin(ex + "-X").algebra.dim + 2
+    lam = mp.mpc("0.7", "0.31") if mode == "equivariant-numeric" else None
+    first, second = (continued_ifunction(ex, trunc, mode=mode, lam=lam,
+                                         digits=30) for _ in range(2))
+    assert _term_digest(first) == _term_digest(second)
+
+
 def test_continued_series_jet_counts(monkeypatch):
     # one pass of the benchmark's 8 continued series at seed 0: the sine
-    # ratios come from their values at the reduced pole and the 1/Gamma
-    # jets at exact poles from one per (pole, order), once per call
+    # ratios come from their values at the reduced pole, the 1/Gamma jets
+    # at exact poles from one per (pole, order) and every row jet from one
+    # per (rate, order, argument), once per call; jets of order >= 1 take
+    # one _gamma_polygamma each and those of order 0 one mp.gamma or
+    # mp.rgamma
     calls = Counter()
 
     def counting(name, real):
@@ -515,12 +584,17 @@ def test_continued_series_jet_counts(monkeypatch):
                         counting("sine", _SineRatio.jet))
     monkeypatch.setattr(continuation, "_gamma_polygamma",
                         counting("gamma", continuation._gamma_polygamma))
+    # the context the module evaluates in, not the mpmath module
+    ctx = continuation.mp
+    monkeypatch.setattr(ctx, "gamma", counting("scalar gamma", ctx.gamma))
+    monkeypatch.setattr(ctx, "rgamma", counting("scalar rgamma", ctx.rgamma))
     lam = mp.mpc("0.7", "0.31")
     for ex in ("ex1", "ex2", "ex3", "ex4"):
         trunc = builtin(ex + "-X").algebra.dim + 2
         continued_ifunction(ex, trunc, mode="nonequivariant", digits=30)
         continued_ifunction(ex, trunc, lam=lam, digits=30)
-    assert calls == {"sine": 51, "gamma": 248}
+    assert calls == {"sine": 51, "gamma": 194, "scalar gamma": 11,
+                     "scalar rgamma": 126}
 
 
 @pytest.mark.parametrize("lam, why", [
@@ -571,7 +645,7 @@ def test_mb_reflected_path_matches_inside_series_ex4(monkeypatch):
         geom = builtin("ex4-Y")
         fr = Frame(NumericAlgebra(geom.algebra, lam, 15),
                    lam=lam, z=mp.mpf(1), digits=15)
-        kern = _Kernel(geom, fr, 0, q)
+        kern = _Kernel(_KernelData(geom, 0), fr, q)
         total = fr.zero()
         for d in range(60):
             term = kern.right_residue(d)
@@ -604,7 +678,7 @@ def test_mb_wall_from_the_kernel_rates(ex, wall):
     lam = mp.mpc("0.7", "0.31")
     fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam,
                z=mp.mpf(1), digits=15)
-    assert _Kernel(g_y, fr, c).wall == wall
+    assert _Kernel(_KernelData(g_y, c), fr).wall == wall
 
 
 @pytest.mark.parametrize("sigma, match", [
@@ -651,7 +725,7 @@ def test_kernel_rows_off_one_class_are_refused(monkeypatch):
                z=mp.mpf(1), digits=15)
     with pytest.raises(ContinuationError, match="^ex2-Y: the contour kernel "
                        "along y2 needs every row class to be a multiple"):
-        _Kernel(g_y, fr, 1, mp.mpf("0.02"))
+        _Kernel(_KernelData(g_y, 1), fr, mp.mpf("0.02"))
 
 
 def test_kernel_on_a_zero_of_a_reciprocal_gamma_row_is_refused():
