@@ -7,12 +7,14 @@ that reads off the wall-crossing transformation U by comparing coefficients
 of the curve variables on both sides.
 
 Values are high-precision mpmath numbers; working precision is given in
-decimal digits (default 64).  Two parameter modes exist everywhere; both
-evaluate every coefficient as one number per basis class:
+decimal digits (default 64).  Every numeric frame is at z = 1.  deg z =
+deg lambda = 2 and deg y = 0 (each pair is crepant), so component i of a
+series at (lambda, z) is z^(1 - deg_i/2) times its value at (lambda/z, 1),
+and a sample z enters by that grading alone.  Two parameter modes exist
+everywhere; both evaluate every coefficient as one number per basis class:
 
   "equivariant-numeric"  at numeric lambda and z samples,
-  "nonequivariant"       at lambda = 0 exactly and z = 1.  deg z = 2 and
-                         deg y = 0 (each pair is crepant), so the grading
+  "nonequivariant"       at lambda = 0 exactly and z = 1.  The grading
                          makes each coefficient one z-monomial, and
                          solve_connection restores each U entry's z-power
                          from the degrees of its classes.  Every series
@@ -23,7 +25,7 @@ evaluate every coefficient as one number per basis class:
 Every f(s + t), s a scalar and t a class (Gamma, 1/Gamma, sin and exp
 alike), goes through one evaluator, _Spectrum: the Newton form of the
 Hermite interpolation of f on the spectrum of t.  t is a rational divisor
-class times a number (1/z, log q/z, ...), and the grading makes its
+class times a number (1 or log q), and the grading makes its
 eigenvalues lambda times that number times the roots of the class's
 minimal polynomial at lambda = 1 (at lambda = 0 itself, the roots there).
 The algebra factors that polynomial exactly (Algebra.minimal_factors), so
@@ -47,15 +49,15 @@ entry, so every index of the class has the sector class S of base; base
 fixes the other (spectator) indices and a = d_c < N.  Along y_c row j has
 the rate c_j = N charge_j[c]/den_c, the offset o_j (its shifted index at
 base) and the class kappa_j (Geometry.row_classes); identical rows are
-grouped with a multiplicity.  In gamma_ratio's convention, with b_j in (0, 1] and
-b_j = o_j mod 1, and with P the prefactor class of y_c,
+grouped with a multiplicity.  In gamma_ratio's convention at z = 1, with
+b_j in (0, 1] and b_j = o_j mod 1, and with P the prefactor class of y_c,
 
-    head = z^(1 + sum_j (b_j - 1)) * S * prod_j Gamma(b_j + kappa_j/z)
-             * prod_{c_j=0} 1/Gamma(1 + o_j + kappa_j/z)
-             * prod_{c_j<0} (-sin(pi (o_j + kappa_j/z))/pi),
-    K(s) = head * prod_{c_j<0} Gamma(|c_j| s - o_j - kappa_j/z)
-                * prod_{c_j>0} 1/Gamma(1 + o_j + kappa_j/z + c_j s)
-                * pi/sin(pi s) * q^s * exp(P log q / z).
+    head = S * prod_j Gamma(b_j + kappa_j)
+             * prod_{c_j=0} 1/Gamma(1 + o_j + kappa_j)
+             * prod_{c_j<0} (-sin(pi (o_j + kappa_j))/pi),
+    K(s) = head * prod_{c_j<0} Gamma(|c_j| s - o_j - kappa_j)
+                * prod_{c_j>0} 1/Gamma(1 + o_j + kappa_j + c_j s)
+                * pi/sin(pi s) * q^s * exp(P log q).
 
 pi/sin(pi s) gives the series its signs only when the c_j are integers
 whose negative ones sum to an odd number; other rows are refused.  Both
@@ -68,7 +70,7 @@ continued_ifunction).
 
 The residue at a right pole s = d is (-1)^d times K(d) without
 pi/sin(pi s): the d-th term of the inside series.  The continued series
-is minus the residues at the left poles s_n = (kappa_p/z + o_p - n)/|c_p|,
+is minus the residues at the left poles s_n = (kappa_p + o_p - n)/|c_p|,
 p the row with the largest |c_p|.  At s_n + eps a factor whose argument is
 exactly -m <= 0 gives Gamma(-m + |c_j| eps), a simple pole (c_j < 0: the
 rows with kappa_j/|c_j| = kappa_p/|c_p| as classes), or
@@ -82,19 +84,19 @@ sines, (-1)^m sin(pi |c_j| s_n), join pi/sin(pi s) in
 whose eps^k coefficient is entire in s_n for k < r, so it stays regular
 where the two pole families meet (integer scalar s_n, lambda = 0).  As
 q^(s_n + eps) = q^s_n sum_k (eps log q)^k/k!, the residue is
-sum_{k<r} R_k (log q)^k q^s_n exp(P log q / z).
+sum_{k<r} R_k (log q)^k q^s_n exp(P log q).
 
 The integral integrates each component of the kernel along the contour
 with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
 tanh-sinh when poles sit a few tenths from the line.  On the contour row j
 is Gamma(x_j + a_j tau)^(e_j), x_j = |c_j| s + offset, e_j = mult for the
 Gamma rows and -mult for the 1/Gamma rows, tau one nilpotent class (other
-rows, and exp(P log q / z) with P not nilpotent, are refused).  With
+rows, and exp(P log q) with P not nilpotent, are refused).  With
 _gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
     K(s) = pi/sin(pi s) e^l/D sum_k E_k hp tau^k,  D = prod_j P_j^(e_j),
     l = s log q + sum_j e_j log Gamma(y_j),  E_0 = 1,  E_k = sum_{i<=k}
     i n_i E_(k-i)/k,  n_k = sum_j e_j a_j^k psi^(k-1)(x_j)/k!,
-hp = head exp(P log q / z), and every hp tau^k != 0 is built once: an
+hp = head exp(P log q), and every hp tau^k != 0 is built once: an
 evaluation is one pass per row, scalar work and one exponential.
 
 Caches.  Two module dicts keep work that recurs across calls: _PAIRS the
@@ -112,11 +114,11 @@ NumericAlgebra keeps the _Spectrum of each class, keyed (precision, the
 exact class, its numeric factor).  Every cache lives on the object it
 serves, so none is keyed on another object's identity.  Within one call,
 the Frame's memo keeps what repeats across the kernels and poles of one
-continued series: the head Gammas, keyed by their argument; the head
-sines, keyed by their argument less the floor of its rational part; the
-sine ratios R_k, keyed (sorted rates, pole order, s_n less the floor of
-its rational part); the row jets of a left residue, keyed (Gamma or
-1/Gamma, |c_j|, pole order, the row's argument at s_n); and the 1/Gamma
+continued series: the head Gammas and 1/Gammas, keyed by their argument;
+the head sines, keyed by their argument less the floor of its rational
+part; the sine ratios R_k, keyed (sorted rates, pole order, s_n less the
+floor of its rational part); the row jets of a left residue, keyed (Gamma
+or 1/Gamma, |c_j|, pole order, the row's argument at s_n); and the 1/Gamma
 jets at an exact pole -m, keyed (m, order).  Each kernel keeps its pole
 anchor, s_0 and every row's argument there, so that s_n and the rows at
 it are one rational shift away, and its constant, pi (-1/pi)^nsines times
@@ -269,7 +271,7 @@ class NumericAlgebra:
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def spectrum(self, klass, factor) -> _Spectrum:
+    def spectrum(self, klass, factor=1) -> _Spectrum:
         """_Spectrum(self, klass, factor), memoized on the arguments and the
         working precision: the same few tails recur thousands of times."""
         key = (mp.prec, klass, factor)
@@ -286,7 +288,7 @@ class NilExpansion:
     """Algebra element with high-precision coefficients.
 
     terms maps (basis index, 0) to an mpmath number: every value is taken
-    at the frame's z, so the second slot, a z exponent, is always 0 (and
+    at one sample z, so the second slot, a z exponent, is always 0 (and
     support() is [0] or []); callers that unpack it keep working.  terms
     is kept as given, not copied; the sums that can cancel (+, * and
     _summed) drop their exact zeros.
@@ -782,7 +784,7 @@ class _SineRatio:
 
 
 class Arg:
-    """Affine argument a0 + (alam*lambda + divisor class)/z, symbolically."""
+    """Affine argument a0 + alam*lambda + divisor class, symbolically."""
 
     __slots__ = ("a0", "alam", "div")
 
@@ -813,19 +815,17 @@ def _affine(a0, *terms) -> Arg:
 
 
 class Frame:
-    """Evaluation context: an algebra at the numbers lam and z.
+    """Evaluation context: an algebra at the number lam, and z = 1.
 
-    z is the actual argument the series is evaluated at, so callers wanting
-    f(x, -z) pass the negated sample.  A lam that is exactly 0 makes the
+    A series at another z is the one at lam/z graded back (see the module
+    docstring), so no frame carries a z.  A lam that is exactly 0 makes the
     lambda parts of every argument vanish exactly: a pole of Gamma then
     stays exact (exact_pole) and no sample can resonate (off_resonance).
     """
 
-    def __init__(self, na: NumericAlgebra, lam, z,
-                 digits: int = DEFAULT_DIGITS):
+    def __init__(self, na: NumericAlgebra, lam, digits: int = DEFAULT_DIGITS):
         self.na = na
         self.lam = lam
-        self.z = z
         self.digits = digits
         self.tol = mp.mpf(10) ** (-(digits - 6))
         self._gamma = partial(_gamma_jet, tol=self.tol)
@@ -836,18 +836,12 @@ class Frame:
     # -- scalars and tails ---------------------------------------------------
 
     def scalar(self, arg: Arg):
-        return _frac_mp(arg.a0) + _frac_mp(arg.alam) * self.lam / self.z
+        return _frac_mp(arg.a0) + _frac_mp(arg.alam) * self.lam
 
     def tail(self, arg: Arg) -> NilExpansion:
         na = self.na
-        return NilExpansion(na, {(na.label_index(label), 0):
-                                 _frac_mp(c) / self.z for label, c in arg.div})
-
-    def const(self, c) -> NilExpansion:
-        return NilExpansion.unit(self.na, _to_mp(c))
-
-    def zero(self) -> NilExpansion:
-        return NilExpansion(self.na)
+        return NilExpansion(na, {(na.label_index(label), 0): _frac_mp(c)
+                                 for label, c in arg.div})
 
     def off_resonance(self, arg: Arg) -> None:
         """Refuse a lambda sample that puts arg near an integer; an exact
@@ -871,12 +865,8 @@ class Frame:
 
     # -- special functions -----------------------------------------------------
 
-    def spectrum(self, div, scale=1) -> _Spectrum:
-        """The _Spectrum of scale times the tail of a divisor part div."""
-        return self.na.spectrum(div, scale / self.z)
-
     def _apply(self, jet, arg: Arg) -> NilExpansion:
-        return self.spectrum(arg.div).apply(jet, self.scalar(arg))
+        return self.na.spectrum(arg.div).apply(jet, self.scalar(arg))
 
     def _memoized(self, key, make: Callable):
         if key not in self._memo:
@@ -887,12 +877,6 @@ class Frame:
         # the kernels of one continued series share their heads
         return self._memoized(("gamma", arg.a0, arg.alam, arg.div),
                               lambda: self._apply(self._gamma, arg))
-
-    def rgamma_pole(self, m: int, jmax: int) -> list:
-        """The jet of 1/Gamma to order jmax at its zero -m; it depends on
-        (m, jmax) alone."""
-        return self._memoized(("rgamma", m, jmax),
-                              lambda: self._rgamma(-m, jmax))
 
     def sine_ratio(self, rates: list, size: int, sn: Arg) -> list:
         """[R_0, ..., R_(size-1)] at sn, R_k = _SineRatio(rates, k): the
@@ -922,20 +906,24 @@ class Frame:
     def _row_jet(self, c, size, arg, m):
         scale = [_frac_mp(abs(c) ** k) / factorial(k) for k in range(size + 1)]
         if m is not None:
-            # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet)
-            jet = [v * w for v, w in zip(self.rgamma_pole(m, size), scale)][1:]
+            # 1/Gamma(-m + |c| eps) = eps * jet; Gamma is 1/(eps * jet), and
+            # the jet of 1/Gamma at its zero -m depends on (m, size) alone
+            pole = self._memoized(("rgamma", m, size),
+                                  lambda: self._rgamma(-m, size))
+            jet = [v * w for v, w in zip(pole, scale)][1:]
             return _series_recip(jet) if c < 0 else jet
         fjet, scal = (self._gamma if c < 0 else self._rgamma), self.scalar(arg)
         if arg.div:
-            spec = self.spectrum(arg.div)
+            spec = self.na.spectrum(arg.div)
             return [spec.apply(fjet, scal, k).scale(scale[k])
                     for k in range(size)]
         return [v * w for v, w in zip(fjet(scal, size - 1), scale)]
 
     def rgamma(self, arg: Arg) -> NilExpansion:
         if self.exact_pole(arg) is not None:
-            return self.zero()  # exact zero of 1/Gamma
-        return self._apply(self._rgamma, arg)
+            return NilExpansion(self.na)  # exact zero of 1/Gamma
+        return self._memoized(("1/gamma", arg.a0, arg.alam, arg.div),
+                              lambda: self._apply(self._rgamma, arg))
 
     def sinpi(self, arg: Arg) -> NilExpansion:
         """sin(pi arg): its value at arg - m, m the floor of arg's rational
@@ -961,10 +949,10 @@ class ContinuedSeries:
     the keys mirror the partner geometry's expansion variables, and the
     stripped scalar prefactors x_i^(-a_i*lambda/z) are recorded in
     scalar_exponents (they must agree with the partner's).  The values are
-    the coefficients of the series evaluated at negated z, i.e. in the frame
-    in which the connection matrix is read off; in nonequivariant mode that
-    is z = 1, so each value is the coefficient at -z = -1, and lam and z
-    are None.
+    the coefficients of the series at (lam, -z), where the connection
+    matrix is read off, on the algebra na at lam, graded from the frame at
+    (-lam/z, 1).  In nonequivariant mode lam = 0 and z = 1, so each value
+    is the coefficient at -z = -1, and lam and z are None.
     """
 
     example: str
@@ -1020,6 +1008,10 @@ class Pair:
     """
 
     def __init__(self, y: Geometry, x: Geometry):
+        for arg, side in (("y", y), ("x", x)):
+            if not isinstance(side, Geometry):
+                raise ContinuationError(f"Pair: {arg} must be a Geometry, "
+                                        f"not {side!r}")
         if (y.side, x.side) != ("Y", "X") or y.pair != x.pair:
             raise ContinuationError(f"{y.name} and {x.name} are not the Y "
                                     f"and X side of one pair")
@@ -1088,14 +1080,9 @@ def _continued_terms(fr: Frame, pair: Pair, bound: int):
     data = pair.kernel_data
     kernels: dict = {}
 
-    def kernel(base):
-        if base not in kernels:
-            kernels[base] = _Kernel(data, fr, base=base)
-        return kernels[base]
-
     # the class of s_n, times log q = split step_c log y_c, joins the Y
     # prefactors; rewritten in log x its lambda parts are the scalar
-    # exponents and its divisor parts the dressing exp(sum_k Q_k log x_k/z)
+    # exponents and its divisor parts the dressing exp(sum_k Q_k log x_k)
     sigma = data.sigma
     logq = split * g_y.variables[c].step
     pres = [Arg(0, -v.scalar_exponent, () if v.prefactor is None
@@ -1121,8 +1108,10 @@ def _continued_terms(fr: Frame, pair: Pair, bound: int):
         # every residue class a of d_c mod split has its n-th left pole at
         # d_c = split s_n + a, n the pole row's shifted index there
         for a in range(split):
-            kern = kernel(tuple(a if i == c else int(v)
-                                for i, v in enumerate(dy)))
+            base = tuple(a if i == c else int(v) for i, v in enumerate(dy))
+            if base not in kernels:
+                kernels[base] = _Kernel(data, fr, base=base)
+            kern = kernels[base]
             n = kern.pole_offset - kern.left_rate * (dy[c] - a) / split
             if n.denominator != 1 or n < 0:
                 continue
@@ -1142,19 +1131,29 @@ def _continued_terms(fr: Frame, pair: Pair, bound: int):
                         if not v.is_zero:
                             key = (nx_, e)
                             out[key] = out[key] + v if key in out else v
-    # the sums run at digits + 10, so where residues cancel exactly rounding
-    # leaves components near 10^-(digits + 10) times the largest coefficient;
-    # each would add an equation to the solve, so every component below
-    # 10^-digits of the largest is dropped
-    floor = mp.mpf(10) ** -fr.digits * max(
-        (v.maxabs() for v in out.values()), default=0)
+    return out, tuple(-q.alam for q in qs)
+
+
+def _graded(terms: dict, na: NumericAlgebra, t, digits: int) -> dict:
+    """terms, a series at (lambda/t, 1) summed at digits + 10, as the series
+    at (lambda, t) on na at lambda: component i times t^(1 - deg_i/2).  A
+    component below 10^-digits of the largest is rounding noise where
+    residues cancel exactly, and would add an equation to the solve: it is
+    dropped first.  A class of odd degree is refused."""
+    degrees = na.algebra.degrees
+    if any(d % 2 for d in degrees):
+        raise ContinuationError(f"{na.algebra.name}: a class of odd degree "
+                                f"has no integer power of z")
+    powers = [t ** (1 - d // 2) for d in degrees]
+    floor = mp.mpf(10) ** -digits * max(
+        (v.maxabs() for v in terms.values()), default=0)
     kept = {}
-    for key, v in out.items():
-        v = NilExpansion(fr.na, {c: x for c, x in v.terms.items()
-                                 if abs(x) >= floor})
-        if not v.is_zero:
-            kept[key] = v
-    return kept, tuple(-q.alam for q in qs)
+    for key, v in terms.items():
+        v = {(i, ze): x * powers[i] for (i, ze), x in v.terms.items()
+             if abs(x) >= floor}
+        if v:
+            kept[key] = NilExpansion(na, v)
+    return kept
 
 
 def continued_ifunction(example, truncation: int,
@@ -1166,7 +1165,7 @@ def continued_ifunction(example, truncation: int,
     The result collects coefficients of the X-side curve variables (and log
     powers where divisor prefactors force them); values are taken at
     negated z (-1 in nonequivariant mode) so they compare directly against
-    the partner series in the connection solve.
+    the partner series in the connection solve, graded from (-lam/z, 1).
 
     Every pair is derived from the charges of its two sides.  The lattice
     map D (_lattice_map) takes an X index n to the Y index d = D n with the
@@ -1178,7 +1177,7 @@ def continued_ifunction(example, truncation: int,
     the pole s_n with d_c = N s_n + a: n is the shifted index of the pole
     row p at d.  With log q = N step_c log y_c and log x_k = sum_i A_ki
     log y_i, A_ki = step_Y_i D_ik / step_X_k, q^s_n and the Y prefactors
-    leave the X monomial times exp(sum_k Q_k log x_k / z).  The lambda
+    leave the X monomial times exp(sum_k Q_k log x_k).  The lambda
     parts of the classes Q_k are the scalar exponents, which solve_umatrix
     compares with the X side's as an independent derivation.  Their
     divisor parts, and the residue's powers of log q, expand into powers
@@ -1191,8 +1190,10 @@ def continued_ifunction(example, truncation: int,
                          digits, truncation)
     with mp.workdps(digits + 10):
         na = pair.numeric(pair.y, lam, digits)
-        fr = Frame(na, lam, -z, digits=digits)
+        at_one = -lam / z
+        fr = Frame(pair.numeric(pair.y, at_one, digits), at_one, digits)
         terms, scalar_exponents = _continued_terms(fr, pair, truncation)
+        terms = _graded(terms, na, -z, digits)
     sample = mode == "equivariant-numeric"
     return ContinuedSeries(
         example=pair.name, geometry=pair.y.name, mode=mode,
@@ -1436,7 +1437,7 @@ class MBResult:
 
 
 def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
-    """a0 + kappa/z for a class kappa = w*lambda*1 + a constant degree-2
+    """a0 + kappa for a class kappa = w*lambda*1 + a constant degree-2
     part, given by its coefficient vector (a row class or a prefactor)."""
     unit = klass[alg.unit]
     return Arg(a0, 0 if unit.is_zero else unit.as_monomial()[0],
@@ -1454,12 +1455,12 @@ class _KernelData:
     (rows): the index of its class kappa_j among the distinct row classes,
     its rate c_j = N charge_j[c]/den_c and the weights charge_ji/den_i of
     its shifted index o_j = sum_i charge_ji d_i/den_i at base d.  Per
-    distinct class, its argument kappa/z (args).  The left poles: the pole
+    distinct class, its argument kappa (args).  The left poles: the pole
     row p, the first with the least rate (pole), left_rate = |c_p|, the
-    tail kappa_p/(|c_p| z) of every s_n (sigma), and per (class, rate) the
-    tail a row's argument has at every s_n (tails): |c_j| s_n - kappa_j/z
-    for c_j < 0 and kappa_j/z + c_j s_n for c_j > 0.  Rates that are not
-    integers, or negative ones of even sum, are refused.
+    tail kappa_p/|c_p| of every s_n (sigma), and per (class, rate) the tail
+    a row's argument has at every s_n (tails): |c_j| s_n - kappa_j for
+    c_j < 0 and kappa_j + c_j s_n for c_j > 0, all at z = 1.  Rates that
+    are not integers, or negative ones of even sum, are refused.
     """
 
     def __init__(self, geom: Geometry, var: int):
@@ -1522,13 +1523,11 @@ class _Kernel:
         self.rows = []
         # (f, argument, multiplicity) of each head factor but the sines
         self._heads = []
-        zpower = 1
         for (k, c, o), mult in groups.items():
             if not (c or o):
                 continue
-            # the head Gamma(b + kappa/z), with b in (0, 1] and b = o mod 1
+            # the head Gamma(b + kappa), with b in (0, 1] and b = o mod 1
             b = 1 - (-o) % 1
-            zpower += (b - 1) * mult
             self._heads.append((fr.gamma, data.args[k].shifted(b), mult))
             arg = data.args[k].shifted(o)
             if c:
@@ -1543,8 +1542,7 @@ class _Kernel:
         if sector != alg.unit:
             self._heads.append((partial(NilExpansion.basis, fr.na),
                                 alg.labels[sector], 1))
-        self._zpower = int(zpower)
-        # the Gamma(|c| s - o - kappa/z) factors first, then the 1/Gamma ones
+        # the Gamma(|c| s - o - kappa) factors first, then the 1/Gamma ones
         self.rows.sort(key=lambda r: r.c > 0)
         sines = [r.sin for r in self.rows if r.c < 0 for _ in range(r.mult)]
         self.nsines = len(sines)
@@ -1556,7 +1554,7 @@ class _Kernel:
             first = next((r.arg.div for r in self.rows if r.arg.div), ())
             label, lead = first[0] if first else (None, 1)
             tau = Arg(0, 0, {l: v / lead for l, v in first})
-            spec = fr.spectrum(tau.div)
+            spec = fr.na.spectrum(tau.div)
             nu = spec.nodes[0][1]
             self.head = (self.gammas * reduce(mul, sines)).scale(
                 (-1 / mp.pi) ** self.nsines)
@@ -1574,7 +1572,7 @@ class _Kernel:
                         f"{geom.variables[var].symbol} needs every row class "
                         f"to be a multiple of one nilpotent class")
                 o = fr.scalar(r.arg)
-                # Gamma(|c| s - o - kappa/z) or 1/Gamma(1 + o + kappa/z + c s)
+                # Gamma(|c| s - o - kappa) or 1/Gamma(1 + o + kappa + c s)
                 offset, a, e = ((-o, -a, r.mult) if r.c < 0
                                 else (1 + o, a, -r.mult))
                 self.contour.append((_frac_mp(abs(r.c)), offset, e, [
@@ -1588,7 +1586,7 @@ class _Kernel:
         factors = []
         for f, arg, mult in self._heads:
             factors += [f(arg)] * mult
-        return reduce(mul, factors).scale(self.fr.z ** self._zpower)
+        return reduce(mul, factors)
 
     @property
     def wall(self) -> Fraction:
@@ -1600,7 +1598,7 @@ class _Kernel:
         """q^arg = exp(scalar log q) exp(tail log q), for a kernel made with
         q.  The tail must be nilpotent."""
         fr = self.fr
-        spec = fr.spectrum(arg.div, self.logq)
+        spec = fr.na.spectrum(arg.div, self.logq)
         if not spec.nilpotent:
             raise ContinuationError("exponential of a non-nilpotent element")
         return spec.apply(_exp_jet, 0).scale(
@@ -1647,14 +1645,14 @@ class _Kernel:
         return self._body(mp.mpf(d), (-1) ** d)
 
     def left_pole(self, n: int) -> Arg:
-        """s_n = (kappa_p/z + o_p - n)/|c_p|, as an argument: s_0 less
+        """s_n = (kappa_p + o_p - n)/|c_p|, as an argument: s_0 less
         n/|c_p|."""
         return self._s0.shifted(-Fraction(n) / self.left_rate)
 
     def pole_args(self, n: int) -> list:
-        """Each row's argument at s_n: |c_j| s_n - o_j - kappa_j/z for c_j <
-        0 and 1 + o_j + kappa_j/z + c_j s_n for c_j > 0, its value at s_0
-        less n |c_j|/|c_p|."""
+        """Each row's argument at s_n: |c_j| s_n - o_j - kappa_j for c_j < 0
+        and 1 + o_j + kappa_j + c_j s_n for c_j > 0, its value at s_0 less
+        n |c_j|/|c_p|."""
         return [r.anchor.shifted(n * r.step) for r in self.rows]
 
     def left_value(self, n: int) -> NilExpansion:
@@ -1662,7 +1660,7 @@ class _Kernel:
         logs = [r.scale(self.logq ** k)
                 for k, r in enumerate(self.left_residue(n))]
         dress = self.qpow(_affine(0, (1, self.left_pole(n)), (1, self.pre)))
-        return reduce(add, logs, self.fr.zero()) * dress
+        return reduce(add, logs, NilExpansion(self.fr.na)) * dress
 
     def _constant(self, regular: tuple) -> NilExpansion:
         """pi (-1/pi)^nsines times the head without the sines of the pole
@@ -1678,7 +1676,7 @@ class _Kernel:
 
     def left_residue(self, n: int) -> list:
         """[R_0, ..., R_{r-1}] as in the module docstring: the residue at
-        s_n is sum_k R_k (log q)^k q^s_n exp(P log q / z); [] if r <= 0.
+        s_n is sum_k R_k (log q)^k q^s_n exp(P log q); [] if r <= 0.
         No argument is rebuilt: s_n is s_0 with its rational part less
         n/|c_p|, and each row's argument the row's anchor, its argument at
         s_0, with its rational part less n |c_j|/|c_p| (pole_args).  Each
@@ -1697,7 +1695,8 @@ class _Kernel:
         # the series of the factors without a tail are multiplied first:
         # Euler's constant then cancels exactly between Gamma(eps) and
         # 1/Gamma(1 + eps), as the 0 in ex4's nonequivariant n = 0 term needs
-        series = [fr.const(1)] + [fr.zero()] * (size - 1)
+        series = [NilExpansion.unit(fr.na)]
+        series += [NilExpansion(fr.na)] * (size - 1)
         scalars = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
         rates, sign = [], 0
         for r, arg, m in zip(self.rows, args, poles):
@@ -1722,9 +1721,9 @@ class _Kernel:
 _GAUSS_LEGENDRE = GaussLegendre(mp)
 
 
-def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
+def mellin_barnes_integral(example, q, lam=None, sigma=None,
                            digits: int = DEFAULT_DIGITS, tol=None) -> MBResult:
-    """Contour integral of the continuation kernel along a vertical line.
+    """Contour integral of the continuation kernel, at z = 1, along a line.
 
     The contour variable and the wall are derived as in the module
     docstring; a contour variable with N > 1 (ex3's y1) is refused.  The
@@ -1747,7 +1746,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
     """
     pair = _pair(example)
     where = f"{pair.name}: mellin_barnes_integral"
-    lam, z = _parameters(where, "equivariant-numeric", lam, z, digits)
+    lam, _ = _parameters(where, "equivariant-numeric", lam, None, digits)
     g_y, c = pair.y, pair.var
     with _prefixed(where), mp.workdps(digits + 10):
         split = g_y.sector_map[c].denominator
@@ -1764,7 +1763,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
             raise ContinuationError(
                 "q must be nonzero and stay off the branch cut")
         na = pair.numeric(g_y, lam, digits)
-        fr = Frame(na, lam, z, digits=digits)
+        fr = Frame(na, lam, digits)
         # the kernel's own errors name the Y side and the stage
         with _prefixed(f"{g_y.name}: kernel set-up"):
             kern = _Kernel(pair.kernel_data, fr, q)
@@ -1800,7 +1799,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         # the residues of poles caught on the wrong side of the line, before
         # the quadrature: right poles left of the line enter with a plus,
         # continued-family poles right of the line with a minus
-        transferred = fr.zero()
+        transferred = NilExpansion(na)
         for n in lefts:
             with _prefixed(f"{g_y.name}: left pole n = {n}"):
                 transferred = transferred - kern.left_value(n)
@@ -1818,8 +1817,7 @@ def mellin_barnes_integral(example, q, lam=None, z=None, sigma=None,
         # for real parameters the integrand obeys the Schwarz reflection
         # kern(conj s) = conj kern(s) componentwise, so the lower half of
         # the line is the conjugate of the upper half
-        symmetric = (mp.im(lam) == 0 and mp.im(z) == 0 and mp.im(q) == 0
-                     and mp.re(q) > 0)
+        symmetric = mp.im(lam) == 0 and mp.im(q) == 0 and mp.re(q) > 0
 
         def half_tail(t, step):
             # the tail beyond t on t's half of the line, from the decay

@@ -185,9 +185,9 @@ def test_mb_matches_inside_series_ex4():
     with mp.workdps(25):
         geom = builtin("ex4-Y")
         na = NumericAlgebra(geom.algebra, lam, 15)
-        fr = Frame(na, lam=lam, z=mp.mpf(1), digits=15)
+        fr = Frame(na, lam=lam, digits=15)
         kern = _Kernel(_KernelData(geom, 0), fr, q)
-        total = fr.zero()
+        total = NilExpansion(fr.na)
         for d in range(60):
             term = kern.right_residue(d)
             total = total + term
@@ -203,22 +203,22 @@ def _kernel_at(ex, q, digits):
     geom = builtin(ex + "-Y")
     lam = mp.mpc("0.7", "0.31")
     na = NumericAlgebra(geom.algebra, lam, digits)
-    fr = Frame(na, lam=lam, z=mp.mpf(1), digits=digits)
+    fr = Frame(na, lam=lam, digits=digits)
     return _Kernel(_KernelData(geom, 0), fr, mp.mpf(q))
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
 def test_kernel_residues_are_the_inside_terms(ex, q):
-    # the residue at s = d is z times the exact I-function coefficient of
-    # index d, evaluated at lambda, with its dressing and q^d
+    # the residue at s = d is the exact I-function coefficient of index d,
+    # evaluated at lambda and z = 1, with its dressing and q^d
     with mp.workdps(30):
         kern = _kernel_at(ex, q, 30)
         fr = kern.fr
         ifn = build_ifunction(builtin(ex + "-Y"), 2)
         for d in range(3):
             co = _coefficient_value(ifn.coefficient((d,)), fr.na,
-                                    ex + "-Y", fr.lam, fr.z)
-            want = (co.scale(fr.z) * kern.pdress).scale(mp.mpf(q) ** d)
+                                    ex + "-Y", fr.lam, mp.mpf(1))
+            want = (co * kern.pdress).scale(mp.mpf(q) ** d)
             got = kern.right_residue(d)
             assert (got - want).maxabs() <= mp.mpf("1e-26"), d
 
@@ -256,7 +256,7 @@ def test_kernel_left_residues_match_the_contour(ex, q):
         fr = kern.fr
         for n in range(4):
             centre = fr.scalar(kern.left_pole(n))
-            res = fr.zero()
+            res = NilExpansion(fr.na)
             for k in range(96):
                 w = mp.mpf("0.04") * mp.expjpi(mp.mpf(k) / 48)
                 res = res + kern(centre + w).scale(w / 96)
@@ -286,7 +286,7 @@ def test_kernel_on_the_contour_matches_hermite_evaluation(ex, q):
                 c, scal = _frac_mp(r.c), fr.scalar(r.arg)
                 x, sign = ((-c * s - scal, -1) if c < 0
                            else (1 + c * s + scal, 1))
-                f = fr.na.spectrum(r.arg.div, sign / fr.z).apply(
+                f = fr.na.spectrum(r.arg.div, sign).apply(
                     numerical_jet(mp.gamma if c < 0 else mp.rgamma), x)
                 for _ in range(r.mult):
                     want = want * f
@@ -594,7 +594,7 @@ def test_continued_series_jet_counts(monkeypatch):
         continued_ifunction(ex, trunc, mode="nonequivariant", digits=30)
         continued_ifunction(ex, trunc, lam=lam, digits=30)
     assert calls == {"sine": 51, "gamma": 194, "scalar gamma": 11,
-                     "scalar rgamma": 126}
+                     "scalar rgamma": 98}
 
 
 @pytest.mark.parametrize("lam, why", [
@@ -643,10 +643,9 @@ def test_mb_reflected_path_matches_inside_series_ex4(monkeypatch):
     assert len(heights) == res.evaluations and min(heights) >= 0
     with mp.workdps(25):
         geom = builtin("ex4-Y")
-        fr = Frame(NumericAlgebra(geom.algebra, lam, 15),
-                   lam=lam, z=mp.mpf(1), digits=15)
+        fr = Frame(NumericAlgebra(geom.algebra, lam, 15), lam=lam, digits=15)
         kern = _Kernel(_KernelData(geom, 0), fr, q)
-        total = fr.zero()
+        total = NilExpansion(fr.na)
         for d in range(60):
             term = kern.right_residue(d)
             total = total + term
@@ -676,8 +675,7 @@ def test_mb_wall_from_the_kernel_rates(ex, wall):
     # (1, 1, 1, -2, -1) on ex4-Y
     g_y, c = _pair(ex).y, _pair(ex).var
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam,
-               z=mp.mpf(1), digits=15)
+    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam, digits=15)
     assert _Kernel(_KernelData(g_y, c), fr).wall == wall
 
 
@@ -718,11 +716,11 @@ def test_kernel_rows_off_one_class_are_refused(monkeypatch):
     # along ex2-Y's y2 the rows carry p1 - 3 p2, p2 and -2 p1 + p2, no
     # multiples of one class; the dressing's own refusal comes first in
     # mellin_barnes_integral, so it is skipped here
-    monkeypatch.setattr(_Kernel, "qpow", lambda self, arg: self.fr.const(1))
+    monkeypatch.setattr(_Kernel, "qpow",
+                        lambda self, arg: NilExpansion.unit(self.fr.na))
     g_y = builtin("ex2-Y")
     lam = mp.mpc("0.7", "0.31")
-    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam,
-               z=mp.mpf(1), digits=15)
+    fr = Frame(NumericAlgebra(g_y.algebra, lam, 15), lam=lam, digits=15)
     with pytest.raises(ContinuationError, match="^ex2-Y: the contour kernel "
                        "along y2 needs every row class to be a multiple"):
         _Kernel(_KernelData(g_y, 1), fr, mp.mpf("0.02"))
@@ -770,8 +768,7 @@ def _sin_ratio(fr, arga, argb, n):
 def _terms_ex2(fr: Frame, bound: int) -> dict:
     out: dict = {}
     p1 = NilExpansion.basis(fr.na, "p1")
-    p1 = p1.scale(1 / fr.z)
-    logpows = [fr.const(1)]
+    logpows = [NilExpansion.unit(fr.na)]
     while len(logpows) <= 2:
         nxt = logpows[-1] * p1
         if nxt.is_zero:
@@ -793,8 +790,7 @@ def _terms_ex2(fr: Frame, bound: int) -> dict:
             gb = fr.gamma(_arg(1, 0, p1=1, p2=-3))
             gc = fr.gamma(_arg(1, 1, p1=-2, p2=1))
             base = ratio * g2 * g2 * rg2 * rg2 * gp1 * rgp1k * gb * gc * rg_res
-            base = base.scale(fr.z).scale(
-                Fraction((-1) ** (n + k), 3 * factorial(n)))
+            base = base.scale(Fraction((-1) ** (n + k), 3 * factorial(n)))
             for c, dress in enumerate(logpows):
                 val = (base * dress).scale(Fraction(1, factorial(c)))
                 if not val.is_zero:
@@ -818,8 +814,6 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                 bw = fw if fw > 0 else Fraction(1)
                 sig = Fraction(e - abar, 3)
                 sig = sig - (sig.numerator // sig.denominator)
-                nu = 2 * (b1 - 1 - c1) + (bw - 1 + cw) - abar - e
-                assert nu.denominator == 1
                 # reciprocal-gamma factors; their zeros (inherited from the
                 # arguments hitting nonpositive integers at lambda = 0) kill
                 # the term exactly, and they do so for both factors at once
@@ -850,22 +844,26 @@ def _terms_ex3(fr: Frame, bound: int) -> dict:
                                  5 * factorial(e) * factorial(nh))
                 # overall -1: orientation of the closed contour, anchored so
                 # the unit monomial reproduces the unit column
-                val = val.scale(fr.z ** (1 + int(nu))).scale(-scale)
+                val = val.scale(-scale)
                 key = ((nh, e), (0, 0))
                 out[key] = out[key] + val if key in out else val
     return out
 
 
 def _written_out(ex, mode, truncation, digits):
-    """The written-out sum in continued_ifunction's frame: at negated z,
-    and in nonequivariant mode at lambda = 0, z = 1."""
+    """The written-out sum at continued_ifunction's sample (lambda, -1),
+    lambda = 0 in nonequivariant mode: summed in the frame at (-lambda, 1),
+    and component i then times (-1)^(1 - deg_i/2), the grading's sign."""
     builder = {"ex2": _terms_ex2, "ex3": _terms_ex3}[ex]
     alg = builtin(ex + "-Y").algebra
     with mp.workdps(digits + 10):
         lam = default_lambda() if mode == "equivariant-numeric" else 0
-        fr = Frame(NumericAlgebra(alg, lam, digits), lam=lam, z=mp.mpf(-1),
-                   digits=digits)
-        return builder(fr, truncation)
+        fr = Frame(NumericAlgebra(alg, -lam, digits), lam=-lam, digits=digits)
+        na = NumericAlgebra(alg, lam, digits)
+        return {key: NilExpansion(na, {
+                    (i, ze): x * (-1) ** (1 - alg.degrees[i] // 2)
+                    for (i, ze), x in v.terms.items()})
+                for key, v in builder(fr, truncation).items()}
 
 
 @pytest.mark.parametrize("mode", ["equivariant-numeric", "nonequivariant"])
@@ -964,6 +962,18 @@ def test_pair_of_foreign_sides_is_refused(y, x):
                        match=f"^{y} and {x} are not the Y and X side of one "
                              f"pair$"):
         Pair(builtin(y), builtin(x))
+
+
+@pytest.mark.parametrize("y, x, arg", [
+    ("ex1-Y", "ex1-X", "y"), (builtin("ex1-Y"), "ex1-X", "x"),
+    (builtin("ex1-Y"), None, "x")], ids=["names", "x-name", "x-none"])
+def test_pair_of_non_geometries_is_refused(y, x, arg):
+    # a side is a Geometry, not its name: the refusal names the argument
+    bad = y if arg == "y" else x
+    with pytest.raises(ContinuationError,
+                       match=re.escape(f"Pair: {arg} must be a Geometry, "
+                                       f"not {bad!r}")):
+        Pair(y, x)
 
 
 @pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
@@ -1083,9 +1093,10 @@ def _gram_at(algebra, lam):
                             "residual stay the same with logs up to order "
                             "2, 3 or 4, while ex1, ex3 and ex4 read <= "
                             "3.2e-30: the defect is not in ex2's residue "
-                            "families but in the Y side's pairing: K_F3's "
-                            "Gram entry (1, p2) is typed as 2/lambda^2 "
-                            "where it should be 5/(3 lambda^2)")),
+                            "families but in the Y side's pairing: "
+                            "integrals[2] of geometry._alg_kf3, the "
+                            "integral of p2, is typed as 2/lambda^2 and "
+                            "should be 5/(3 lambda^2)")),
 ])
 def test_umatrix_is_symplectic(ex, digits, truncation):
     # U(-z)^T G_Y U(z) = G_X for the Givental pairing at a generic lambda
@@ -1133,6 +1144,26 @@ def test_graded_u_is_the_whole_u(ex):
                       for j in range(len(ue.xlabels)))
         assert gap <= mp.mpf("1e-35"), zv
         assert ue.residual <= mp.mpf("1e-25"), zv
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
+def test_equivariant_u_is_homogeneous(ex):
+    # deg lambda = deg z = 2, so U_ij(t lambda, t z) = t^k U_ij(lambda, z)
+    # with k = (deg x_j - deg y_i)/2; t = 2 and -1 scale exactly
+    with mp.workdps(40):
+        lam = mp.mpc("0.7", "0.31")
+        samples = {t: (t * lam, t * mp.mpf(1)) for t in (1, 2, -1, 3)}
+    u = {t: solve_umatrix(ex, mode="equivariant-numeric", lam=lt, z=zt,
+                          digits=30) for t, (lt, zt) in samples.items()}
+    dx = builtin(ex + "-X").algebra.degrees
+    dy = builtin(ex + "-Y").algebra.degrees
+    with mp.workdps(40):
+        for t in (2, -1, 3):
+            gap = max(abs(u[t].entry_value(i, j) - mp.mpf(t) ** Fraction(
+                          dx[j] - dy[i], 2) * u[1].entry_value(i, j))
+                      for i in range(len(dy)) for j in range(len(dx)))
+            assert gap <= (0 if t in (2, -1) else mp.mpf("1e-35")), t
+            assert u[t].residual <= mp.mpf("1e-25"), t
 
 
 def test_entry_off_the_grading_is_refused(monkeypatch):
@@ -1491,8 +1522,8 @@ def _bad(call, kwargs, match):
     _bad(mellin_barnes_integral, {"q": "0.06", "tol": "abc"},
          "mellin_barnes_integral: tol must be a finite real number, "
          "not 'abc'"),
-    _bad(mellin_barnes_integral, {"q": "0.06", "z": 0},
-         "mellin_barnes_integral: z must be nonzero"),
+    _bad(mellin_barnes_integral, {"q": "0.06", "lam": "abc"},
+         "mellin_barnes_integral: lam must be a finite number, not 'abc'"),
 ])
 def test_bad_parameters_raise_with_context(call, kwargs, match):
     # every numeric entry point checks its parameters alike, before any work

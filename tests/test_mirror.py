@@ -310,9 +310,10 @@ def test_one_point_unknown_class_names_geometry_and_labels():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "geometry._alg_kf3 types the Gram entries (1, p2) and (p2, 1) as "
-    "2/lambda^2 instead of 5/(3 lambda^2); correcting them moves the "
-    "exact-rational table digest in bench/reference.json"))
+    "integrals[2] of geometry._alg_kf3, the integral of p2, is typed as "
+    "2/lambda^2 and should be 5/(3 lambda^2), so the derived Gram entries "
+    "(1, p2) and (p2, 1) are wrong; correcting it moves the exact-rational "
+    "table digest in bench/reference.json"))
 def test_divisor_axiom_on_ex2Y():
     # <p1>_beta (p2 . beta) = <p2>_beta (p1 . beta) with p_i . beta = n_i;
     # with the typed entries 10 of the 14 rows fail, e.g. beta = (1, 0)

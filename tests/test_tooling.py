@@ -152,3 +152,23 @@ def test_every_continuation_cache_is_documented():
               if isinstance(t, ast.Name)]
     assert "_PAIRS" in caches
     assert [name for name in caches if name not in paragraph] == []
+
+
+def test_frames_and_kernels_carry_no_z():
+    # every numeric frame is at z = 1 and a sample z enters by the grading
+    # alone, so no method of Frame, _Kernel or _KernelData takes or reads a
+    # z: as a parameter, a name or an attribute
+    tree = ast.parse((SRC / "continuation.py").read_text(encoding="utf-8"))
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    found, methods = [], 0
+    for name in ("Frame", "_Kernel", "_KernelData"):
+        for fn in classes[name].body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            methods += 1
+            found += [f"{name}.{fn.name}:{n.lineno}" for n in ast.walk(fn)
+                      if isinstance(n, ast.arg) and n.arg == "z"
+                      or isinstance(n, ast.Name) and n.id == "z"
+                      or isinstance(n, ast.Attribute) and n.attr == "z"]
+    assert methods >= 20
+    assert found == []
