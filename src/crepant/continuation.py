@@ -87,8 +87,13 @@ q^(s_n + eps) = q^s_n sum_k (eps log q)^k/k!, the residue is
 sum_{k<r} R_k (log q)^k q^s_n exp(P log q).
 
 The integral integrates each component of the kernel along the contour
-with Gauss-Legendre quadrature, which needs fewer kernel evaluations than
-tanh-sinh when poles sit a few tenths from the line.  On the contour row j
+with nested Clenshaw-Curtis levels: on each interval, level N = 2, 4, 8,
+... has the nodes mid + half cos(pi j/N), so each level evaluates only its
+new odd j, neighbouring intervals share their common end, and every kernel
+evaluation counts in the final sum.  With poles a few tenths from the
+line this costs close to Gauss-Legendre per node and far less than
+tanh-sinh (Trefethen, "Is Gauss Quadrature Better than Clenshaw-Curtis?",
+SIAM Review 2008).  On the contour row j
 is Gamma(x_j + a_j tau)^(e_j), x_j = |c_j| s + offset, e_j = mult for the
 Gamma rows and -mult for the 1/Gamma rows, tau one nilpotent class (other
 rows, and exp(P log q) with P not nilpotent, are refused).  With
@@ -99,33 +104,35 @@ _gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
 hp = head exp(P log q), and every hp tau^k != 0 is built once: an
 evaluation is one pass per row, scalar work and one exponential.
 
-Caches.  Two module dicts keep work that recurs across calls: _PAIRS the
-built-in Pair of each pair name, and _BERNOULLI the scaled Bernoulli
-numbers of _gamma_pass, keyed by its working precision.  A Pair keeps what
-the continuation derives from its two sides: the lattice map and the
-contour variable; the exact data of the Y side's kernels along it
-(_KernelData: per gamma row its class, rate and shifted-index weights,
-per class its argument, the pole row, and the tails of s_n and of each
-row's argument there), so that a base only adds its integer offsets; the
-X side's exact prefactor expansion per truncation; and each side's
-NumericAlgebra, keyed (side, lambda, digits).  The kernel data and the
-expansion serve both modes and every lambda, z and precision.  A
-NumericAlgebra keeps the _Spectrum of each class, keyed (precision, the
-exact class, its numeric factor).  Every cache lives on the object it
-serves, so none is keyed on another object's identity.  Within one call,
-the Frame's memo keeps what repeats across the kernels and poles of one
-continued series: the head Gammas and 1/Gammas, keyed by their argument;
-the head sines, keyed by their argument less the floor of its rational
-part; the sine ratios R_k, keyed (sorted rates, pole order, s_n less the
-floor of its rational part); the row jets of a left residue, keyed (Gamma
-or 1/Gamma, |c_j|, pole order, the row's argument at s_n); and the 1/Gamma
-jets at an exact pole -m, keyed (m, order).  Each kernel keeps its pole
-anchor, s_0 and every row's argument there, so that s_n and the rows at
-it are one rational shift away, and its constant, pi (-1/pi)^nsines times
-the head without the pole rows' sines, per pattern of pole rows.  The
-memo and the kernels live and die with their call, which no cache keeps.
-Each Algebra keeps its classes' exact minimal_factors, keyed (class,
-lambda = 0), which serve every lambda sample, z and precision.
+Caches.  Three module dicts keep work that recurs across calls: _PAIRS
+the built-in Pair of each pair name, _BERNOULLI the scaled Bernoulli
+numbers of _gamma_pass, keyed by its working precision, and
+_CLENSHAW_CURTIS the quadrature weights of each level and precision.  A
+Pair keeps what the continuation derives from its two sides: the lattice
+map and the contour variable; the exact data of the Y side's kernels
+along it (_KernelData: per gamma row its class, rate and shifted-index
+weights, per class its argument, the pole row, and the tails of s_n and
+of each row's argument there), so that a base only adds its integer
+offsets; the X side's exact prefactor expansion per truncation; and each
+side's NumericAlgebra per precision, at lambda = 0 and at the two latest
+other samples.  The kernel data and the expansion serve both modes and
+every lambda, z and precision.  A NumericAlgebra keeps the _Spectrum of
+each class, keyed (precision, the exact class, its numeric factor).
+Every cache lives on the object it serves, so none is keyed on another
+object's identity.  Within one call, the Frame's memo keeps what repeats
+across the kernels and poles of one continued series: the head Gammas and
+1/Gammas, keyed by their argument; the head sines, keyed by their argument
+less the floor of its rational part; the sine ratios R_k, keyed (sorted
+rates, pole order, s_n less the floor of its rational part); the row jets
+of a left residue, keyed (Gamma or 1/Gamma, |c_j|, pole order, the row's
+argument at s_n); and the 1/Gamma jets at an exact pole -m, keyed (m,
+order).  Each kernel keeps its pole anchor, s_0 and every row's argument
+there, so that s_n and the rows at it are one rational shift away, and its
+constant, pi (-1/pi)^nsines times the head without the pole rows' sines,
+per pattern of pole rows.  The memo and the kernels live and die with
+their call, which no cache keeps.  Each Algebra keeps its classes' exact
+minimal_factors, keyed (class, lambda = 0), which serve every lambda
+sample, z and precision.
 """
 
 from __future__ import annotations
@@ -142,7 +149,6 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import (bernfrac, from_int, from_man_exp,
                           fzero, mpc_div, mpc_exp, mpc_log, mpc_mul,
                           mpc_reciprocal, mpf_add, round_floor, round_nearest,
@@ -1034,11 +1040,18 @@ class Pair:
         return self._xside[truncation]
 
     def numeric(self, side: Geometry, lam, digits: int) -> NumericAlgebra:
-        """The NumericAlgebra of side, self.y or self.x, at lam and digits."""
-        key = (side.side, str(lam), digits)
-        if key not in self._numeric:
-            self._numeric[key] = NumericAlgebra(side.algebra, lam, digits)
-        return self._numeric[key]
+        """The NumericAlgebra of side, self.y or self.x, at lam and digits.
+        Per side and digits it keeps the lambda = 0 algebra and the two
+        latest other samples, as one equivariant continuation reads the Y
+        side at lambda and at -lambda/z (its frame at z = 1)."""
+        kept = self._numeric.setdefault((side.side, digits), {})
+        na = kept.pop(str(lam), None)
+        if na is None:
+            na = NumericAlgebra(side.algebra, lam, digits)
+        kept[str(lam)] = na
+        for key in [k for k, v in kept.items() if v.lam != 0][:-2]:
+            del kept[key]
+        return na
 
     @cached_property
     def kernel_data(self) -> _KernelData:
@@ -1717,8 +1730,37 @@ class _Kernel:
                 for k in range(size)]
 
 
-# one rule for every integral, so its node cache persists between calls
-_GAUSS_LEGENDRE = GaussLegendre(mp)
+# Clenshaw-Curtis weights on [-1, 1], keyed (level N, precision in bits)
+_CLENSHAW_CURTIS: dict = {}
+
+
+def _clenshaw_curtis(n: int, prec: int) -> tuple:
+    """(nodes, weights) of the Clenshaw-Curtis rule of even level n on
+    [-1, 1] at prec bits: the nodes cos(pi j/n), j = 0..n, from one table
+    of cos(pi m/n), m = 0..2n - 1, and the weights
+    w_j = c_j/n (1 - sum_{k=1}^{n/2} b_k cos(2 pi j k/n)/(4k^2 - 1)),
+    c_j = 1 at both ends and 2 inside, b_k = 1 at k = n/2 and 2 below."""
+    key = (n, prec)
+    if key not in _CLENSHAW_CURTIS:
+        with mp.workprec(prec + 20):
+            cos = [mp.cospi(mp.mpf(m) / n) for m in range(2 * n)]
+            ks = [(k, (1 if 2 * k == n else 2) * mp.one / (4 * k * k - 1))
+                  for k in range(1, n // 2 + 1)]
+            weights = [(1 if j in (0, n) else 2) * (1 - mp.fsum(
+                b * cos[2 * j * k % (2 * n)] for k, b in ks)) / n
+                for j in range(n + 1)]
+        _CLENSHAW_CURTIS[key] = (cos[:n + 1], weights)
+    return _CLENSHAW_CURTIS[key]
+
+
+def _nested_error(sums: list):
+    """The error bound of the last of one component's nested sums
+    [I_2, I_4, ..., I_N]: d1 min(1, d1/d2), d1 = |I_N - I_(N/2)| and
+    d2 = |I_N - I_(N/4)|, so a level that gains digits as fast as the
+    last one did is charged the next step's change, and one that gains
+    none is charged its whole step."""
+    d1, d2 = abs(sums[-1] - sums[-2]), abs(sums[-1] - sums[-3])
+    return d1 if d1 >= d2 else d1 * d1 / d2
 
 
 def mellin_barnes_integral(example, q, lam=None, sigma=None,
@@ -1732,15 +1774,23 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
     the wrong side of the line are transferred explicitly, so the line
     itself never needs to separate the two interlaced pole families.
 
-    The line is cut at fixed breakpoints and each interval is integrated
-    by mpmath's Gauss-Legendre rule at degrees 1, 2, ...: every node costs
-    one kernel evaluation, which serves all components at once.  An
-    interval stops at the first degree whose error estimate, summed over
-    the components, fits its share of what the tail beyond the height
-    leaves of tol (default 1e-30); one that never fits raises
-    ContinuationError naming it.  The error budget, quadrature estimate
-    plus tail, is thus at most tol.  An evaluation costs one fixed-point
-    pass per row (_gamma_pass), scalar work and one exponential, as in the
+    The line is cut at breakpoints graded toward t = 0 by a factor of 4,
+    +-h, +-h/4, +-h/16 and 0 at the height h (0, h/16, h/4 and h on the
+    reflection path), since the poles of pi/sin(pi s), the right poles and
+    the nearest left poles sit near t = 0.  Each interval is integrated by
+    nested Clenshaw-Curtis levels N = 2, 4, 8, ... (module docstring):
+    every node costs one kernel evaluation, which serves all components
+    at once, and no point of the line is evaluated twice.  The error bound
+    of level N_k is d1 min(1, d1/d2) summed over the components, with
+    d1 = |I_k - I_(k-1)| and d2 = |I_k - I_(k-2)|.  An interval stops at
+    the first level of at least 17 nodes whose bound fits its share of
+    what the tail beyond the height leaves of tol (default 1e-30).  The
+    top level is the first with at least the 3 * 2^(g - 1) nodes of
+    mpmath's top Gauss-Legendre degree g (192 at 15 digits, so 257
+    nodes); an interval whose top level does not fit raises
+    ContinuationError naming it.  The error budget, quadrature bound plus
+    tail, is thus at most tol.  An evaluation costs one fixed-point pass
+    per row (_gamma_pass), scalar work and one exponential, as in the
     module docstring.  evaluations counts the kernel evaluations, the
     height probes included.  example is a built-in pair name or a Pair.
     """
@@ -1807,12 +1857,14 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
             with _prefixed(f"{g_y.name}: right pole d = {d}"):
                 transferred = transferred + kern.right_residue(d)
 
-        evaluations = 0
+        # every point of the line is evaluated once: the height probes, the
+        # ends that neighbouring intervals share and every level's new nodes
+        values: dict = {}
 
         def evaluate(t):
-            nonlocal evaluations
-            evaluations += 1
-            return kern(sigma + 1j * t)
+            if t not in values:
+                values[t] = kern(sigma + 1j * t)
+            return values[t]
 
         # for real parameters the integrand obeys the Schwarz reflection
         # kern(conj s) = conj kern(s) componentwise, so the lower half of
@@ -1840,41 +1892,57 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
             raise ContinuationError(
                 f"tail estimate {mp.nstr(tail, 5)} exceeds the tolerance")
 
-        if symmetric:
-            nodes = [0, t_cur / 4, t_cur]
-        else:
-            nodes = [-t_cur, -t_cur / 4, 0, t_cur / 4, t_cur]
+        # the breakpoints are graded toward t = 0, where the poles of
+        # pi/sin(pi s), the right poles and the nearest left poles sit
+        upper = [t_cur / 16, t_cur / 4, t_cur]
+        nodes = [0] + upper
+        if not symmetric:
+            nodes = [-t for t in reversed(upper)] + nodes
         # each interval gets an equal share of half the room the tail leaves
         # (a reflected one counts twice), so quad_err / 2 pi + tail <= tol
         share = (tol - tail) * mp.pi / (len(nodes) - 1) / (1 + symmetric)
-        prec, eps = mp.prec, mp.eps / 8
-        max_degree = _GAUSS_LEGENDRE.guess_degree(prec)
+        prec = mp.prec
+        # the first level with N + 1 >= 3 * 2^(g - 1) nodes, N = 2^(g + 1),
+        # at mpmath's top Gauss-Legendre degree g = 6 + floor(log2(prec/30))
+        top = 2 ** (7 + max(0, int(mp.log(prec / 30, 2))))
         vhat_terms = {}
         quad_err = mp.mpf(0)
         for a, b in zip(nodes, nodes[1:]):
-            # degrees 1, 2, ... as in mp.quad, one kernel evaluation per
-            # node for every component, until the summed estimate fits
-            sums = []
-            for degree in range(1, max_degree + 1):
+            # nested levels N = 2, 4, ...: level N's nodes
+            # mid + half cos(pi j/N) are the previous level's, at even j,
+            # and its new odd j; one kernel evaluation serves every
+            # component
+            mid, half = (a + b) / 2, (b - a) / 2
+            vals, sums, n = [evaluate(b), evaluate(a)], [], 1
+            while True:
+                n *= 2
+                cos, weights = _clenshaw_curtis(n, prec)
+                merged = [None] * (n + 1)
+                merged[::2] = vals
+                merged[1::2] = [evaluate(mid + half * cos[j])
+                                for j in range(1, n, 2)]
+                vals = merged
                 acc: dict = {}
                 with mp.extraprec(20):
-                    for t, w in _GAUSS_LEGENDRE.get_nodes(a, b, degree, prec):
-                        for comp, v in evaluate(t).terms.items():
-                            acc[comp] = acc.get(comp, 0) + w * v
-                sums.append(acc)
-                err = mp.inf if degree == 1 else mp.fsum(
-                    _GAUSS_LEGENDRE.estimate_error(
-                        [r.get(comp, 0) for r in sums], prec, eps)
-                    for comp in set().union(*sums))
+                    for w, v in zip(weights, vals):
+                        for comp, x in v.terms.items():
+                            acc[comp] = acc.get(comp, 0) + w * x
+                    sums.append({comp: half * x for comp, x in acc.items()})
+                # no interval stops below 17 nodes
+                if n < 16:
+                    continue
+                err = mp.fsum(_nested_error([r.get(comp, 0) for r in sums])
+                              for comp in set().union(*sums))
                 if err <= share:
                     break
-            else:
-                raise ContinuationError(
-                    f"the quadrature over t in [{mp.nstr(a, 5)}, "
-                    f"{mp.nstr(b, 5)}] reached degree {max_degree} with "
-                    f"error {mp.nstr(err, 5)}, above its share "
-                    f"{mp.nstr(share, 5)} of the tolerance {mp.nstr(tol, 5)}")
-            for comp, v in acc.items():
+                if n >= top:
+                    raise ContinuationError(
+                        f"the quadrature over t in [{mp.nstr(a, 5)}, "
+                        f"{mp.nstr(b, 5)}] reached level {n} ({n + 1} "
+                        f"nodes) with error {mp.nstr(err, 5)}, above its "
+                        f"share {mp.nstr(share, 5)} of the tolerance "
+                        f"{mp.nstr(tol, 5)}")
+            for comp, v in sums[-1].items():
                 v = v + mp.conj(v) if symmetric else v
                 # (1/2<pi>i) ds with ds = i dt
                 vhat_terms[comp] = vhat_terms.get(comp, 0) + v / (2 * mp.pi)
@@ -1887,4 +1955,4 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
         return MBResult(example=pair.name, value=transferred - vhat, error=budget,
                         side=side, sigma=sigma, height=t_cur, wall=wall,
                         corrections=len(lefts) + len(rights),
-                        evaluations=evaluations)
+                        evaluations=len(values))

@@ -809,6 +809,20 @@ def builtin(name: str) -> Geometry:
     return _CACHE[name]
 
 
+def as_geometry(geom, where: str, error: type = GeometryError) -> Geometry:
+    """geom if it is a Geometry, else the built-in geometry it names; any
+    other value, and an unknown name, raises error starting with where."""
+    if isinstance(geom, Geometry):
+        return geom
+    if isinstance(geom, str):
+        try:
+            return builtin(geom)
+        except GeometryError as exc:
+            raise error(f"{where}: {exc}") from None
+    raise error(f"{where}: expected a Geometry or a built-in name, "
+                f"not {geom!r}")
+
+
 def pairs() -> dict[str, tuple[str, str]]:
     """Map pair id -> (X-side name, Y-side name), read off BUILTIN_NAMES."""
     ids = dict.fromkeys(name.rsplit("-", 1)[0] for name in BUILTIN_NAMES)

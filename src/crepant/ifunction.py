@@ -32,7 +32,7 @@ from itertools import product
 from math import factorial, prod
 
 from .algebra import Algebra, AlgebraZ, Element
-from .geometry import Geometry, enumerate_degrees
+from .geometry import Geometry, as_geometry, enumerate_degrees
 from .lambda_rat import LambdaRat, format_lambda_rat
 
 
@@ -291,9 +291,11 @@ class IFunction:
                      for i in range(len(self.geometry.variables)))
 
 
-def build_ifunction(geom: Geometry, bound: int) -> IFunction:
-    if bound < 0:
-        raise IFunctionError("bound must be nonnegative")
+def build_ifunction(geom: Geometry | str, bound: int) -> IFunction:
+    geom = as_geometry(geom, "build_ifunction", IFunctionError)
+    if type(bound) is not int or bound < 0:
+        raise IFunctionError(f"build_ifunction: bound must be a nonnegative "
+                             f"int, not {bound!r}")
     alg = geom.algebra
     coeffs: dict[tuple[int, ...], RatAZ] = {}
     for n in enumerate_degrees(geom.lattice(bound)):

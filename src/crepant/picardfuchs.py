@@ -33,7 +33,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import AlgebraZ, Element
-from .geometry import Geometry, builtin, enumerate_degrees
+from .geometry import Geometry, as_geometry, enumerate_degrees
 from .ifunction import IFunction, RatAZ, build_ifunction
 from .lambda_rat import LambdaRat
 
@@ -157,8 +157,7 @@ class PFReport:
 
 def verify_pf(geom: Geometry | str, bound: int = 8,
               ifn: IFunction | None = None) -> PFReport:
-    if isinstance(geom, str):
-        geom = builtin(geom)
+    geom = as_geometry(geom, "verify_pf", PFError)
     ops = pf_system(geom)
     if ifn is None:
         ifn = build_ifunction(geom, bound)
@@ -215,8 +214,7 @@ def _format_form(f: LinForm) -> str:
 def pf_system(geom: Geometry | str) -> tuple[PFOperator, ...]:
     """The GKZ box operators of the geometry's gamma rows, one per minimal
     sector-0 shift, as derived in the module docstring."""
-    if isinstance(geom, str):
-        geom = builtin(geom)
+    geom = as_geometry(geom, "pf_system", PFError)
     nv = len(geom.variables)
     forms = []
     for row in geom.rows:

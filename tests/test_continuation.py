@@ -461,22 +461,34 @@ def test_mb_errors_name_the_side_and_the_pole(lam, why):
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
-def test_mb_evaluation_count(ex, q):
-    # the seed-0 benchmark points take these many kernel evaluations, the
-    # height probes at both ends of the line included; each interval stops
-    # at the first degree whose error estimate fits tol, so the count
-    # follows the stopping rule, and test_mb_matches_a_high_precision_run
-    # guards the value it buys
+def test_mb_evaluation_count(ex, q, monkeypatch):
+    # the seed-0 benchmark points take these many kernel evaluations: the
+    # four height probes at t = +-12 and +-11, the ends +-12 among them, the
+    # other five breakpoints, and the new nodes of each interval's nested
+    # levels up to the first of at least 17 nodes whose error bound fits
+    # its share of tol (ex1: two intervals stop at 65 nodes and four at 33;
+    # ex4: four at 65 and two at 33); so the count follows the stopping
+    # rule, and test_mb_matches_a_high_precision_run guards the value it
+    # buys.  No point of the line is evaluated twice
+    points = []
+    call = _Kernel.__call__
+
+    def recorded(self, s):
+        points.append(mp.mpc(s))
+        return call(self, s)
+
+    monkeypatch.setattr(_Kernel, "__call__", recorded)
     res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
                                  digits=15, tol="1e-12")
+    assert len(points) == len(set(points)) == res.evaluations
     assert (res.evaluations, res.height, res.corrections, res.wall) == (
-        {"ex1": 376, "ex4": 568}[ex], 12, {"ex1": 1, "ex4": 2}[ex],
+        {"ex1": 259, "ex4": 323}[ex], 12, {"ex1": 1, "ex4": 2}[ex],
         {"ex1": Fraction(1, 27), "ex4": Fraction(1, 4)}[ex])
 
 
 def test_mb_budget_counts_the_lower_tail(monkeypatch):
     # off the reflection path the line is cut at -height too; with the
-    # lower half made to decay e^(2|t|) slower, its tail needs a greater
+    # lower half made to decay e^(5|t|/2) slower, its tail needs a greater
     # height and dominates the budget, which must still include it
     real = _Kernel.__call__
     seen = {}
@@ -485,7 +497,7 @@ def test_mb_budget_counts_the_lower_tail(monkeypatch):
         v = real(self, s)
         t = mp.im(mp.mpc(s))
         if t < 0:
-            v = v.scale(mp.exp(-2 * t))
+            v = v.scale(mp.exp(-5 * t / 2))
         seen[t] = v.maxabs()
         return v
 
@@ -609,13 +621,19 @@ def test_left_residue_error_names_geometry_index_and_pole(lam, why):
                                f"{why}")
 
 
-@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
-def test_mb_matches_a_high_precision_run(ex, q):
+@pytest.mark.parametrize("ex, lam, q", [
+    # the benchmark's (lambda, q) at seeds 0 and 1
+    pytest.param(ex, lam, q, id=f"{ex}-{q}") for ex, lam, q in (
+        ("ex1", ("0.7", "0.31"), "0.06"),
+        ("ex4", ("0.7", "0.31"), "0.12"),
+        ("ex1", ("0.678811", "0.351692"), "0.072913"),
+        ("ex4", ("0.678811", "0.351692"), "0.112753"))])
+def test_mb_matches_a_high_precision_run(ex, lam, q):
     # the value stopped at tol 1e-12 lies within its own reported error of
     # one at 30 digits and tol 1e-25; lambda and q are made at 30 digits so
     # both runs see the same sample
     with mp.workdps(30):
-        lam, q = mp.mpc("0.7", "0.31"), mp.mpf(q)
+        lam, q = mp.mpc(*lam), mp.mpf(q)
     res = mellin_barnes_integral(ex, q, lam=lam, digits=15, tol="1e-12")
     ref = mellin_barnes_integral(ex, q, lam=lam, digits=30, tol="1e-25")
     assert res.error <= mp.mpf("1e-12")
@@ -974,6 +992,23 @@ def test_pair_of_non_geometries_is_refused(y, x, arg):
                        match=re.escape(f"Pair: {arg} must be a Geometry, "
                                        f"not {bad!r}")):
         Pair(y, x)
+
+
+def test_pair_keeps_two_numeric_samples_per_side():
+    # a sweep over z reads the Y side at lambda and at -lambda/z: per side
+    # and digits the Pair keeps the lambda = 0 algebra and the two latest
+    # other samples, and a repeated call solves byte for byte as the first
+    pair = Pair(builtin("ex1-Y"), builtin("ex1-X"))
+    kw = dict(mode="equivariant-numeric", lam=mp.mpc("0.7", "0.31"),
+              digits=30)
+    first = solve_umatrix(pair, z=1, **kw).to_json()
+    for z in (2, -1, 3):
+        solve_umatrix(pair, z=z, **kw)
+    assert sorted((side, len(kept)) for (side, _), kept
+                  in pair._numeric.items()) == [("X", 1), ("Y", 2)]
+    zero = pair.numeric(pair.y, mp.mpf(0), 30)
+    assert solve_umatrix(pair, z=1, **kw).to_json() == first
+    assert pair.numeric(pair.y, mp.mpf(0), 30) is zero
 
 
 @pytest.mark.parametrize("ex", ["ex1", "ex2", "ex3", "ex4"])
@@ -1464,24 +1499,25 @@ def test_missing_x_class_is_rank_deficient_nonequivariant(monkeypatch):
 
 
 def test_mb_budget_above_tol_raises(monkeypatch):
-    # an error estimate of 1 per component never fits: the first interval
-    # climbs to the rule's top degree and is refused by name with the sum
-    # over ex1's three components, before any other interval runs
+    # an error bound of 1 per component never fits: the first interval
+    # climbs to the top level, 257 nodes at 15 digits, and is refused by
+    # name with the sum over ex1's three components, before any other
+    # interval runs
     calls = []
 
-    def loose(results, prec, epsilon):
-        calls.append(len(results))
+    def loose(sums):
+        calls.append(2 ** len(sums))
         return mp.mpf(1)
 
-    monkeypatch.setattr(continuation._GAUSS_LEGENDRE, "estimate_error", loose)
+    monkeypatch.setattr(continuation, "_nested_error", loose)
     with pytest.raises(ContinuationError,
                        match=r"^ex1: mellin_barnes_integral: the quadrature "
-                             r"over t in \[-12\.0, -3\.0\] reached degree 7 "
-                             r"with error 3\.0, above its share \S+ of the "
-                             r"tolerance 1\.0e-12$"):
+                             r"over t in \[-12\.0, -3\.0\] reached level 256 "
+                             r"\(257 nodes\) with error 3\.0, above its share "
+                             r"\S+ of the tolerance 1\.0e-12$"):
         mellin_barnes_integral("ex1", "0.06", digits=15, tol="1e-12")
-    # degrees 2 to 7, one estimate per component each, all on one interval
-    assert calls == [k for k in range(2, 8) for _ in range(3)]
+    # levels 16 to 256, one bound per component each, all on one interval
+    assert calls == [2 ** k for k in range(4, 9) for _ in range(3)]
 
 
 def _bad(call, kwargs, match):

@@ -1,5 +1,6 @@
 """Series engine tests: gamma ratios, assembled coefficients, prefactors."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from crepant.ifunction import (
     gamma_ratio,
     gamma_ratio_defining_product,
 )
+from crepant.picardfuchs import PFError, pf_system
 
 EX1Y = builtin("ex1-Y")
 EX1X = builtin("ex1-X")
@@ -337,6 +339,36 @@ def test_sector_insertion_has_no_log_column():
 def test_bound_must_be_nonnegative():
     with pytest.raises(IFunctionError):
         build_ifunction(EX1Y, -1)
+
+
+@pytest.mark.parametrize("call, args, error, match", [
+    (build_ifunction, ("ex1-Y", 3), None, None),
+    (pf_system, ("ex1-Y",), None, None),
+    (pf_system, (3,), PFError,
+     "pf_system: expected a Geometry or a built-in name, not 3"),
+    (build_ifunction, (None, 3), IFunctionError,
+     "build_ifunction: expected a Geometry or a built-in name, not None"),
+    (build_ifunction, ("ex9-Y", 3), IFunctionError,
+     "build_ifunction: unknown geometry 'ex9-Y'"),
+    (build_ifunction, (EX1Y, "3"), IFunctionError,
+     "build_ifunction: bound must be a nonnegative int, not '3'"),
+    (build_ifunction, (EX1Y, 2.5), IFunctionError,
+     "build_ifunction: bound must be a nonnegative int, not 2.5"),
+], ids=["ifunction-of-a-name", "pf-of-a-name", "pf-of-an-int",
+        "ifunction-of-none", "ifunction-of-an-unknown-name",
+        "ifunction-str-bound", "ifunction-float-bound"])
+def test_exact_entry_points_take_a_geometry_or_a_name(call, args, error,
+                                                      match):
+    # a built-in name works as its Geometry; anything else is refused with
+    # the module's own error naming the function
+    if error is None:
+        by_name, by_geometry = call(*args), call(builtin(args[0]), *args[1:])
+        if call is build_ifunction:
+            by_name, by_geometry = by_name.coeffs, by_geometry.coeffs
+        assert by_name == by_geometry
+    else:
+        with pytest.raises(error, match="^" + re.escape(match)):
+            call(*args)
 
 
 @settings(max_examples=20, deadline=None)
