@@ -38,9 +38,10 @@ evaluates f at the shifted eigenvalues.  Either way it is exact and finite, whic
 naive polygamma power series diverges on algebras whose degree-two classes
 are not nilpotent at numeric lambda.  A jet of Gamma or 1/Gamma of order
 >= 1 takes its value and every polygamma order from one fixed-point pass
-(_gamma_pass): in Python integers scaled by 2^wp, one recurrence shift
-and one Stirling tail serve log Gamma and all orders at once, with guard
-bits for the smallest order; order-0 jets stay on mp.gamma and mp.rgamma.
+(_gamma_pass, rounded by _gamma_polygamma): in Python integers scaled by
+2^wp, one recurrence shift and one Stirling tail serve log Gamma and all
+orders at once, with guard bits for the smallest order; order-0 jets stay
+on mp.gamma and mp.rgamma.
 
 The Mellin-Barnes kernel is derived from the Y side's gamma rows.  It
 sums one residue class of Y indices, d = base + N m e_c for m = 0, 1, ...,
@@ -101,8 +102,17 @@ _gamma_pass's log Gamma(y_j) and P_j, and log Gamma's Taylor series in tau,
     K(s) = pi/sin(pi s) e^l/D sum_k E_k hp tau^k,  D = prod_j P_j^(e_j),
     l = s log q + sum_j e_j log Gamma(y_j),  E_0 = 1,  E_k = sum_{i<=k}
     i n_i E_(k-i)/k,  n_k = sum_j e_j a_j^k psi^(k-1)(x_j)/k!,
-hp = head exp(P log q), and every hp tau^k != 0 is built once: an
-evaluation is one pass per row, scalar work and one exponential.
+hp = head exp(P log q).  The kernel keeps as integer mantissas all that
+does not depend on s: log q, each row's offset and weights e_j a_j^k/k!,
+and every hp tau^k != 0 on one common scale.  So an evaluation is one
+_gamma_pass per row, whose integers, scaled by 2^wp with wp = prec + 24,
+give l, D, the n_k, the E_k and each component's sum_k E_k hp tau^k in
+fixed point, then one complex exponential and one division by
+D sin(pi s).  Off the reflection path the line's nodes come in exact
+pairs +-t (breakpoints +-h/4^i, and cos(pi (N - j)/N) = -cos(pi j/N) at
+every level), and a row whose offset is real (the 1/Gamma rows of ex1
+and ex4; every row at real lambda) obeys Gamma(conj x) = conj Gamma(x):
+its pass at the node conj(s) is the conjugate of its pass at s.
 
 Caches.  Three module dicts keep work that recurs across calls: _PAIRS
 the built-in Pair of each pair name, _BERNOULLI the scaled Bernoulli
@@ -113,7 +123,9 @@ map and the contour variable; the exact data of the Y side's kernels
 along it (_KernelData: per gamma row its class, rate and shifted-index
 weights, per class its argument, the pole row, and the tails of s_n and
 of each row's argument there), so that a base only adds its integer
-offsets; the X side's exact prefactor expansion per truncation; and each
+offsets; the X side's exact prefactor expansion per truncation, and per
+truncation and working precision the plan xside_terms reads it by (each
+coefficient's class, z exponent, mpf value and lambda power); and each
 side's NumericAlgebra per precision, at lambda = 0 and at the two latest
 other samples.  The kernel data and the expansion serve both modes and
 every lambda, z and precision.  A NumericAlgebra keeps the _Spectrum of
@@ -129,8 +141,11 @@ argument at s_n); and the 1/Gamma jets at an exact pole -m, keyed (m,
 order).  Each kernel keeps its pole anchor, s_0 and every row's argument
 there, so that s_n and the rows at it are one rational shift away, and its
 constant, pi (-1/pi)^nsines times the head without the pole rows' sines,
-per pattern of pole rows.  The memo and the kernels live and die with
-their call, which no cache keeps.  Each Algebra keeps its classes' exact
+per pattern of pole rows.  The kernel of a Mellin-Barnes integral keeps
+the +- memo: the fixed-point pass of each row with a real offset at a
+node s off the real axis, until the mirror node conj(s) takes it as its
+conjugate.  The memos and the kernels live and die with their call, which
+no cache keeps.  Each Algebra keeps its classes' exact
 minimal_factors, keyed (class, lambda = 0), which serve every lambda
 sample, z and precision.
 """
@@ -149,10 +164,11 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.libmp import (bernfrac, from_int, from_man_exp,
-                          fzero, mpc_div, mpc_exp, mpc_log, mpc_mul,
-                          mpc_reciprocal, mpf_add, round_floor, round_nearest,
-                          to_fixed, to_int)
+from mpmath.libmp import (bernfrac, fone, from_int, from_man_exp, fzero,
+                          mpc_div, mpc_exp, mpc_log, mpc_mul, mpc_reciprocal,
+                          mpf_abs, mpf_add, mpf_lt, mpf_mul_int, mpf_neg,
+                          mpf_pi, round_floor, round_nearest, to_fixed,
+                          to_int)
 from mpmath.libmp.gammazeta import ln_sqrt2pi_fixed
 
 from .algebra import Algebra, _solve_exact
@@ -543,9 +559,14 @@ def _gamma_pole_at(x, tol) -> Optional[int]:
 _BERNOULLI: dict = {}
 
 
-def _gamma_pass(x, n: int):
-    """(log Gamma(y), P(x), wp, [psi^(m)(x) for m = 0..n-1]): log Gamma(y)
-    and P(x) as raw mpc at wp bits, Gamma(x) = exp(log Gamma(y))/P(x).
+def _gamma_pass(a, b, n: int, prec: int):
+    """The fixed-point pass at x = a + b i (raw mpf parts) for precision
+    prec: (wp, G, P, near, [V_m for m = 0..n-1]), each of G, P and V_m a
+    pair (re, im) of Python integers scaled by 2^wp, with log Gamma(y) = G,
+    P(x) = P times near (a raw mpc, or None if no factor is near 0),
+    Gamma(x) = exp(log Gamma(y))/P(x) and psi^(m)(x) = V_m.  Its callers
+    convert: _gamma_polygamma to mpmath numbers, the contour kernel
+    (_Kernel._body) to its own fixed point.
 
     The arithmetic is mpmath's own for mpc_gamma: Python integers scaled
     by 2^wp.  One shift loop moves x to y = x + N and accumulates
@@ -575,10 +596,6 @@ def _gamma_pass(x, n: int):
     its reciprocal: its fixed-point form would have lost the bits of x
     below 2^-wp.  x must not be a pole (a nonpositive integer).
     """
-    x = _to_mp(x)
-    prec = mp.prec
-    real = isinstance(x, mp.mpf)
-    a, b = (x._mpf_, fzero) if real else x._mpc_
     least, im = int(0.11 * (prec + 20)) + 6, abs(to_int(b))
     root = isqrt(least * least - im * im - 1) + 1 if im < least else 0
     shift = max(0, root - to_int(a), -to_int(a, round_floor))
@@ -652,10 +669,6 @@ def _gamma_pass(x, n: int):
     gre = (((hre * lyre - yim * lyim + yre * lre - yim * lim) >> wp)
            - yre + ln_sqrt2pi_fixed(wp))
     gim = ((hre * lyim + yim * lyre + yre * lim + yim * lre) >> wp) - yim
-    den = (from_man_exp(pre, -wp), from_man_exp(pim, -wp))
-    if near is not None:
-        den = mpc_mul(den, near, wp)
-    lgamma = (from_man_exp(gre, -wp), from_man_exp(gim, -wp))
     out = []
     if n:
         out.append((lyre - (ure >> 1) - ore[0] - sre[0],
@@ -671,20 +684,27 @@ def _gamma_pass(x, n: int):
         out.append((vre, vim) if m % 2 else (-vre, -vim))
         umre, umim = ((umre * ure - umim * uim) >> wp,
                       (umre * uim + umim * ure) >> wp)
-    out = [(from_man_exp(vre, -wp, prec, round_nearest),
-            from_man_exp(vim, -wp, prec, round_nearest)) for vre, vim in out]
-    return lgamma, den, wp, [mp.make_mpf(v[0]) if real else mp.make_mpc(v)
-                             for v in out]
+    return wp, (gre, gim), (pre, pim), near, out
 
 
 def _gamma_polygamma(x, n: int):
     """(Gamma(x), [psi^(m)(x) for m = 0..n-1]) from one _gamma_pass:
-    Gamma(x) = exp(log Gamma(y))/P(x), rounded once."""
+    Gamma(x) = exp(log Gamma(y))/P(x), rounded once, and each psi^(m)(x)
+    rounded to the working precision."""
     x = _to_mp(x)
-    lgamma, den, wp, psis = _gamma_pass(x, n)
-    gamma = mpc_div(mpc_exp(lgamma, wp), den, mp.prec, round_nearest)
-    return (mp.make_mpf(gamma[0]) if isinstance(x, mp.mpf)
-            else mp.make_mpc(gamma)), psis
+    prec = mp.prec
+    real = isinstance(x, mp.mpf)
+    wp, (gre, gim), (pre, pim), near, out = _gamma_pass(*_raw(x), n, prec)
+    den = (from_man_exp(pre, -wp), from_man_exp(pim, -wp))
+    if near is not None:
+        den = mpc_mul(den, near, wp)
+    lgamma = (from_man_exp(gre, -wp), from_man_exp(gim, -wp))
+    gamma = mpc_div(mpc_exp(lgamma, wp), den, prec, round_nearest)
+    psis = [(from_man_exp(vre, -wp, prec, round_nearest),
+             from_man_exp(vim, -wp, prec, round_nearest)) for vre, vim in out]
+    if real:
+        return mp.make_mpf(gamma[0]), [mp.make_mpf(v[0]) for v in psis]
+    return mp.make_mpc(gamma), [mp.make_mpc(v) for v in psis]
 
 
 def _gamma_jet(x, jmax, tol):
@@ -1009,7 +1029,8 @@ class Pair:
     (lattice) and the contour variable y_c (var), the one Y variable whose
     row of D has a negative entry; the exact data of the Y side's kernels
     along y_c (kernel_data); the X side's exact prefactor expansion per
-    truncation (xside); and each side's NumericAlgebra (numeric).
+    truncation (xside) and its evaluation plan per truncation and working
+    precision (xside_plan); and each side's NumericAlgebra (numeric).
     Callers read what it returns and must not change it.
     """
 
@@ -1029,6 +1050,7 @@ class Pair:
                                     f"in the lattice map {self.lattice}")
         self.var = neg[0]
         self._xside: dict = {}
+        self._plans: dict = {}
         self._numeric: dict = {}
 
     def xside(self, truncation: int) -> dict:
@@ -1038,6 +1060,21 @@ class Pair:
             self._xside[truncation] = expand_prefactor(
                 build_ifunction(self.x, truncation), log_order=_LOG_ORDER)
         return self._xside[truncation]
+
+    def xside_plan(self, truncation: int) -> tuple:
+        """(plan, lambda powers, z exponents) of the X side's expansion at
+        the working precision: per key of xside(truncation), in sorted
+        order, its _coefficient_plan, and the lambda powers and z exponents
+        that occur, so that a call takes each power once."""
+        key = (truncation, mp.prec)
+        if key not in self._plans:
+            pre = self.xside(truncation)
+            plan = [(k, _coefficient_plan(pre[k], self.x.name))
+                    for k in sorted(pre)]
+            items = [item for _, its in plan for item in its]
+            self._plans[key] = (plan, {item[3] for item in items},
+                                {item[1] for item in items})
+        return self._plans[key]
 
     def numeric(self, side: Geometry, lam, digits: int) -> NumericAlgebra:
         """The NumericAlgebra of side, self.y or self.x, at lam and digits.
@@ -1221,28 +1258,29 @@ def continued_ifunction(example, truncation: int,
 # partner-side series evaluated in the matching frame
 
 
-def _coefficient_value(co: RatAZ, na: NumericAlgebra, name: str, lam,
-                       z) -> NilExpansion:
-    """An exact coefficient of geometry name at lam and z.  A z-denominator
-    is refused; no X side has one at any truncation.  The grading makes
-    every component a lambda-monomial c lambda^k (Algebra.validate checks
-    it on the structure constants), evaluated as such."""
+def _coefficient_plan(co: RatAZ, name: str) -> list:
+    """[(class index, z exponent, coefficient, lambda power)] of an exact
+    coefficient of geometry name, in the order its value sums them, each
+    coefficient an mpf at the working precision.  A z-denominator is
+    refused; no X side has one at any truncation.  The grading makes every
+    component a lambda-monomial c lambda^k (Algebra.validate checks it on
+    the structure constants), evaluated as such."""
     try:
         az = co.as_algebra_z()
     except IFunctionError as exc:
         raise ContinuationError(f"{name}: {exc}") from None
-
-    def value(c):
-        mono = c.as_monomial()
-        if mono is None:
-            raise ContinuationError(f"{name}: the coefficient "
-                                    f"{format_lambda_rat(c)} is not a "
-                                    f"lambda-monomial")
-        return _frac_mp(mono[0]) * lam ** mono[1]
-
-    return _summed(na, (((i, 0), value(c) * z ** e)
-                        for e, elem in sorted(az.layers.items())
-                        for i, c in enumerate(elem.coeffs) if not c.is_zero))
+    plan = []
+    for e, elem in sorted(az.layers.items()):
+        for i, c in enumerate(elem.coeffs):
+            if c.is_zero:
+                continue
+            mono = c.as_monomial()
+            if mono is None:
+                raise ContinuationError(f"{name}: the coefficient "
+                                        f"{format_lambda_rat(c)} is not a "
+                                        f"lambda-monomial")
+            plan.append((i, e, _frac_mp(mono[0]), mono[1]))
+    return plan
 
 
 def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
@@ -1258,13 +1296,16 @@ def xside_terms(example, truncation: int, mode: str = "equivariant-numeric",
     lam, z = _parameters(f"{pair.name}: xside_terms", mode, lam, z, digits,
                          truncation)
     g_x = pair.x
-    pre = pair.xside(truncation)
     with mp.workdps(digits + 10):
         na = pair.numeric(g_x, lam, digits)
+        plan, lams, zs = pair.xside_plan(truncation)
+        # each power once per call, and each key summed in its plan's order
+        lam_pow = {k: lam ** k for k in lams}
+        z_pow = {e: (-z) ** e for e in zs}
         terms = {}
-        for key in sorted(pre):
-            val = _coefficient_value(pre[key], na, g_x.name, lam,
-                                     -z).scale(-z)
+        for key, items in plan:
+            val = _summed(na, (((i, 0), c * lam_pow[k] * z_pow[e])
+                               for i, e, c, k in items)).scale(-z)
             if not val.is_zero:
                 terms[key] = val
     return terms, na, tuple(v.scalar_exponent for v in g_x.variables)
@@ -1460,6 +1501,29 @@ def _class_arg(alg: Algebra, klass, a0=0) -> Arg:
 
 
 _Row = namedtuple("_Row", "c arg mult sin anchor step")
+# a contour row: Gamma(x)^e, x = slope s + offset, and its Taylor weights
+# [e a^k/k! for k >= 1] in tau
+_ContourRow = namedtuple("_ContourRow", "slope offset e weights")
+
+
+def _raw(x) -> tuple:
+    """The raw parts (re, im) of an mpmath number."""
+    return (x._mpf_, fzero) if isinstance(x, mp.mpf) else x._mpc_
+
+
+def _fixed_raw(re: int, im: int, wp: int) -> tuple:
+    """The raw mpc of (re + im i) 2^-wp."""
+    return from_man_exp(re, -wp), from_man_exp(im, -wp)
+
+
+def _conjugate_pass(p: tuple) -> tuple:
+    """The fixed-point pass at conj(x), given the one at x: Gamma(conj x)
+    = conj Gamma(x), and so for log Gamma(y), P, its near factor and every
+    psi^(m)."""
+    (gre, gim), (pre, pim), near, psis = p
+    if near is not None:
+        near = near[0], mpf_neg(near[1])
+    return (gre, -gim), (pre, -pim), near, [(v, -w) for v, w in psis]
 
 
 class _KernelData:
@@ -1571,10 +1635,9 @@ class _Kernel:
             nu = spec.nodes[0][1]
             self.head = (self.gammas * reduce(mul, sines)).scale(
                 (-1 / mp.pi) ** self.nsines)
-            powers = [self.head * self.pdress]
+            self.powers = [self.head * self.pdress]
             for _ in range(nu - 1):
-                powers.append(powers[-1] * fr.tail(tau))
-            self.powers = [tuple(v.terms.items()) for v in powers]
+                self.powers.append(self.powers[-1] * fr.tail(tau))
             self.contour = []
             for r in self.rows:
                 a = Fraction(dict(r.arg.div).get(label, 0))
@@ -1588,9 +1651,38 @@ class _Kernel:
                 # Gamma(|c| s - o - kappa) or 1/Gamma(1 + o + kappa + c s)
                 offset, a, e = ((-o, -a, r.mult) if r.c < 0
                                 else (1 + o, a, -r.mult))
-                self.contour.append((_frac_mp(abs(r.c)), offset, e, [
-                    _frac_mp(e * a ** k / factorial(k)) for k in range(1, nu)]
+                self.contour.append(_ContourRow(
+                    int(abs(r.c)), offset, e,
+                    [e * a ** k / factorial(k) for k in range(1, nu)]
                     if a else []))
+            self._fixed_point()
+
+    def _fixed_point(self) -> None:
+        """What _body reads: at wp = prec + 24 bits, log q and per contour
+        row its slope, its offset's raw parts, e_j, whether the offset is
+        real and its weights; and per component of the head powers
+        hp tau^k the triples (k, re, im), on one scale 2^-hbits that gives
+        the largest of them wp bits."""
+        self._prec = prec = mp.prec
+        self._wp = wp = prec + 24
+        self._tol = self.fr.tol._mpf_
+        self._logq = tuple(to_fixed(v, wp) for v in _raw(self.logq))
+        self._fixed_rows = [
+            (r.slope, *_raw(r.offset), r.e, mp.im(r.offset) == 0,
+             [(w.numerator << wp) // w.denominator for w in r.weights])
+            for r in self.contour]
+        parts = [(k, key, _raw(v)) for k, power in enumerate(self.powers)
+                 for key, v in power.terms.items()]
+        top = max(v[2] + v[3] for _, _, raw in parts for v in raw if v[1])
+        hbits = wp - top
+        self._hexp = -(wp + hbits)
+        self._hp: dict = {}
+        for k, key, raw in parts:
+            self._hp.setdefault(key, []).append(
+                (k, *(to_fixed(v, hbits) for v in raw)))
+        # the +- memo: per (row, node) the pass of a row with a real offset,
+        # taken by the mirror node conj(s) as its conjugate
+        self._mirror: dict = {}
 
     @cached_property
     def gammas(self) -> NilExpansion:
@@ -1617,33 +1709,98 @@ class _Kernel:
         return spec.apply(_exp_jet, 0).scale(
             mp.exp(fr.scalar(arg) * self.logq))
 
-    def _body(self, s, factor) -> NilExpansion:
-        """factor q^s times the kernel without pi/sin(pi s): e^l/D times
-        sum_k E_k hp tau^k, as in the module docstring."""
-        fr = self.fr
-        ell, den = s * self.logq, 1
-        n = [0] * len(self.powers)
-        for j, (slope, offset, e, weights) in enumerate(self.contour):
-            x = slope * s + offset
-            if e > 0 and _gamma_pole_at(x, fr.tol) is not None:
-                raise ContinuationError(
-                    f"{self.name}: Gamma of contour row {j} has a pole at "
-                    f"s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
-            if e < 0 and mp.isint(x) and mp.re(x) <= 0:
-                raise ContinuationError(
-                    f"{self.name}: 1/Gamma of contour row {j} is zero at "
-                    f"s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
-            lgamma, p, _, psis = _gamma_pass(x, len(weights))
-            ell += e * mp.make_mpc(lgamma)
-            den *= mp.make_mpc(p) ** e
-            for k, w in enumerate(weights, 1):
-                n[k] += w * psis[k - 1]
-        series = [factor * mp.exp(ell) / den]  # E_k times e^l/D and factor
-        for k in range(1, len(n)):
-            series.append(mp.fsum(i * n[i] * series[k - i]
-                                  for i in range(1, k + 1)) / k)
-        return _summed(fr.na, ((key, c * v) for c, power in
-                               zip(series, self.powers) for key, v in power))
+    def _body(self, s, top, bottom) -> NilExpansion:
+        """top q^s/bottom times the kernel without pi/sin(pi s), top and
+        bottom raw mpc: e^l/D times sum_k E_k hp tau^k, as in the module
+        docstring.  l, D, the n_k, the E_k and each component's sum are
+        integers scaled by 2^wp, from the mantissas of _fixed_point and one
+        _gamma_pass per row; one exponential and one division by bottom D
+        end it.  At a node off the real axis, a row with a real offset
+        takes the conjugate of its pass at the mirror node conj(s) if that
+        one is in the memo, and otherwise leaves its own there."""
+        prec, wp = self._prec, self._wp
+        one = 1 << wp
+        sre, sim = _raw(s)
+        fre, fim = to_fixed(sre, wp), to_fixed(sim, wp)
+        qre, qim = self._logq
+        lre, lim = (fre * qre - fim * qim) >> wp, (fre * qim + fim * qre) >> wp
+        # D = den/num: the Gamma rows' P_j^e_j over the 1/Gamma rows'
+        den, num, nears = (one, 0), (one, 0), []
+        nre, nim = [0] * len(self.powers), [0] * len(self.powers)
+        memo = self._mirror if sim[1] else None
+        for j, row in enumerate(self._fixed_rows):
+            slope, ore, oim, e, real, weights = row
+            a = mpf_add(mpf_mul_int(sre, slope, prec), ore, prec)
+            b = mpf_add(mpf_mul_int(sim, slope, prec), oim, prec)
+            if mpf_lt(mpf_abs(b), self._tol):
+                x = slope * s + self.contour[j].offset
+                if e > 0 and _gamma_pole_at(x, self.fr.tol) is not None:
+                    raise ContinuationError(
+                        f"{self.name}: Gamma of contour row {j} has a pole "
+                        f"at s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
+                if e < 0 and mp.isint(x) and mp.re(x) <= 0:
+                    raise ContinuationError(
+                        f"{self.name}: 1/Gamma of contour row {j} is zero at "
+                        f"s = {mp.nstr(s, 8)} (argument {mp.nstr(x, 8)})")
+            shared = real and memo is not None
+            got = memo.pop((j, sre, mpf_neg(sim)), None) if shared else None
+            if got is None:
+                wpj, g, p, near, psis = _gamma_pass(a, b, len(weights), prec)
+                sh = wpj - wp
+                got = ((g[0] >> sh, g[1] >> sh), (p[0] >> sh, p[1] >> sh),
+                       near, [(v >> sh, w >> sh) for v, w in psis])
+                if shared:
+                    memo[j, sre, sim] = got
+            else:
+                got = _conjugate_pass(got)
+            (gre, gim), (pre, pim), near, psis = got
+            lre += e * gre
+            lim += e * gim
+            are, aim = den if e > 0 else num
+            for _ in range(abs(e)):
+                are, aim = ((are * pre - aim * pim) >> wp,
+                            (are * pim + aim * pre) >> wp)
+            if e > 0:
+                den = are, aim
+            else:
+                num = are, aim
+            if near is not None:
+                nears.append((near, e))
+            for k, (w, (vre, vim)) in enumerate(zip(weights, psis), 1):
+                nre[k] += (w * vre) >> wp
+                nim[k] += (w * vim) >> wp
+        # E_0 = 1 and E_k = sum_{i<=k} i n_i E_(k-i)/k
+        series = [(one, 0)]
+        for k in range(1, len(nre)):
+            tre = tim = 0
+            for i in range(1, k + 1):
+                ere, eim = series[k - i]
+                tre += i * (nre[i] * ere - nim[i] * eim)
+                tim += i * (nre[i] * eim + nim[i] * ere)
+            series.append(((tre >> wp) // k, (tim >> wp) // k))
+        upper = mpc_mul(mpc_exp(_fixed_raw(lre, lim, wp), prec),
+                        mpc_mul(top, _fixed_raw(*num, wp), prec), prec)
+        lower = mpc_mul(bottom, _fixed_raw(*den, wp), prec)
+        for near, e in nears:
+            for _ in range(abs(e)):
+                if e > 0:
+                    lower = mpc_mul(lower, near, prec)
+                else:
+                    upper = mpc_mul(upper, near, prec)
+        scalar = mpc_div(upper, lower, prec, round_nearest)
+        terms = {}
+        for key, hs in self._hp.items():
+            are = aim = 0
+            for k, hre, him in hs:
+                ere, eim = series[k]
+                are += ere * hre - eim * him
+                aim += ere * him + eim * hre
+            if are or aim:
+                terms[key] = mp.make_mpc(mpc_mul(
+                    (from_man_exp(are, self._hexp, prec, round_nearest),
+                     from_man_exp(aim, self._hexp, prec, round_nearest)),
+                    scalar, prec, round_nearest))
+        return NilExpansion(self.fr.na, terms)
 
     def __call__(self, s) -> NilExpansion:
         s = mp.mpc(s)
@@ -1651,11 +1808,12 @@ class _Kernel:
         if not sine:
             raise ContinuationError(f"{self.name}: s = {int(mp.re(s))} is a "
                                     f"pole of pi/sin(pi s)")
-        return self._body(s, mp.pi / sine)
+        return self._body(s, (mpf_pi(self._prec), fzero), sine._mpc_)
 
     def right_residue(self, d: int) -> NilExpansion:
         """Residue at s = d: (-1)^d times the kernel without pi/sin(pi s)."""
-        return self._body(mp.mpf(d), (-1) ** d)
+        return self._body(mp.mpf(d), (from_int((-1) ** d), fzero),
+                          (fone, fzero))
 
     def left_pole(self, n: int) -> Arg:
         """s_n = (kappa_p + o_p - n)/|c_p|, as an argument: s_0 less
@@ -1790,9 +1948,12 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
     nodes); an interval whose top level does not fit raises
     ContinuationError naming it.  The error budget, quadrature bound plus
     tail, is thus at most tol.  An evaluation costs one fixed-point pass
-    per row (_gamma_pass), scalar work and one exponential, as in the
-    module docstring.  evaluations counts the kernel evaluations, the
-    height probes included.  example is a built-in pair name or a Pair.
+    per row (_gamma_pass), integer arithmetic, one exponential and one
+    division, as in the module docstring; off the reflection path the
+    rows with a real offset share one pass between the nodes s and
+    conj(s), which the line's breakpoints and levels give in exact pairs.
+    evaluations counts the kernel evaluations, the height probes
+    included.  example is a built-in pair name or a Pair.
     """
     pair = _pair(example)
     where = f"{pair.name}: mellin_barnes_integral"

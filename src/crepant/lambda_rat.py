@@ -523,6 +523,8 @@ def parse_lambda_rat(text: str) -> LambdaRat:
     """Inverse of format_lambda_rat; also accepts a bare polynomial.  In a
     quotient, a side of more than one term must be in parentheses, so that
     "1 + 9/λ^3" is refused rather than read as 10/λ^3."""
+    if not isinstance(text, str):
+        raise ValueError(f"parse_lambda_rat: expected a string, not {text!r}")
     depth = 0
     split = None
     for i, ch in enumerate(text):

@@ -175,6 +175,18 @@ class MirrorData:
     gseries: MSeries       # λ·unit component of the z^0 layer
 
 
+def _expect(where: str, name: str, value, kind: type,
+            optional: bool = False) -> None:
+    """Refuse an argument that is not a kind (or None, if optional) with a
+    MirrorError naming the function and the argument."""
+    if not isinstance(value, kind) and not (optional and value is None):
+        kind = kind.__name__
+        article = "an" if kind[0] in "AEIOU" else "a"
+        also = " or None" if optional else ""
+        raise MirrorError(f"{where}: {name} must be {article} {kind}{also}, "
+                          f"not {value!r}")
+
+
 def _monomial_constant(value: LambdaRat, what: str):
     m = value.as_monomial()
     if m is None:
@@ -184,6 +196,7 @@ def _monomial_constant(value: LambdaRat, what: str):
 
 
 def extract_mirror(ifn: IFunction) -> MirrorData:
+    _expect("extract_mirror", "ifn", ifn, IFunction)
     geom = ifn.geometry
     alg = geom.algebra
     nvars = len(geom.variables)
@@ -288,6 +301,10 @@ class InverseMap:
 
 
 def invert_mirror(data: MirrorData, bound: int | None = None) -> InverseMap:
+    _expect("invert_mirror", "data", data, MirrorData)
+    if bound is not None and (type(bound) is not int or bound < 0):
+        raise MirrorError(f"invert_mirror: bound must be a nonnegative int "
+                          f"or None, not {bound!r}")
     geom = data.geometry
     nvars = len(geom.variables)
     bound = data.bound if bound is None else min(bound, data.bound)
@@ -342,6 +359,9 @@ class JFunction:
 
 def j_function(ifn: IFunction, data: MirrorData | None = None,
                inverse: InverseMap | None = None, zmin: int = -4) -> JFunction:
+    _expect("j_function", "ifn", ifn, IFunction)
+    _expect("j_function", "data", data, MirrorData, optional=True)
+    _expect("j_function", "inverse", inverse, InverseMap, optional=True)
     geom = ifn.geometry
     alg = geom.algebra
     nvars = len(geom.variables)
@@ -460,6 +480,11 @@ def one_point_invariants(J: JFunction, classes: tuple[str, ...] = ("p",),
     With the unit sitting at z^1, the no-ψ layer is z^{-1}: pairing it with a
     basis class α picks out ⟨α⟩_{0,1,d}.
     """
+    _expect("one_point_invariants", "J", J, JFunction)
+    if isinstance(classes, str):
+        # a string would be read one character at a time
+        raise MirrorError(f"one_point_invariants: classes must be a tuple of "
+                          f"class labels, not the string {classes!r}")
     geom = J.geometry
     alg = geom.algebra
     twisted_vars = {t.variable for t in J.mirror.twisted}
@@ -498,6 +523,7 @@ def slice_invariants_ex2(J: JFunction, orders: int = 4) -> InvariantTable:
     τ = P log q + r·1_f, so this is ⟨1_f, …, 1_f⟩_{0,n,d}.  Insertion
     descriptors record n only.
     """
+    _expect("slice_invariants_ex2", "J", J, JFunction)
     geom = J.geometry
     alg = geom.algebra
     if len(J.mirror.twisted) != 1:

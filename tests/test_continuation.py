@@ -18,7 +18,7 @@ from crepant import (LambdaRat, build_ifunction, builtin, expand_prefactor,
 from crepant.algebra import Algebra, AlgebraError, AlgebraZ
 from crepant.continuation import (Arg, ContinuationError, Frame,
                                   NilExpansion, NumericAlgebra, Pair, _affine,
-                                  _coefficient_value, _exp_jet,
+                                  _coefficient_plan, _exp_jet,
                                   _frac_mp, _gamma_jet, _gamma_polygamma,
                                   _Kernel, _KernelData, _pair, _rgamma_jet,
                                   _SineRatio, _lstsq, _to_mp,
@@ -198,13 +198,88 @@ def test_mb_matches_inside_series_ex4():
         assert (total - res.value).maxabs() <= res.error
 
 
-def _kernel_at(ex, q, digits):
-    """ex's Y-side kernel at lambda 0.7+0.31i, z = 1 and the point q."""
+def _kernel_at(ex, q, digits, lam=None):
+    """ex's Y-side kernel at lam (by default 0.7+0.31i), z = 1 and the
+    point q."""
     geom = builtin(ex + "-Y")
-    lam = mp.mpc("0.7", "0.31")
+    lam = mp.mpc("0.7", "0.31") if lam is None else lam
     na = NumericAlgebra(geom.algebra, lam, digits)
     fr = Frame(na, lam=lam, digits=digits)
     return _Kernel(_KernelData(geom, 0), fr, mp.mpf(q))
+
+
+def _kernel_oracle(kern, s):
+    """The contour kernel of the module docstring in mpmath numbers, from
+    the kernel's own data, as the kernel evaluated it before its fixed-point
+    form: K(s) = pi/sin(pi s) q^s prod_j Gamma(x_j)^e_j sum_k E_k hp tau^k,
+    with E_0 = 1, E_k = sum_{i<=k} i n_i E_(k-i)/k and
+    n_k = sum_j e_j a_j^k psi^(k-1)(x_j)/k!.  Gamma and the polygammas come
+    rounded from _gamma_polygamma, which test_gamma_pass_matches_mpmath
+    holds to mpmath's own."""
+    s = mp.mpc(s)
+    scalar = mp.pi / mp.sinpi(s) * mp.exp(s * kern.logq)
+    n = [0] * len(kern.powers)
+    for row in kern.contour:
+        x = row.slope * s + row.offset
+        gamma, psis = _gamma_polygamma(x, len(row.weights))
+        scalar *= gamma ** row.e
+        for k, w in enumerate(row.weights, 1):
+            n[k] += _frac_mp(w) * psis[k - 1]
+    series = [scalar]
+    for k in range(1, len(n)):
+        series.append(mp.fsum(i * n[i] * series[k - i]
+                              for i in range(1, k + 1)) / k)
+    total = NilExpansion(kern.fr.na)
+    for c, power in zip(series, kern.powers):
+        total = total + power.scale(c)
+    return total
+
+
+# 15 heights per line, each 0 < t <= 20 with its mirror -t, and t = 0
+_ORACLE_T = [mp.mpf(t) for t in ("0.37", "1.9", "4.6", "8.3", "13.1",
+                                 "17.7", "20")]
+
+
+# at lambda = 0.7 a Gamma row of ex4 has its pole at s = -1.3
+@pytest.mark.parametrize("lam", [("0.7", "0.31"), ("0.73",)],
+                         ids=["complex", "real"])
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_kernel_matches_the_mpmath_oracle(ex, q, lam):
+    # the fixed-point kernel against K(s) in mpmath numbers at 45 points
+    # s = sigma + it on three lines.  The rows with a real offset (the
+    # 1/Gamma rows, and every row at a real lambda) take the conjugate of
+    # their pass at the mirror node; one kernel evaluates each t before -t
+    # and a fresh one each -t before t, so neither side of a pair depends on
+    # which came first
+    for digits in (25, 30, 40):
+        with mp.workdps(digits):
+            lam_mp = mp.mpc(*lam) if len(lam) == 2 else mp.mpf(*lam)
+            first, second = (_kernel_at(ex, q, digits, lam_mp)
+                             for _ in range(2))
+            real = [mp.im(r.offset) == 0 for r in first.contour]
+            assert real[-1] and all(real) == (len(lam) == 1)
+            for sigma in (mp.mpf("0.5"), mp.mpf("0.4"), mp.mpf("-1.3")):
+                got = {mp.mpc(sigma, 0): first(mp.mpc(sigma, 0))}
+                for t in _ORACLE_T:
+                    up, down = mp.mpc(sigma, t), mp.mpc(sigma, -t)
+                    got[up], got[down] = first(up), first(down)
+                    again = {down: second(down), up: second(up)}
+                    with mp.workdps(digits + 10):
+                        for s in (up, down):
+                            want = _kernel_oracle(first, s)
+                            bound = mp.mpf(10) ** (5 - digits) * want.maxabs()
+                            for value in (got[s], again[s]):
+                                assert set(value.terms) == set(want.terms)
+                                assert (value - want).maxabs() <= bound, (
+                                    digits, s)
+                assert len(got) == 15
+                with mp.workdps(digits + 10):
+                    s = mp.mpc(sigma, 0)
+                    want = _kernel_oracle(first, s)
+                    assert (got[s] - want).maxabs() <= mp.mpf(10) ** (
+                        5 - digits) * want.maxabs()
+            # every pass a node left for its mirror was taken
+            assert not first._mirror and not second._mirror
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -216,8 +291,10 @@ def test_kernel_residues_are_the_inside_terms(ex, q):
         fr = kern.fr
         ifn = build_ifunction(builtin(ex + "-Y"), 2)
         for d in range(3):
-            co = _coefficient_value(ifn.coefficient((d,)), fr.na,
-                                    ex + "-Y", fr.lam, mp.mpf(1))
+            co = NilExpansion(fr.na)
+            for i, _, c, k in _coefficient_plan(ifn.coefficient((d,)),
+                                                ex + "-Y"):
+                co = co + NilExpansion(fr.na, {(i, 0): c * fr.lam ** k})
             want = (co * kern.pdress).scale(mp.mpf(q) ** d)
             got = kern.right_residue(d)
             assert (got - want).maxabs() <= mp.mpf("1e-26"), d
@@ -227,10 +304,8 @@ def test_coefficient_with_a_z_denominator_is_refused():
     # ex2-Y's point fixed locus leaves z-denominators, which no X side has
     ifn = build_ifunction(builtin("ex2-Y"), 1)
     co = next(c for c in ifn.coeffs.values() if c.den)
-    na = NumericAlgebra(ifn.geometry.algebra, 0, 30)
-    for lam, z in ((0, mp.mpf(-1)), (default_lambda(), mp.mpf(1))):
-        with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
-            _coefficient_value(co, na, "ex2-Y", lam, z)
+    with pytest.raises(ContinuationError, match="ex2-Y: .*denominator"):
+        _coefficient_plan(co, "ex2-Y")
 
 
 def test_coefficient_off_the_grading_is_refused():
@@ -240,10 +315,9 @@ def test_coefficient_off_the_grading_is_refused():
     alg = builtin("ex1-X").algebra
     co = RatAZ(AlgebraZ(alg, {0: alg.element(
         [parse_lambda_rat("1+λ"), 0, 0])}))
-    na = NumericAlgebra(alg, default_lambda(), 30)
     with pytest.raises(ContinuationError, match=re.escape(
             "ex1-X: the coefficient (λ + 1)/1 is not a lambda-monomial")):
-        _coefficient_value(co, na, "ex1-X", default_lambda(), mp.mpf(1))
+        _coefficient_plan(co, "ex1-X")
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
@@ -486,6 +560,37 @@ def test_mb_evaluation_count(ex, q, monkeypatch):
         {"ex1": Fraction(1, 27), "ex4": Fraction(1, 4)}[ex])
 
 
+@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
+def test_mb_gamma_pass_count(ex, q, monkeypatch):
+    # the fixed-point Gamma passes of one integral at the seed-0 benchmark
+    # points: one per contour row and kernel evaluation, less the passes a
+    # row with a real offset (the 1/Gamma rows) takes at -t as the
+    # conjugate of its pass at t, plus those of the transferred residues
+    # (ex1: 4, ex4: 8).  The nested levels' nodes come in pairs +-t, so
+    # every node but t = 0 finds its mirror on ex1; on ex4 [0, 3/4] climbs
+    # to 129 nodes and [3/4, 3] to 65 against 33 on their mirrors, so 194
+    # of its 323 nodes pair up
+    calls = Counter()
+
+    def counting(name, real):
+        def f(*args):
+            calls[name] += 1
+            return real(*args)
+        return f
+
+    monkeypatch.setattr(continuation, "_gamma_pass",
+                        counting("pass", continuation._gamma_pass))
+    monkeypatch.setattr(continuation, "_conjugate_pass",
+                        counting("shared", continuation._conjugate_pass))
+    res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
+                                 digits=15, tol="1e-12")
+    rows = {"ex1": 2, "ex4": 3}[ex]
+    assert calls == {"ex1": {"pass": 393, "shared": 129},
+                     "ex4": {"pass": 880, "shared": 97}}[ex]
+    assert calls["pass"] + calls["shared"] == rows * res.evaluations + {
+        "ex1": 4, "ex4": 8}[ex]
+
+
 def test_mb_budget_counts_the_lower_tail(monkeypatch):
     # off the reflection path the line is cut at -height too; with the
     # lower half made to decay e^(5|t|/2) slower, its tail needs a greater
@@ -656,9 +761,13 @@ def test_mb_reflected_path_matches_inside_series_ex4(monkeypatch):
         return call(self, s)
 
     monkeypatch.setattr(_Kernel, "__call__", recorded)
+    # with no node below the axis, no row finds a mirror pass to share
+    shared = []
+    monkeypatch.setattr(continuation, "_conjugate_pass", shared.append)
     res = mellin_barnes_integral("ex4", q, lam=lam, digits=15, tol="1e-12")
     assert res.side == "inside" and res.error <= mp.mpf("1e-12")
     assert len(heights) == res.evaluations and min(heights) >= 0
+    assert not shared
     with mp.workdps(25):
         geom = builtin("ex4-Y")
         fr = Frame(NumericAlgebra(geom.algebra, lam, 15), lam=lam, digits=15)

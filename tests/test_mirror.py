@@ -1,6 +1,7 @@
 """Mirror maps, J-function assembly, and invariant extraction."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from crepant.geometry import BUILTIN_NAMES, builtin
 from crepant.ifunction import IFunction, build_ifunction
-from crepant.lambda_rat import LambdaRat
+from crepant.lambda_rat import LambdaRat, parse_lambda_rat
 from crepant.mirror import (
     InvariantRow,
     InvariantTable,
@@ -455,3 +456,56 @@ def zero_constant_series(draw):
 @given(zero_constant_series(), zero_constant_series())
 def test_exp_is_a_homomorphism(a, b):
     assert a.exp() * b.exp() == (a + b).exp()
+
+
+@lru_cache(maxsize=None)
+def _ex1y(part):
+    """ex1-Y's I-function at bound 2 ("ifn"), its mirror data ("data") or
+    its J-function ("J")."""
+    if part == "ifn":
+        return build_ifunction(builtin("ex1-Y"), 2)
+    if part == "data":
+        return extract_mirror(_ex1y("ifn"))
+    return j_function(_ex1y("ifn"), _ex1y("data"))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: extract_mirror(None), MirrorError,
+     "extract_mirror: ifn must be an IFunction, not None"),
+    (lambda: extract_mirror("ex1-Y"), MirrorError,
+     "extract_mirror: ifn must be an IFunction, not 'ex1-Y'"),
+    (lambda: invert_mirror(None), MirrorError,
+     "invert_mirror: data must be a MirrorData, not None"),
+    (lambda: invert_mirror(_ex1y("data"), bound="3"), MirrorError,
+     "invert_mirror: bound must be a nonnegative int or None, not '3'"),
+    (lambda: invert_mirror(_ex1y("data"), bound=-1), MirrorError,
+     "invert_mirror: bound must be a nonnegative int or None, not -1"),
+    (lambda: j_function(None), MirrorError,
+     "j_function: ifn must be an IFunction, not None"),
+    (lambda: j_function(_ex1y("ifn"), 3), MirrorError,
+     "j_function: data must be a MirrorData or None, not 3"),
+    (lambda: j_function(_ex1y("ifn"), _ex1y("data"), 3), MirrorError,
+     "j_function: inverse must be an InverseMap or None, not 3"),
+    (lambda: one_point_invariants(None), MirrorError,
+     "one_point_invariants: J must be a JFunction, not None"),
+    (lambda: one_point_invariants(_ex1y("J"), "p1"), MirrorError,
+     "one_point_invariants: classes must be a tuple of class labels, not "
+     "the string 'p1'"),
+    (lambda: slice_invariants_ex2(None), MirrorError,
+     "slice_invariants_ex2: J must be a JFunction, not None"),
+    (lambda: parse_lambda_rat(3), ValueError,
+     "parse_lambda_rat: expected a string, not 3"),
+    (lambda: parse_lambda_rat(None), ValueError,
+     "parse_lambda_rat: expected a string, not None"),
+], ids=["extract-none", "extract-name", "invert-none", "invert-bound-str",
+        "invert-bound-negative", "j-none", "j-data", "j-inverse",
+        "one-point-none", "one-point-string", "slice-none", "parse-int",
+        "parse-none"])
+def test_exact_entry_points_refuse_bad_input(call, error, match):
+    # each entry point names itself and the argument it refuses, where
+    # these used to raise AttributeError or TypeError, or (a negative bound,
+    # a label string read one character at a time) to run on
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == match
