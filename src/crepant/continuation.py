@@ -91,10 +91,17 @@ The integral integrates each component of the kernel along the contour
 with nested Clenshaw-Curtis levels: on each interval, level N = 2, 4, 8,
 ... has the nodes mid + half cos(pi j/N), so each level evaluates only its
 new odd j, neighbouring intervals share their common end, and every kernel
-evaluation counts in the final sum.  With poles a few tenths from the
-line this costs close to Gauss-Legendre per node and far less than
-tanh-sinh (Trefethen, "Is Gauss Quadrature Better than Clenshaw-Curtis?",
-SIAM Review 2008).  On the contour row j
+evaluation counts in the final sum.  This costs close to Gauss-Legendre
+per node and far less than tanh-sinh, and converges at a rate set by the
+largest ellipse around the interval free of singularities (Trefethen, "Is
+Gauss Quadrature Better than Clenshaw-Curtis?", SIAM Review 2008): the
+distance from the line to the nearest pole sets how many nodes each
+interval needs.  So the default line is derived from the poles: the least
+half-integer sigma >= 1/2 at least 1 right of the rightmost first pole of
+the Gamma rows (lambda/3 on ex1, lambda on ex4).  Its nearest
+singularities are then the integers, 1/2 away at t = 0, where the
+breakpoints are graded, and every left pole is at least 1 away; the right
+poles d < sigma are transferred instead.  On the contour row j
 is Gamma(x_j + a_j tau)^(e_j), x_j = |c_j| s + offset, e_j = mult for the
 Gamma rows and -mult for the 1/Gamma rows, tau one nilpotent class (other
 rows, and exp(P log q) with P not nilpotent, are refused).  With
@@ -1932,6 +1939,17 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
     the wrong side of the line are transferred explicitly, so the line
     itself never needs to separate the two interlaced pole families.
 
+    The line is Re s = sigma.  By default sigma is the least half-integer
+    >= max(1/2, Re s* + 1), s* the rightmost first pole -offset/slope of
+    the kernel's Gamma rows (lambda/3 on ex1, lambda on ex4; after a check
+    that s_0 does not resonate): how many nodes an interval needs is set
+    by the distance from the line to the nearest pole, and there the
+    nearest are the integers, 1/2 away at t = 0, and every left pole is at
+    least 1 away.  Such a line transfers the right residues d < sigma and
+    no left one; a line further right would only transfer more, and
+    outside the wall those grow like (|q|/wall)^d.  An explicit sigma is
+    used as given.
+
     The line is cut at breakpoints graded toward t = 0 by a factor of 4,
     +-h, +-h/4, +-h/16 and 0 at the height h (0, h/16, h/4 and h on the
     reflection path), since the poles of pi/sin(pi s), the right poles and
@@ -1982,8 +2000,18 @@ def mellin_barnes_integral(example, q, lam=None, sigma=None,
         if abs(aq - _frac_mp(wall)) < mp.mpf("1e-12"):
             raise ContinuationError("q sits on the convergence wall")
         side = "inside" if aq < _frac_mp(wall) else "outside"
-        sigma = _number(where, "sigma", "0.5" if sigma is None else sigma,
-                        real=True)
+        if sigma is None:
+            # a resonant s_0 is refused as such, before a line right of it
+            # would meet it as a pole of a transferred right residue
+            with _prefixed(f"{g_y.name}: left pole n = 0"):
+                fr.off_resonance(kern.left_pole(0))
+            # the least half-integer at least 1 right of every Gamma row's
+            # first pole, Gamma(slope s + offset) at s = -offset/slope
+            first = max(mp.re(-r.offset / r.slope)
+                        for r in kern.contour if r.e > 0)
+            sigma = mp.ceil(max(mp.mpf(0.5), first + 1) - 0.5) + 0.5
+        else:
+            sigma = _number(where, "sigma", sigma, real=True)
 
         # poles near the line are a precondition failure, not a warning;
         # only poles and integers within 1 of the line are checked, and the

@@ -187,6 +187,13 @@ def _expect(where: str, name: str, value, kind: type,
                           f"not {value!r}")
 
 
+def _expect_range(ok: bool, where: str, name: str, value, want: str) -> None:
+    """Refuse an argument outside its range (ok false) with a MirrorError
+    naming the function, the argument and the range it must lie in."""
+    if not ok:
+        raise MirrorError(f"{where}: {name} must be {want}, not {value!r}")
+
+
 def _monomial_constant(value: LambdaRat, what: str):
     m = value.as_monomial()
     if m is None:
@@ -302,9 +309,8 @@ class InverseMap:
 
 def invert_mirror(data: MirrorData, bound: int | None = None) -> InverseMap:
     _expect("invert_mirror", "data", data, MirrorData)
-    if bound is not None and (type(bound) is not int or bound < 0):
-        raise MirrorError(f"invert_mirror: bound must be a nonnegative int "
-                          f"or None, not {bound!r}")
+    _expect_range(bound is None or (type(bound) is int and bound >= 0),
+                  "invert_mirror", "bound", bound, "a nonnegative int or None")
     geom = data.geometry
     nvars = len(geom.variables)
     bound = data.bound if bound is None else min(bound, data.bound)
@@ -362,6 +368,9 @@ def j_function(ifn: IFunction, data: MirrorData | None = None,
     _expect("j_function", "ifn", ifn, IFunction)
     _expect("j_function", "data", data, MirrorData, optional=True)
     _expect("j_function", "inverse", inverse, InverseMap, optional=True)
+    # the z^1 and z^0 layers are the ones the shape check below reads
+    _expect_range(type(zmin) is int and zmin <= 0, "j_function", "zmin", zmin,
+                  "an int <= 0")
     geom = ifn.geometry
     alg = geom.algebra
     nvars = len(geom.variables)
@@ -481,6 +490,10 @@ def one_point_invariants(J: JFunction, classes: tuple[str, ...] = ("p",),
     basis class α picks out ⟨α⟩_{0,1,d}.
     """
     _expect("one_point_invariants", "J", J, JFunction)
+    _expect_range(max_degree is None or (type(max_degree) in (int, Fraction)
+                                         and max_degree >= 0),
+                  "one_point_invariants", "max_degree", max_degree,
+                  "a nonnegative int or Fraction, or None")
     if isinstance(classes, str):
         # a string would be read one character at a time
         raise MirrorError(f"one_point_invariants: classes must be a tuple of "
@@ -524,6 +537,8 @@ def slice_invariants_ex2(J: JFunction, orders: int = 4) -> InvariantTable:
     descriptors record n only.
     """
     _expect("slice_invariants_ex2", "J", J, JFunction)
+    _expect_range(type(orders) is int and orders >= 0, "slice_invariants_ex2",
+                  "orders", orders, "a nonnegative int")
     geom = J.geometry
     alg = geom.algebra
     if len(J.mirror.twisted) != 1:

@@ -534,14 +534,25 @@ def test_mb_errors_name_the_side_and_the_pole(lam, why):
     assert str(info.value) == f"ex1: mellin_barnes_integral: ex1-Y: {why}"
 
 
-@pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
-def test_mb_evaluation_count(ex, q, monkeypatch):
+@pytest.mark.parametrize("ex, q, sigma, evaluations, corrections", [
+    pytest.param(ex, q, sigma, n, k,
+                 id=f"{ex}-{q}" + ("" if sigma is None else f"-sigma-{sigma}"))
+    for ex, q, sigma, n, k in (
+        ("ex1", "0.06", None, 195, 2), ("ex4", "0.12", None, 195, 3),
+        ("ex1", "0.06", "0.5", 259, 1), ("ex4", "0.12", "0.5", 323, 2))])
+def test_mb_evaluation_count(ex, q, sigma, evaluations, corrections,
+                             monkeypatch):
     # the seed-0 benchmark points take these many kernel evaluations: the
     # four height probes at t = +-12 and +-11, the ends +-12 among them, the
     # other five breakpoints, and the new nodes of each interval's nested
     # levels up to the first of at least 17 nodes whose error bound fits
-    # its share of tol (ex1: two intervals stop at 65 nodes and four at 33;
-    # ex4: four at 65 and two at 33); so the count follows the stopping
+    # its share of tol.  On the default line (sigma = 3/2 on ex1, 5/2 on
+    # ex4) every pole is at least 1/2 away and all six intervals stop at
+    # 33 nodes, in both examples.  At sigma = 1/2 the first left poles sit
+    # 0.27 (ex1) and 0.20 (ex4) from the line near t = Im lambda/3 and
+    # t = Im lambda: ex1 stops [-3/4, 0] and [0, 3/4] at 65 nodes and the
+    # other four at 33; ex4 stops [0, 3/4] at 129, [3/4, 3] at 65 and the
+    # other four at 33.  So the count follows the line and the stopping
     # rule, and test_mb_matches_a_high_precision_run guards the value it
     # buys.  No point of the line is evaluated twice
     points = []
@@ -553,23 +564,24 @@ def test_mb_evaluation_count(ex, q, monkeypatch):
 
     monkeypatch.setattr(_Kernel, "__call__", recorded)
     res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
-                                 digits=15, tol="1e-12")
+                                 sigma=sigma, digits=15, tol="1e-12")
     assert len(points) == len(set(points)) == res.evaluations
     assert (res.evaluations, res.height, res.corrections, res.wall) == (
-        {"ex1": 259, "ex4": 323}[ex], 12, {"ex1": 1, "ex4": 2}[ex],
+        evaluations, 12, corrections,
         {"ex1": Fraction(1, 27), "ex4": Fraction(1, 4)}[ex])
 
 
 @pytest.mark.parametrize("ex, q", [("ex1", "0.06"), ("ex4", "0.12")])
 def test_mb_gamma_pass_count(ex, q, monkeypatch):
     # the fixed-point Gamma passes of one integral at the seed-0 benchmark
-    # points: one per contour row and kernel evaluation, less the passes a
-    # row with a real offset (the 1/Gamma rows) takes at -t as the
-    # conjugate of its pass at t, plus those of the transferred residues
-    # (ex1: 4, ex4: 8).  The nested levels' nodes come in pairs +-t, so
-    # every node but t = 0 finds its mirror on ex1; on ex4 [0, 3/4] climbs
-    # to 129 nodes and [3/4, 3] to 65 against 33 on their mirrors, so 194
-    # of its 323 nodes pair up
+    # points on the default line: one per contour row and kernel
+    # evaluation, less the passes a row with a real offset (the 1/Gamma
+    # rows) takes at -t as the conjugate of its pass at t, plus those of
+    # the head and the transferred residues (ex1: 2 + 2 for each of
+    # d = 0, 1; ex4: 3 + 3 for each of d = 0, 1, 2).  The nested levels'
+    # nodes come in pairs +-t, and with all six intervals at 33 nodes
+    # every node but t = 0 finds its mirror: 97 of the 195 nodes take a
+    # shared pass, on ex1 and on ex4 alike
     calls = Counter()
 
     def counting(name, real):
@@ -585,10 +597,10 @@ def test_mb_gamma_pass_count(ex, q, monkeypatch):
     res = mellin_barnes_integral(ex, mp.mpf(q), lam=mp.mpc("0.7", "0.31"),
                                  digits=15, tol="1e-12")
     rows = {"ex1": 2, "ex4": 3}[ex]
-    assert calls == {"ex1": {"pass": 393, "shared": 129},
-                     "ex4": {"pass": 880, "shared": 97}}[ex]
+    assert calls == {"ex1": {"pass": 299, "shared": 97},
+                     "ex4": {"pass": 500, "shared": 97}}[ex]
     assert calls["pass"] + calls["shared"] == rows * res.evaluations + {
-        "ex1": 4, "ex4": 8}[ex]
+        "ex1": 6, "ex4": 12}[ex]
 
 
 def test_mb_budget_counts_the_lower_tail(monkeypatch):
@@ -727,12 +739,14 @@ def test_left_residue_error_names_geometry_index_and_pole(lam, why):
 
 
 @pytest.mark.parametrize("ex, lam, q", [
-    # the benchmark's (lambda, q) at seeds 0 and 1
+    # the benchmark's (lambda, q) at seeds 0, 1 and 2
     pytest.param(ex, lam, q, id=f"{ex}-{q}") for ex, lam, q in (
         ("ex1", ("0.7", "0.31"), "0.06"),
         ("ex4", ("0.7", "0.31"), "0.12"),
         ("ex1", ("0.678811", "0.351692"), "0.072913"),
-        ("ex4", ("0.678811", "0.351692"), "0.112753"))])
+        ("ex4", ("0.678811", "0.351692"), "0.112753"),
+        ("ex1", ("0.793845", "0.363739"), "0.051697"),
+        ("ex4", ("0.793845", "0.363739"), "0.104244"))])
 def test_mb_matches_a_high_precision_run(ex, lam, q):
     # the value stopped at tol 1e-12 lies within its own reported error of
     # one at 30 digits and tol 1e-25; lambda and q are made at 30 digits so
@@ -829,14 +843,42 @@ def test_mb_refusals_name_the_example(q, kw):
 
 def test_mb_left_of_zero_matches_the_default_line():
     # at sigma = -1.3 five left poles lie right of the line and the 1/Gamma
-    # rows have Re x = -0.3 on it; the value is the same
+    # rows have Re x = -0.3 on it, and the default line 3/2 has the right
+    # poles d = 0, 1 left of it; the value is the same
     lam = mp.mpc("0.7", "0.31")
     kw = dict(lam=lam, digits=15, tol="1e-12")
     left = mellin_barnes_integral("ex1", mp.mpf("0.06"), sigma="-1.3", **kw)
     mid = mellin_barnes_integral("ex1", mp.mpf("0.06"), **kw)
-    assert (left.corrections, mid.corrections) == (5, 1)
+    assert (left.corrections, mid.corrections) == (5, 2)
     with mp.workdps(25):
         assert (left.value - mid.value).maxabs() <= left.error + mid.error
+
+
+@pytest.mark.parametrize("ex", ["ex1", "ex4"])
+def test_default_line_is_derived_from_the_poles(ex):
+    # at the benchmark's (lambda, q) of seeds 0 and 2 the default line is
+    # the least half-integer at least 1/2 and at least 1 right of every
+    # Gamma row's first pole (lambda/3 on ex1, lambda on ex4): the right
+    # poles d < sigma are transferred and no left pole is, and the value is
+    # the one on the line sigma = 1/2
+    points = {"ex1": (("0.7", "0.31", "0.06"),
+                      ("0.793845", "0.363739", "0.051697")),
+              "ex4": (("0.7", "0.31", "0.12"),
+                      ("0.793845", "0.363739", "0.104244"))}[ex]
+    for re_lam, im_lam, q in points:
+        with mp.workdps(30):
+            lam, q = mp.mpc(re_lam, im_lam), mp.mpf(q)
+        kw = dict(lam=lam, digits=15, tol="1e-12")
+        res = mellin_barnes_integral(ex, q, **kw)
+        low = mellin_barnes_integral(ex, q, sigma="0.5", **kw)
+        assert res.sigma == {"ex1": 1.5, "ex4": 2.5}[ex]
+        with mp.workdps(25):
+            kern = _kernel_at(ex, q, 15, lam)
+            firsts = [mp.re(kern.fr.scalar(r.arg)) / -r.c
+                      for r in kern.rows if r.c < 0]
+            assert max(firsts) <= res.sigma - 1 < max(firsts) + 1
+            assert res.corrections == int(res.sigma + 0.5)
+            assert (res.value - low.value).maxabs() <= res.error + low.error
 
 
 def test_kernel_rows_off_one_class_are_refused(monkeypatch):

@@ -491,20 +491,39 @@ def _ex1y(part):
     (lambda: one_point_invariants(_ex1y("J"), "p1"), MirrorError,
      "one_point_invariants: classes must be a tuple of class labels, not "
      "the string 'p1'"),
+    (lambda: j_function(_ex1y("ifn"), zmin="a"), MirrorError,
+     "j_function: zmin must be an int <= 0, not 'a'"),
+    (lambda: j_function(_ex1y("ifn"), zmin=2.5), MirrorError,
+     "j_function: zmin must be an int <= 0, not 2.5"),
+    (lambda: j_function(_ex1y("ifn"), zmin=5), MirrorError,
+     "j_function: zmin must be an int <= 0, not 5"),
+    (lambda: one_point_invariants(_ex1y("J"), max_degree="x"), MirrorError,
+     "one_point_invariants: max_degree must be a nonnegative int or "
+     "Fraction, or None, not 'x'"),
+    (lambda: one_point_invariants(_ex1y("J"), max_degree=-1), MirrorError,
+     "one_point_invariants: max_degree must be a nonnegative int or "
+     "Fraction, or None, not -1"),
     (lambda: slice_invariants_ex2(None), MirrorError,
      "slice_invariants_ex2: J must be a JFunction, not None"),
+    (lambda: slice_invariants_ex2(_ex1y("J"), orders="4"), MirrorError,
+     "slice_invariants_ex2: orders must be a nonnegative int, not '4'"),
+    (lambda: slice_invariants_ex2(_ex1y("J"), orders=-1), MirrorError,
+     "slice_invariants_ex2: orders must be a nonnegative int, not -1"),
     (lambda: parse_lambda_rat(3), ValueError,
      "parse_lambda_rat: expected a string, not 3"),
     (lambda: parse_lambda_rat(None), ValueError,
      "parse_lambda_rat: expected a string, not None"),
 ], ids=["extract-none", "extract-name", "invert-none", "invert-bound-str",
         "invert-bound-negative", "j-none", "j-data", "j-inverse",
-        "one-point-none", "one-point-string", "slice-none", "parse-int",
+        "one-point-none", "one-point-string", "j-zmin-str", "j-zmin-float",
+        "j-zmin-positive", "one-point-degree-str", "one-point-degree-negative",
+        "slice-none", "slice-orders-str", "slice-orders-negative", "parse-int",
         "parse-none"])
 def test_exact_entry_points_refuse_bad_input(call, error, match):
     # each entry point names itself and the argument it refuses, where
-    # these used to raise AttributeError or TypeError, or (a negative bound,
-    # a label string read one character at a time) to run on
+    # these used to raise AttributeError, TypeError or ValueError, or (a
+    # negative bound, order or degree, a label string read one character at
+    # a time) to run on, or (zmin 2.5 or 5) to fail late on J's shape
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error

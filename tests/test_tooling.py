@@ -2,9 +2,13 @@
 
 import ast
 import re
+from itertools import product
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "crepant"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "crepant"
 
 
 def _binds(stmt) -> set:
@@ -172,3 +176,26 @@ def test_frames_and_kernels_carry_no_z():
                       or isinstance(n, ast.Attribute) and n.attr == "z"]
     assert methods >= 20
     assert found == []
+
+
+def test_bench_smoke_runs_every_workload():
+    # the CI matrix runs each workload bench/workloads.py names, and
+    # numeric-mb at seeds 0, 1 and 2, the samples that take the quadrature
+    # and the default line's transferred right residues through CI
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml")
+                          .read_text(encoding="utf-8"))["jobs"]
+    matrix = jobs["bench-smoke"]["strategy"]["matrix"]
+    runs = {(w, s) for w, s, _ in product(
+        matrix["workload"], matrix["seed"], matrix["trace"])}
+    runs |= {(job["workload"], job["seed"])
+             for job in matrix.get("include", ())}
+    tree = ast.parse((ROOT / "bench" / "workloads.py")
+                     .read_text(encoding="utf-8"))
+    workloads = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                     if isinstance(stmt, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "WORKLOADS"
+                             for t in stmt.targets))
+    assert "numeric-mb" in workloads
+    assert set(workloads) <= {w for w, _ in runs}
+    assert {0, 1, 2} <= {s for w, s in runs if w == "numeric-mb"}
